@@ -13,7 +13,7 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .compositions import Composition, compositions, count
+from .compositions import Composition, compositions
 from .exactnum import (
     ExactRational,
     beta_even,
@@ -30,14 +30,11 @@ from .kernels import (
     kernel_recursive,
 )
 from .sequences import (
-    CoefficientTable,
-    Provenance,
     TProductTerm,
     a_from_bernoulli,
     a_from_kb,
     a_recursive,
     bernoulli,
-    coefficient_table,
     euler,
     f_of,
     faulhaber_check,
@@ -60,13 +57,11 @@ from .specfun import (
 
 __all__ = [
     "BRUTE_FORCE_SOFT_LIMIT",
-    "CoefficientTable",
     "Composition",
     "EvalReport",
     "ExactRational",
     "KernelCache",
     "KernelKind",
-    "Provenance",
     "TProductTerm",
     "TruncationParams",
     "__version__",
@@ -76,9 +71,7 @@ __all__ = [
     "bernoulli",
     "beta_even",
     "check_ln_pi_over_e",
-    "coefficient_table",
     "compositions",
-    "count",
     "euler",
     "eval_digamma",
     "eval_gamma",

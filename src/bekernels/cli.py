@@ -23,9 +23,9 @@ from typing import List, Optional, Tuple
 
 from mpmath import mp
 
-from . import __version__
+from . import __version__, verify
 from .compositions import compositions
-from .exactnum import beta_even, format_rational
+from .exactnum import format_rational
 from .kernels import (
     BRUTE_FORCE_SOFT_LIMIT,
     KernelCache,
@@ -37,16 +37,7 @@ from .kernels import (
     shared_cache,
     write_cache_file,
 )
-from .oracles import bernoulli_even, euler_even
-from .sequences import (
-    a_from_bernoulli,
-    a_from_kb,
-    a_recursive,
-    bernoulli,
-    euler,
-    g_bruteforce,
-    g_closed,
-)
+from .sequences import a_from_kb, bernoulli, euler
 from .specfun import (
     TruncationParams,
     eval_digamma,
@@ -158,14 +149,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _brute_force_refused(args: argparse.Namespace, size: str) -> bool:
+    """Refuse a compositions walk past the soft limit unless --force was given."""
+    n = getattr(args, size)
+    if args.method != "compositions" or n <= BRUTE_FORCE_SOFT_LIMIT or args.force:
+        return False
+    print(
+        f"error: compositions method at {size}={n} walks 2**{n - 1} tuples; "
+        f"rerun with --force to insist",
+        file=sys.stderr,
+    )
+    return True
+
+
 def cmd_table(args: argparse.Namespace) -> int:
     kind = KernelKind(args.kind)
-    if args.method == "compositions" and args.upto > BRUTE_FORCE_SOFT_LIMIT and not args.force:
-        print(
-            f"error: compositions method at upto={args.upto} walks 2**{args.upto - 1} "
-            f"tuples; rerun with --force to insist",
-            file=sys.stderr,
-        )
+    if _brute_force_refused(args, "upto"):
         return 3
     compute = _METHODS[args.method]
     rows = [(n, compute(kind, n)) for n in range(1, args.upto + 1)]
@@ -187,22 +186,10 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     if args.method != "recursion" and args.n == 0:
         print(f"error: method {args.method} requires n >= 1", file=sys.stderr)
         return 2
-    if args.method == "compositions" and args.n > BRUTE_FORCE_SOFT_LIMIT and not args.force:
-        print(
-            f"error: compositions method at n={args.n} walks 2**{args.n - 1} tuples; "
-            f"rerun with --force to insist",
-            file=sys.stderr,
-        )
+    if _brute_force_refused(args, "n"):
         return 3
     print(format_rational(_METHODS[args.method](kind, args.n)))
     return 0
-
-
-def _first_difference(pairs) -> Optional[str]:
-    for label, lhs, rhs in pairs:
-        if lhs != rhs:
-            return f"first difference at {label}: {format_rational(lhs)} vs {format_rational(rhs)}"
-    return None
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -212,88 +199,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    checks: List[Tuple[str, Optional[str]]] = []
-    # Verification always recomputes from scratch; preloaded cache files
-    # must not be able to vouch for themselves.
-    for kind in KernelKind:
-        cache = KernelCache(kind)
-        checks.append(
-            (
-                f"three-way kernel agreement (kind={kind.value}, n=1..{args.brute})",
-                _first_difference(
-                    (f"n={n} ({route})", kernel_recursive(kind, n, cache), other)
-                    for n in range(1, args.brute + 1)
-                    for route, other in (
-                        ("compositions", kernel_compositions(kind, n)),
-                        ("determinant", kernel_determinant(kind, n)),
-                    )
-                ),
-            )
-        )
-        checks.append(
-            (
-                f"recursion vs determinant (kind={kind.value}, n=1..{args.exact})",
-                _first_difference(
-                    (f"n={n}", kernel_recursive(kind, n, cache), kernel_determinant(kind, n))
-                    for n in range(1, args.exact + 1)
-                ),
-            )
-        )
-    cache_b = KernelCache(KernelKind.BERNOULLI)
-    cache_e = KernelCache(KernelKind.EULER)
-    checks.append(
-        (
-            f"coefficient route agreement (n=1..{args.exact})",
-            _first_difference(
-                (f"n={n} ({route})", a_from_kb(n, cache_b), other)
-                for n in range(1, args.exact + 1)
-                for route, other in (
-                    ("recursion", a_recursive(n)),
-                    ("scaled Bernoulli", a_from_bernoulli(n)),
-                )
-            ),
-        )
-    )
-    checks.append(
-        (
-            f"Bernoulli numbers vs Akiyama-Tanigawa oracle (n=1..{args.exact})",
-            _first_difference(
-                (f"n={n}", bernoulli(n, cache_b), bernoulli_even(n))
-                for n in range(1, args.exact + 1)
-            ),
-        )
-    )
-    checks.append(
-        (
-            f"Euler numbers vs Seidel oracle (n=1..{args.exact})",
-            _first_difference(
-                (f"n={n}", euler(n, cache_e), Fraction(euler_even(n)))
-                for n in range(1, args.exact + 1)
-            ),
-        )
-    )
-    checks.append(
-        (
-            f"g closed form vs brute force (n=1..{args.brute}, m0=1..5)",
-            _first_difference(
-                (f"n={n}, m0={m0}", g_closed(n, m0, cache_b), g_bruteforce(n, m0))
-                for n in range(1, args.brute + 1)
-                for m0 in range(1, 6)
-            ),
-        )
-    )
-    checks.append(
-        (
-            f"beta-scaled g independent of m0 (n=1..{args.brute})",
-            _first_difference(
-                (f"n={n}, m0={m0}", -beta_even(n, m0) * g_closed(n, m0, cache_b), a_from_kb(n, cache_b))
-                for n in range(1, args.brute + 1)
-                for m0 in range(1, 6)
-            ),
-        )
-    )
     failed = False
-    for name, problem in checks:
+    for check in verify.CHECKS:
+        depth = args.exact if check.depth == "exact" else args.brute
+        name = check.title.format(n=depth)
+        problem = verify.first_difference(check.pairs(depth))
         if problem is None:
             print(f"PASS {name}")
         else:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterator, Tuple
 
-__all__ = ["Composition", "compositions", "count"]
+__all__ = ["Composition", "compositions"]
 
 Composition = Tuple[int, ...]
 
@@ -33,9 +33,3 @@ def _generate(n: int) -> Iterator[Composition]:
             yield (first,) + rest
     yield (n,)
 
-
-def count(n: int) -> int:
-    """Number of compositions of n, i.e. 2**(n-1)."""
-    if n < 1:
-        raise ValueError(f"count requires n >= 1, got {n}")
-    return 1 << (n - 1)

@@ -16,11 +16,10 @@ E_2 = -1, and a_1 = 1/24.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional
 
 from . import oracles
 from .compositions import Composition, compositions
@@ -28,14 +27,11 @@ from .exactnum import beta_even, factorial
 from .kernels import KernelCache, KernelKind, kernel_recursive
 
 __all__ = [
-    "CoefficientTable",
-    "Provenance",
     "TProductTerm",
     "a_from_bernoulli",
     "a_from_kb",
     "a_recursive",
     "bernoulli",
-    "coefficient_table",
     "euler",
     "f_of",
     "faulhaber_check",
@@ -172,42 +168,6 @@ def a_from_bernoulli(n: int) -> Fraction:
         raise ValueError(f"a_from_bernoulli requires n >= 1, got {n}")
     b2n = oracles.bernoulli_even(n)
     return b2n * (1 - Fraction(1, 1 << (2 * n - 1))) / (2 * n)
-
-
-class Provenance(enum.Enum):
-    """Which of the three independent routes produced a coefficient table."""
-
-    FROM_KB = "from-kernel"
-    FROM_RECURSION = "from-recursion"
-    FROM_BERNOULLI = "from-bernoulli"
-
-
-@dataclass(frozen=True)
-class CoefficientTable:
-    """Immutable table of a_1..a_N together with how it was computed."""
-
-    provenance: Provenance
-    values: Tuple[Fraction, ...]
-
-    def a(self, n: int) -> Fraction:
-        if not 1 <= n <= len(self.values):
-            raise IndexError(f"table holds a_1..a_{len(self.values)}, got n={n}")
-        return self.values[n - 1]
-
-
-def coefficient_table(
-    upto: int, provenance: Provenance, cache: Optional[KernelCache] = None
-) -> CoefficientTable:
-    """Build a_1..a_upto by the requested route."""
-    if upto < 1:
-        raise ValueError(f"coefficient_table requires upto >= 1, got {upto}")
-    if provenance is Provenance.FROM_KB:
-        values = tuple(a_from_kb(n, cache) for n in range(1, upto + 1))
-    elif provenance is Provenance.FROM_RECURSION:
-        values = tuple(_a_recursive_table(upto)[1:])
-    else:
-        values = tuple(a_from_bernoulli(n) for n in range(1, upto + 1))
-    return CoefficientTable(provenance, values)
 
 
 def faulhaber_check(n: int, r: int, cache: Optional[KernelCache] = None) -> bool:

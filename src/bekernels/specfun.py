@@ -22,7 +22,6 @@ from typing import Optional, Union
 import mpmath
 from mpmath import mp
 
-from .constants import EULER_MASCHERONI_40, PI_40
 from .exactnum import factorial
 from .sequences import a_from_kb, f_of, g_closed
 
@@ -98,14 +97,15 @@ def _report(
     return EvalReport(value, terms_used, bound, reference, error)
 
 
-def _as_mpf(x: Real) -> mpmath.mpf:
+def _mpf(x: Real) -> mpmath.mpf:
+    """x at the current working precision; inf and nan raise ValueError."""
     if isinstance(x, Fraction):
-        return mp.mpf(x.numerator) / x.denominator
-    return mp.mpf(x)
-
-
-def _frac(value: Fraction) -> mpmath.mpf:
-    return mp.mpf(value.numerator) / value.denominator
+        value = mp.mpf(x.numerator) / x.denominator
+    else:
+        value = mp.mpf(x)
+    if not mp.isfinite(value):
+        raise ValueError(f"expected a finite number, got {x}")
+    return value
 
 
 def p_term(m: int, x: Real, working_precision: int = 34) -> mpmath.mpf:
@@ -116,7 +116,7 @@ def p_term(m: int, x: Real, working_precision: int = 34) -> mpmath.mpf:
     if m < 1:
         raise ValueError(f"p_term requires m >= 1, got {m}")
     with mp.workdps(working_precision + _GUARD_DIGITS):
-        xm = _as_mpf(x)
+        xm = _mpf(x)
         if not xm > mp.mpf(-1) / 2:
             raise ValueError(f"p_term requires x > -1/2, got {x}")
         base = xm + mp.mpf(1) / 2
@@ -155,8 +155,8 @@ def zeta_direct(s: Real, q: Real, tol: float) -> mpmath.mpf:
         raise ValueError(f"tol must be positive, got {tol}")
     dps = max(25, math.ceil(-math.log10(tol)) + _GUARD_DIGITS)
     with mp.workdps(dps):
-        sm = _as_mpf(s)
-        qm = _as_mpf(q)
+        sm = _mpf(s)
+        qm = _mpf(q)
         if not sm > 1:
             raise ValueError(f"zeta_direct requires s > 1, got {s}")
         if not qm > 0:
@@ -168,7 +168,7 @@ def zeta_direct(s: Real, q: Real, tol: float) -> mpmath.mpf:
         total += edge ** (-sm) / 2
         rising = sm  # s(s+1)...(s+2k-2), maintained across k
         for k, b2k in enumerate(_EM_CORRECTIONS, start=1):
-            total += _frac(b2k) / factorial(2 * k) * rising * edge ** (-sm - 2 * k + 1)
+            total += _mpf(b2k) / factorial(2 * k) * rising * edge ** (-sm - 2 * k + 1)
             rising *= (sm + 2 * k - 1) * (sm + 2 * k)
         return total
 
@@ -183,13 +183,13 @@ def eval_hurwitz_expansion(m0: int, x: Real, params: TruncationParams) -> EvalRe
         raise ValueError(f"eval_hurwitz_expansion requires m0 >= 1, got {m0}")
     wp = params.working_precision
     with mp.workdps(wp + _GUARD_DIGITS):
-        xm = _as_mpf(x)
+        xm = _mpf(x)
         value = p_term(m0, xm, wp)
         base = xm + mp.mpf(1) / 2
 
         def z_term(z: int) -> mpmath.mpf:
             power = 2 * m0 + 2 * z - 1
-            return _frac(g_closed(z, m0)) / (power * base**power)
+            return _mpf(g_closed(z, m0)) / (power * base**power)
 
         for z in range(1, params.terms + 1):
             value += z_term(z)
@@ -207,15 +207,15 @@ def eval_gamma(x: Real, params: TruncationParams) -> EvalReport:
     """
     wp = params.working_precision
     with mp.workdps(wp + _GUARD_DIGITS):
-        xm = _as_mpf(x)
+        xm = _mpf(x)
         if not xm > 0:
             raise ValueError(f"eval_gamma requires x > 0, got {x}")
 
         def exponent_term(n: int) -> mpmath.mpf:
-            return _frac(a_from_kb(n)) / ((2 * n - 1) * xm ** (2 * n - 1))
+            return _mpf(a_from_kb(n)) / ((2 * n - 1) * xm ** (2 * n - 1))
 
         exponent = mp.fsum(exponent_term(n) for n in range(1, params.terms + 1))
-        value = mp.exp(xm * mp.log(xm) - xm - exponent) * mp.sqrt(2 * _pinned_pi())
+        value = mp.exp(xm * mp.log(xm) - xm - exponent) * mp.sqrt(2 * mp.pi)
         bound = abs(exponent_term(params.terms + 1))
         reference = mpmath.gamma(xm + mp.mpf(1) / 2)
         return _report(value, params.terms, bound, reference)
@@ -225,25 +225,25 @@ def eval_digamma(x: Real, params: TruncationParams) -> EvalReport:
     """psi(x + 1) = ln(x + 1/2) + sum a_n / (x + 1/2)^(2n), truncated.
 
     Requires x > -1/2.  For non-negative integer x the reference is the
-    exact harmonic number H_x minus the pinned Euler-Mascheroni constant;
+    exact harmonic number H_x minus mpmath's Euler-Mascheroni constant;
     for other x no independent reference is reported.
     """
     wp = params.working_precision
     with mp.workdps(wp + _GUARD_DIGITS):
-        xm = _as_mpf(x)
+        xm = _mpf(x)
         if not xm > mp.mpf(-1) / 2:
             raise ValueError(f"eval_digamma requires x > -1/2, got {x}")
         base = xm + mp.mpf(1) / 2
 
         def series_term(n: int) -> mpmath.mpf:
-            return _frac(a_from_kb(n)) * base ** (-2 * n)
+            return _mpf(a_from_kb(n)) * base ** (-2 * n)
 
         value = mp.log(base) + mp.fsum(series_term(n) for n in range(1, params.terms + 1))
         bound = abs(series_term(params.terms + 1))
         reference = None
         if mp.isint(xm) and xm >= 0:
             harmonic = sum((Fraction(1, k) for k in range(1, int(xm) + 1)), Fraction(0))
-            reference = _frac(harmonic) - mp.mpf(EULER_MASCHERONI_40)
+            reference = _mpf(harmonic) - mp.euler
         return _report(value, params.terms, bound, reference)
 
 
@@ -261,14 +261,14 @@ def eval_polygamma(y: int, x: Real, params: TruncationParams) -> EvalReport:
     wp = params.working_precision
     inner_tol = 10.0 ** -(wp + 2)
     with mp.workdps(wp + _GUARD_DIGITS):
-        xm = _as_mpf(x)
+        xm = _mpf(x)
         if not xm > mp.mpf(-1) / 2:
             raise ValueError(f"eval_polygamma requires x > -1/2, got {x}")
         base = xm + mp.mpf(1) / 2
         sign = 1 if y % 2 else -1
 
         def series_term(n: int) -> mpmath.mpf:
-            weight = _frac(f_of(n)) * (factorial(2 * n + y) // factorial(2 * n - 1))
+            weight = _mpf(f_of(n)) * (factorial(2 * n + y) // factorial(2 * n - 1))
             return weight * zeta_direct(2 * n + y + 1, xm + 1, inner_tol)
 
         series = mp.fsum(series_term(n) for n in range(1, params.terms + 1))
@@ -283,7 +283,7 @@ def check_ln_pi_over_e(terms: int, working_precision: int = 34) -> EvalReport:
 
     The terms decay like 4^(-j), so this series genuinely converges; the
     report's bound is the first omitted term and the reference is
-    (ln pi - 1)/2 from the pinned constant.
+    (ln pi - 1)/2 with mpmath's pi.
     """
     if terms < 1:
         raise ValueError(f"check_ln_pi_over_e requires terms >= 1, got {terms}")
@@ -291,13 +291,10 @@ def check_ln_pi_over_e(terms: int, working_precision: int = 34) -> EvalReport:
     with mp.workdps(working_precision + _GUARD_DIGITS):
 
         def series_term(j: int) -> mpmath.mpf:
-            return zeta_direct(2 * j, 1, inner_tol) * _frac(f_of(j))
+            return zeta_direct(2 * j, 1, inner_tol) * _mpf(f_of(j))
 
         value = mp.fsum(series_term(j) for j in range(1, terms + 1))
         bound = series_term(terms + 1)
-        reference = (mp.log(_pinned_pi()) - 1) / 2
+        reference = (mp.log(mp.pi) - 1) / 2
         return _report(value, terms, bound, reference)
 
-
-def _pinned_pi() -> mpmath.mpf:
-    return mp.mpf(PI_40)

@@ -1,0 +1,117 @@
+"""The cross-route check table behind ``bekernels verify`` and the acceptance suite.
+
+Each entry compares two or more routes that the package keeps independent
+(see the ``kernels`` docstring): it names a title, the depth it runs at
+(``"exact"`` for the O(n^2) routes, ``"brute"`` for the exponential ones)
+and a ``pairs(depth)`` generator of ``(where, lhs, rhs)`` triples.
+``first_difference`` turns those triples into a verdict.
+
+Every entry builds its own ``KernelCache``: verification always recomputes
+from scratch, so values loaded from cache files cannot vouch for
+themselves.  Routes are called through their modules, never imported by
+name, so that whatever a module exposes under a route's name is what the
+table checks.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import partial
+from typing import Callable, Iterable, Iterator, Literal, Optional, Tuple
+
+from . import exactnum, kernels, oracles, sequences
+from .kernels import KernelCache, KernelKind
+
+__all__ = ["CHECKS", "Check", "first_difference"]
+
+Pair = Tuple[str, Fraction, Fraction]
+
+
+@dataclass(frozen=True)
+class Check:
+    """One cross-route comparison; ``title`` holds ``{n}`` for the depth."""
+
+    title: str
+    depth: Literal["exact", "brute"]
+    pairs: Callable[[int], Iterable[Pair]]
+
+
+def first_difference(pairs: Iterable[Pair]) -> Optional[str]:
+    """None when every pair agrees, else a description of the first that does not."""
+    for where, lhs, rhs in pairs:
+        if lhs != rhs:
+            return (
+                f"first difference at {where}: "
+                f"{exactnum.format_rational(lhs)} vs {exactnum.format_rational(rhs)}"
+            )
+    return None
+
+
+def _three_way(kind: KernelKind, depth: int) -> Iterator[Pair]:
+    cache = KernelCache(kind)
+    for n in range(1, depth + 1):
+        recursive = kernels.kernel_recursive(kind, n, cache)
+        yield f"n={n} (compositions)", recursive, kernels.kernel_compositions(kind, n)
+        yield f"n={n} (determinant)", recursive, kernels.kernel_determinant(kind, n)
+
+
+def _recursion_vs_determinant(kind: KernelKind, depth: int) -> Iterator[Pair]:
+    cache = KernelCache(kind)
+    for n in range(1, depth + 1):
+        recursive = kernels.kernel_recursive(kind, n, cache)
+        yield f"n={n}", recursive, kernels.kernel_determinant(kind, n)
+
+
+def _coefficient_routes(depth: int) -> Iterator[Pair]:
+    cache = KernelCache(KernelKind.BERNOULLI)
+    for n in range(1, depth + 1):
+        from_kb = sequences.a_from_kb(n, cache)
+        yield f"n={n} (recursion)", from_kb, sequences.a_recursive(n)
+        yield f"n={n} (scaled Bernoulli)", from_kb, sequences.a_from_bernoulli(n)
+
+
+def _bernoulli_oracle(depth: int) -> Iterator[Pair]:
+    cache = KernelCache(KernelKind.BERNOULLI)
+    for n in range(1, depth + 1):
+        yield f"n={n}", sequences.bernoulli(n, cache), oracles.bernoulli_even(n)
+
+
+def _euler_oracle(depth: int) -> Iterator[Pair]:
+    # Equality with the integer oracle also shows that E_2n is integral.
+    cache = KernelCache(KernelKind.EULER)
+    for n in range(1, depth + 1):
+        yield f"n={n}", sequences.euler(n, cache), Fraction(oracles.euler_even(n))
+
+
+def _g_brute_force(depth: int) -> Iterator[Pair]:
+    cache = KernelCache(KernelKind.BERNOULLI)
+    for n in range(1, depth + 1):
+        for m0 in range(1, 6):
+            closed = sequences.g_closed(n, m0, cache)
+            yield f"n={n}, m0={m0}", closed, sequences.g_bruteforce(n, m0)
+
+
+def _g_m0_independence(depth: int) -> Iterator[Pair]:
+    cache = KernelCache(KernelKind.BERNOULLI)
+    for n in range(1, depth + 1):
+        for m0 in range(1, 6):
+            scaled = -exactnum.beta_even(n, m0) * sequences.g_closed(n, m0, cache)
+            yield f"n={n}, m0={m0}", scaled, sequences.a_from_kb(n, cache)
+
+
+_B, _E = KernelKind.BERNOULLI, KernelKind.EULER
+
+CHECKS: Tuple[Check, ...] = (
+    Check("three-way kernel agreement (kind=b, n=1..{n})", "brute", partial(_three_way, _B)),
+    Check("recursion vs determinant (kind=b, n=1..{n})", "exact",
+          partial(_recursion_vs_determinant, _B)),
+    Check("three-way kernel agreement (kind=e, n=1..{n})", "brute", partial(_three_way, _E)),
+    Check("recursion vs determinant (kind=e, n=1..{n})", "exact",
+          partial(_recursion_vs_determinant, _E)),
+    Check("coefficient route agreement (n=1..{n})", "exact", _coefficient_routes),
+    Check("Bernoulli numbers vs Akiyama-Tanigawa oracle (n=1..{n})", "exact", _bernoulli_oracle),
+    Check("Euler numbers vs Seidel oracle (n=1..{n})", "exact", _euler_oracle),
+    Check("g closed form vs brute force (n=1..{n}, m0=1..5)", "brute", _g_brute_force),
+    Check("beta-scaled g independent of m0 (n=1..{n})", "brute", _g_m0_independence),
+)

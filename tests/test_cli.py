@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from bekernels import oracles
 from bekernels.cli import main
 
 EULER_CSV_GOLDEN = "1,-1/2\n2,5/24\n3,-61/720\n"
@@ -109,6 +110,18 @@ def test_verify_passes(capsys):
     assert any("Akiyama" in line for line in lines)
     assert any("Seidel" in line for line in lines)
     assert any("brute force" in line for line in lines)
+
+
+def test_verify_reports_a_wrong_oracle(capsys, monkeypatch):
+    right = oracles.euler_even
+    monkeypatch.setattr(oracles, "euler_even", lambda n: right(n) + 1 if n == 5 else right(n))
+    code, out, _ = run_cli(capsys, "verify", "--exact", "8", "--brute", "5")
+    assert code == 1
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert fails == [
+        "FAIL Euler numbers vs Seidel oracle (n=1..8): first difference at n=5: -50521 vs -50520"
+    ]
+    assert all(line.startswith("PASS") for line in out.splitlines() if line not in fails)
 
 
 def test_verify_precondition_exits_2(capsys):
@@ -219,6 +232,10 @@ def test_eval_domain_error_exits_2(capsys):
     assert code == 2 and "x > 0" in err
     code, _, err = run_cli(capsys, "eval", "digamma", "--x", "oops", "--terms", "5")
     assert code == 2
+    for target in (["gamma"], ["digamma"], ["hurwitz"], ["polygamma", "--y", "1"]):
+        for x in ("inf", "nan"):
+            code, _, err = run_cli(capsys, "eval", *target, "--x", x, "--terms", "3")
+            assert code == 2 and "finite" in err, (target, x)
 
 
 def test_eval_precision_floor(capsys):

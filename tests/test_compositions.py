@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bekernels.compositions import compositions, count
+from bekernels.compositions import compositions
 
 
 def test_order_golden_n3():
@@ -15,23 +15,15 @@ def test_single_part():
     assert list(compositions(1)) == [(1,)]
 
 
-def test_count_values():
-    assert count(1) == 1
-    assert count(4) == 8
-    assert count(12) == 2048
-
-
 def test_rejects_nonpositive():
     with pytest.raises(ValueError):
         compositions(0)
-    with pytest.raises(ValueError):
-        count(0)
 
 
 @given(st.integers(1, 14))
 def test_stream_properties(n):
     seen = list(compositions(n))
-    assert len(seen) == count(n) == 2 ** (n - 1)
+    assert len(seen) == 2 ** (n - 1)
     assert all(sum(parts) == n for parts in seen)
     assert all(min(parts) >= 1 for parts in seen)
     assert len(set(seen)) == len(seen)

@@ -8,13 +8,10 @@ from bekernels.exactnum import beta_even
 from bekernels.kernels import KernelCache, KernelKind
 from bekernels.oracles import bernoulli_even, euler_even
 from bekernels.sequences import (
-    CoefficientTable,
-    Provenance,
     a_from_bernoulli,
     a_from_kb,
     a_recursive,
     bernoulli,
-    coefficient_table,
     euler,
     f_of,
     faulhaber_check,
@@ -111,25 +108,6 @@ def test_beta_relation_m0_independent():
     for n in range(1, 11):
         scaled = {-beta_even(n, m0) * g_closed(n, m0) for m0 in range(1, 6)}
         assert scaled == {a_from_kb(n)}, n
-
-
-def test_coefficient_tables_agree():
-    tables = [coefficient_table(12, p) for p in Provenance]
-    assert all(t.values == tables[0].values for t in tables)
-    assert tables[0].a(1) == Fraction(1, 24)
-    with pytest.raises(IndexError):
-        tables[0].a(0)
-    with pytest.raises(IndexError):
-        tables[0].a(13)
-    with pytest.raises(ValueError):
-        coefficient_table(0, Provenance.FROM_KB)
-
-
-def test_coefficient_table_is_frozen():
-    table = coefficient_table(3, Provenance.FROM_RECURSION)
-    assert isinstance(table, CoefficientTable)
-    with pytest.raises(AttributeError):
-        table.values = ()
 
 
 def test_bernoulli_values():

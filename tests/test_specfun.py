@@ -45,6 +45,8 @@ def test_p_term_domain():
         p_term(1, -0.5)
     with pytest.raises(ValueError):
         p_term(1, -3)
+    with pytest.raises(ValueError):
+        p_term(1, "inf")
 
 
 def test_zeta_direct_known_values():
@@ -72,6 +74,8 @@ def test_zeta_direct_against_independent_library():
 def test_zeta_direct_domain():
     with pytest.raises(ValueError):
         zeta_direct(1, 1, 1e-10)
+    with pytest.raises(ValueError):
+        zeta_direct(2, "inf", 1e-10)
     with pytest.raises(ValueError):
         zeta_direct(2, 0, 1e-10)
     with pytest.raises(ValueError):
@@ -105,6 +109,8 @@ def test_hurwitz_zero_terms_degenerates_to_p():
         eval_hurwitz_expansion(0, 1, tp(3))
     with pytest.raises(ValueError):
         eval_hurwitz_expansion(1, -0.5, tp(3))
+    with pytest.raises(ValueError):
+        eval_hurwitz_expansion(1, float("inf"), tp(3))
 
 
 @pytest.mark.parametrize("x", [5, 10])
@@ -150,6 +156,8 @@ def test_digamma_monotone_improvement():
 def test_digamma_domain():
     with pytest.raises(ValueError):
         eval_digamma(-0.5, tp(3))
+    with pytest.raises(ValueError):
+        eval_digamma(float("inf"), tp(3))
 
 
 def test_gamma_trivial_points_within_bound():
@@ -168,11 +176,22 @@ def test_gamma_half_integer_closed_form():
     assert abs(report.reference - closed) < mp.mpf(10) ** -35
 
 
+def test_gamma_bound_holds_past_forty_digits():
+    # pi enters at working precision; a 40-digit pi would cap the error near 1e-41.
+    report = eval_gamma(100, tp(20, 80))
+    relative = report.abs_error / report.reference
+    assert relative <= 2 * report.first_omitted_term_bound
+
+
 def test_gamma_domain():
     with pytest.raises(ValueError):
         eval_gamma(0, tp(3))
     with pytest.raises(ValueError):
         eval_gamma(-2.5, tp(3))
+    with pytest.raises(ValueError):
+        eval_gamma(float("inf"), tp(3))
+    with pytest.raises(ValueError):
+        eval_gamma("nan", tp(3))
 
 
 @pytest.mark.parametrize("y", [1, 2, 3])
@@ -202,6 +221,8 @@ def test_polygamma_domain():
         eval_polygamma(0, 4, tp(3))
     with pytest.raises(ValueError):
         eval_polygamma(1, -0.6, tp(3))
+    with pytest.raises(ValueError):
+        eval_polygamma(1, float("inf"), tp(3))
 
 
 def test_ln_pi_over_e_partial_sums():
