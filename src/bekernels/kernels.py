@@ -18,11 +18,13 @@ terms of the others.
 from __future__ import annotations
 
 import enum
+import math
+import os
 import threading
 import warnings
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from .compositions import compositions
 from .exactnum import factorial, format_rational, parse_rational
@@ -67,12 +69,21 @@ class KernelCache:
     different value at an existing index raises, storing an equal value is
     a no-op.  All mutation happens under a lock, so a cache may be shared
     across threads.
+
+    The cache also holds the frontier of ``kernel_recursive``'s integer
+    recurrence, so that extending the table by one value costs O(m)
+    integer operations: the scaled values of K(0), K(1), ..., their common
+    odd factor P (1 for kind e) and the last Pascal row used.
     """
 
     def __init__(self, kind: KernelKind):
         self.kind = kind
         self._values: Dict[int, Fraction] = {0: Fraction(1)}
-        self._lock = threading.Lock()
+        # Reentrant: the fill holds it while handing values to ``put``.
+        self._lock = threading.RLock()
+        self._scaled: List[int] = [1]
+        self._odd_lcm = 1
+        self._pascal: List[int] = [1]
 
     def get(self, n: int) -> Optional[Fraction]:
         return self._values.get(n)
@@ -117,6 +128,23 @@ def kernel_recursive(kind: KernelKind, n: int, cache: Optional[KernelCache] = No
 
     Every value K(1)..K(n) not already cached is computed in ascending
     order, so a later call at a smaller or equal index is a lookup.
+
+    The recursion runs in integers.  Multiplying
+    sum_{k<=m} K(k) w(m-k) = 0 (with w(0) = 1) by (2m)! for kind e, or by
+    P (2m+1)! for kind b, gives
+
+    * kind e: E(m) = (2m)! K(m) and E(m) = -sum_{k<m} C(2m, 2k) E(k);
+    * kind b: V(m) = P (2m)! K(m) and
+      (2m+1) V(m) = -sum_{k<m} C(2m+1, 2k) V(k),
+
+    where P is the lcm of the odd numbers up to 2m+1, so every V(k) is an
+    integer.  When 2m+1 is a new odd prime power, P and every stored V(k)
+    grow by that prime.  The binomials come from a Pascal row advanced in
+    place, and each new value reaches the write-once ``put`` as
+    ``Fraction(scaled, unit)``.  A value already cached past the frontier
+    (say, loaded from a file) is taken over in scaled units; one that is
+    not an integer there, or a division by 2m+1 that leaves a remainder,
+    raises ValueError.
     """
     if n < 0:
         raise ValueError(f"kernel index must be >= 0, got {n}")
@@ -127,13 +155,40 @@ def kernel_recursive(kind: KernelKind, n: int, cache: Optional[KernelCache] = No
     known = cache.get(n)
     if known is not None:
         return known
-    for m in range(1, n + 1):
-        if m in cache:
-            continue
-        total = Fraction(0)
-        for prior in range(m):
-            total += cache.get(prior) * kind.weight(m - prior)
-        cache.put(m, -total)
+    bernoulli = kind is KernelKind.BERNOULLI
+    with cache._lock:
+        scaled, row = cache._scaled, cache._pascal
+        for m in range(len(scaled), n + 1):
+            odd = 2 * m + 1
+            if bernoulli:
+                grow = odd // math.gcd(cache._odd_lcm, odd)
+                if grow > 1:
+                    cache._odd_lcm *= grow
+                    scaled[:] = [v * grow for v in scaled]
+            # Advance the row to C(2m+1, .) for kind b, C(2m, .) for kind e.
+            while len(row) <= (odd if bernoulli else 2 * m):
+                row.append(1)
+                for j in range(len(row) - 2, 0, -1):
+                    row[j] += row[j - 1]
+            unit = cache._odd_lcm * factorial(2 * m)
+            cached = cache.get(m)
+            if cached is None:
+                total = -sum(row[2 * k] * v for k, v in enumerate(scaled))
+                value, remainder = divmod(total, odd) if bernoulli else (total, 0)
+                if remainder:
+                    raise ValueError(
+                        f"kernel recursion at n={m}: the sum is not divisible by {odd}, "
+                        f"so a cached value below n={m} is not a kernel value"
+                    )
+                cache.put(m, Fraction(value, unit))
+            else:
+                value, remainder = divmod(cached.numerator * unit, cached.denominator)
+                if remainder:
+                    raise ValueError(
+                        f"cached K({m}) = {format_rational(cached)} is not a kernel value: "
+                        f"it is not an integer in the recursion's scaled units"
+                    )
+            scaled.append(value)
     return cache.get(n)
 
 
@@ -188,9 +243,22 @@ def kernel_determinant(kind: KernelKind, n: int) -> Fraction:
 
 
 def write_cache_file(cache: KernelCache, path: Union[str, Path]) -> None:
-    """Persist a cache as sorted ``n p/q`` lines."""
-    lines = [f"{n} {format_rational(value)}" for n, value in cache.items()]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    """Persist a cache as sorted ``n p/q`` lines.
+
+    The lines go to a temporary file in the same directory, which then
+    replaces ``path`` in one step, so a failed write leaves the previous
+    file as it was.
+    """
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        with temp.open("x", encoding="ascii") as out:
+            for n, value in cache.items():
+                out.write(f"{n} {format_rational(value)}\n")
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 def read_cache_file(path: Union[str, Path], kind: KernelKind) -> KernelCache:

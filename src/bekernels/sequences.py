@@ -16,6 +16,7 @@ E_2 = -1, and a_1 = 1/24.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -136,15 +137,12 @@ def a_from_kb(n: int, cache: Optional[KernelCache] = None) -> Fraction:
     )
 
 
-def _a_recursive_table(upto: int) -> List[Fraction]:
-    # table[m] = a_m for 1 <= m <= upto; index 0 unused.
-    table: List[Fraction] = [Fraction(0), f_of(1)]
-    for m in range(2, upto + 1):
-        value = f_of(m)
-        for k in range(1, m):
-            value -= Fraction(comb(2 * m - 1, 2 * k), (1 << (2 * k)) * (2 * k + 1)) * table[m - k]
-        table.append(value)
-    return table
+# _a_table[m] = a_m for 1 <= m < len(_a_table); index 0 is unused.  The
+# recursion extends row by row, so computed rows are kept between calls and
+# only the missing tail is computed; the lock makes the shared table safe
+# to grow from several threads.
+_a_lock = threading.Lock()
+_a_table: List[Fraction] = [Fraction(0)]
 
 
 def a_recursive(n: int) -> Fraction:
@@ -155,7 +153,14 @@ def a_recursive(n: int) -> Fraction:
     """
     if n < 1:
         raise ValueError(f"a_recursive requires n >= 1, got {n}")
-    return _a_recursive_table(n)[n]
+    with _a_lock:
+        for m in range(len(_a_table), n + 1):
+            value = f_of(m)
+            for k in range(1, m):
+                weight = Fraction(comb(2 * m - 1, 2 * k), (1 << (2 * k)) * (2 * k + 1))
+                value -= weight * _a_table[m - k]
+            _a_table.append(value)
+        return _a_table[n]
 
 
 def a_from_bernoulli(n: int) -> Fraction:

@@ -138,7 +138,8 @@ def _zeta_term_count(s: float, q: float, tol: float) -> int:
         + sum(math.log(s + i) for i in range(9))
     )
     needed = math.exp((lncoef - math.log(tol)) / (s + 9)) - q
-    return max(1, math.ceil(needed))
+    # A q too large for a float makes needed -inf; one term is then enough.
+    return math.ceil(needed) if needed > 1 else 1
 
 
 def zeta_direct(s: Real, q: Real, tol: float) -> mpmath.mpf:
@@ -225,8 +226,9 @@ def eval_digamma(x: Real, params: TruncationParams) -> EvalReport:
     """psi(x + 1) = ln(x + 1/2) + sum a_n / (x + 1/2)^(2n), truncated.
 
     Requires x > -1/2.  For non-negative integer x the reference is the
-    exact harmonic number H_x minus mpmath's Euler-Mascheroni constant;
-    for other x no independent reference is reported.
+    harmonic number H_x minus the Euler-Mascheroni constant, both from
+    mpmath at working precision, so a huge x costs no more than a small
+    one; for other x no independent reference is reported.
     """
     wp = params.working_precision
     with mp.workdps(wp + _GUARD_DIGITS):
@@ -242,8 +244,7 @@ def eval_digamma(x: Real, params: TruncationParams) -> EvalReport:
         bound = abs(series_term(params.terms + 1))
         reference = None
         if mp.isint(xm) and xm >= 0:
-            harmonic = sum((Fraction(1, k) for k in range(1, int(xm) + 1)), Fraction(0))
-            reference = _mpf(harmonic) - mp.euler
+            reference = mp.harmonic(xm) - mp.euler
         return _report(value, params.terms, bound, reference)
 
 

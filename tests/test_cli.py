@@ -257,15 +257,33 @@ def test_unknown_subcommand_exits_2(capsys):
     assert code == 2
 
 
-def _run_subprocess(argv, env_extra=None):
+def _run_subprocess(argv, env_extra=None, timeout=120):
     env = dict(os.environ)
     env.pop("KERNEL_CACHE_DIR", None)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "bekernels", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hurwitz", "--x", "1e400"],
+        ["polygamma", "--y", "1", "--x", "1e400"],
+        ["digamma", "--x", "1e7"],
+        ["digamma", "--x", "1e400"],
+    ],
+)
+def test_eval_huge_finite_x_returns(argv):
+    # A subprocess with a deadline, so a hang fails the test instead of the run.
+    proc = _run_subprocess(["eval", *argv, "--terms", "3"], timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["value"] not in (None, "nan", "inf", "-inf")
 
 
 def test_module_entry_point():
@@ -298,6 +316,17 @@ def test_cache_dir_conflict_detected(tmp_path):
     )
     assert proc.returncode == 2
     assert "write-once" in proc.stderr
+
+
+def test_cache_dir_non_kernel_value_rejected(tmp_path):
+    # 1/7 is no K_b(1): times the scaled unit P * 2! = 6 it is not an integer.
+    (tmp_path / "kernel_b.txt").write_text("0 1\n1 1/7\n")
+    proc = _run_subprocess(
+        ["table", "--kind", "b", "--upto", "3"], {"KERNEL_CACHE_DIR": str(tmp_path)}
+    )
+    assert proc.returncode == 2
+    assert "not an integer" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cache_dir_garbage_rejected(tmp_path):

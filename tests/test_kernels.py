@@ -1,5 +1,8 @@
 """Kernel values by three routes, the write-once cache, persistence."""
 
+import io
+import os
+import sys
 import threading
 import warnings
 from fractions import Fraction
@@ -194,20 +197,105 @@ def test_recursive_fills_cache_ascending():
     assert kernel_recursive(E, 5, cache) == kernel_determinant(E, 5)
 
 
+@pytest.mark.parametrize("kind", [B, E])
+def test_ascending_and_single_fill_agree(kind):
+    ascending = KernelCache(kind)
+    for n in range(1, 61):
+        kernel_recursive(kind, n, ascending)
+    single = KernelCache(kind)
+    kernel_recursive(kind, 60, single)
+    assert list(ascending.items()) == list(single.items())
+
+
+def test_bernoulli_kind_where_odd_lcm_grows():
+    # 2m+1 = 9, 25, 27, 49, 81, 121, 125 are the odd prime powers past the
+    # primes themselves: the steps where the common factor P grows by a
+    # prime it already holds.
+    cache = KernelCache(B)
+    for m in (4, 12, 13, 24, 40, 60, 62):
+        assert kernel_recursive(B, m, cache) == kernel_determinant(B, m), m
+
+
+@pytest.mark.parametrize("kind", [B, E])
+def test_loaded_prefix_extends(kind, tmp_path):
+    full = KernelCache(kind)
+    kernel_recursive(kind, 45, full)
+    prefix = KernelCache(kind)
+    for n, value in full.items():
+        if n <= 20:
+            prefix.put(n, value)
+    path = tmp_path / "kernel.txt"
+    write_cache_file(prefix, path)
+    loaded = read_cache_file(path, kind)
+    assert kernel_recursive(kind, 45, loaded) == kernel_determinant(kind, 45)
+    assert list(loaded.items()) == list(full.items())
+
+
+@pytest.mark.parametrize("kind", [B, E])
+def test_non_integral_cached_value_rejected(kind):
+    # K(3) with a denominator that no kernel value of index 3 can have.
+    cache = KernelCache(kind)
+    cache.put(3, Fraction(1, 7919))
+    assert kernel_recursive(kind, 2, cache) == kernel_determinant(kind, 2)
+    with pytest.raises(ValueError, match="not an integer"):
+        kernel_recursive(kind, 4, cache)
+    assert 4 not in cache
+
+
+def test_wrong_cached_value_caught_by_exact_division():
+    # A wrong K(5) (the true one is -73/3421440) that is still integral in
+    # scaled units; the division by 2m+1 = 15 at n=7 then leaves a remainder.
+    cache = KernelCache(B)
+    cache.put(5, Fraction(-109, 5132160))
+    with pytest.raises(ValueError, match="not divisible by 15"):
+        kernel_recursive(B, 7, cache)
+
+
+@pytest.mark.parametrize("kind", [B, E])
+def test_factorial_calls_grow_linearly(kind, monkeypatch):
+    # Each new value costs O(m) integer steps and one factorial; a fill
+    # that rebuilt weights per pair would call factorial O(n^2) times.
+    calls = []
+    original = kernels_module.factorial
+
+    def counting(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(kernels_module, "factorial", counting)
+    counts = {}
+    for upto in (50, 100):
+        calls.clear()
+        cache = KernelCache(kind)
+        for n in range(1, upto + 1):
+            kernel_recursive(kind, n, cache)
+        counts[upto] = len(calls)
+    assert counts[100] <= 2 * counts[50] <= 2 * 50
+
+
 def test_concurrent_fill_single_write():
     cache = KernelCache(B)
     outcomes = []
 
-    def worker():
-        outcomes.append(kernel_recursive(B, 40, cache))
+    def worker(n):
+        outcomes.append(kernel_recursive(B, n, cache))
 
-    threads = [threading.Thread(target=worker) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert len(set(outcomes)) == 1
-    assert outcomes[0] == kernel_determinant(B, 40)
+    # Threads ask for different indices so fills overlap at the frontier.
+    threads = [threading.Thread(target=worker, args=(33 + i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(outcomes) == sorted(kernel_determinant(B, 33 + i) for i in range(8))
+    single = KernelCache(B)
+    kernel_recursive(B, 40, single)
+    assert list(cache.items()) == list(single.items())
 
 
 def test_cache_file_round_trip(tmp_path):
@@ -227,3 +315,45 @@ def test_cache_file_rejects_garbage(tmp_path):
     path.write_text("0 1\n1 not-a-number\n")
     with pytest.raises(ValueError, match="bad.txt:2"):
         read_cache_file(path, B)
+
+
+class _FailingWrite:
+    """A text file whose first write stores half its text, then fails."""
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def write(self, text):
+        self._handle.write(text[: len(text) // 2])
+        self._handle.flush()
+        raise OSError(28, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._handle.close()
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+
+def test_failed_cache_write_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "kernel_b.txt"
+    cache = KernelCache(B)
+    kernel_recursive(B, 2, cache)
+    write_cache_file(cache, path)
+    before = path.read_text()
+    kernel_recursive(B, 6, cache)
+    real_open = io.open
+
+    def open_then_fail(file, mode="r", *args, **kwargs):
+        handle = real_open(file, mode, *args, **kwargs)
+        return _FailingWrite(handle) if "r" not in mode else handle
+
+    monkeypatch.setattr(io, "open", open_then_fail)
+    with pytest.raises(OSError, match="No space"):
+        write_cache_file(cache, path)
+    monkeypatch.undo()
+    assert path.read_text() == before
+    assert os.listdir(tmp_path) == ["kernel_b.txt"]

@@ -20,6 +20,7 @@ from bekernels.sequences import (
     j_of,
     t_product_terms,
 )
+import bekernels.sequences as sequences_module
 
 
 def test_f_of_values():
@@ -96,6 +97,14 @@ def test_a_recursive_values():
     assert a_recursive(5) == a_from_kb(5)
 
 
+def test_a_recursive_keeps_its_rows(monkeypatch):
+    deep = a_recursive(25)
+    # Rows up to 25 are kept, so asking again computes no binomial.
+    monkeypatch.setattr(sequences_module, "comb", None)
+    assert a_recursive(25) == deep
+    assert a_recursive(12) == a_from_kb(12)
+
+
 def test_a_triple_consistency():
     for n in range(1, 26):
         from_kb = a_from_kb(n)
@@ -120,7 +129,7 @@ def test_bernoulli_values():
 
 def test_bernoulli_matches_oracle():
     cache = KernelCache(KernelKind.BERNOULLI)
-    for n in range(1, 31):
+    for n in range(1, 151):
         assert bernoulli(n, cache) == bernoulli_even(n), n
 
 
@@ -134,7 +143,7 @@ def test_euler_values():
 
 def test_euler_matches_oracle_and_is_integer():
     cache = KernelCache(KernelKind.EULER)
-    for n in range(1, 31):
+    for n in range(1, 401):
         value = euler(n, cache)
         assert value.denominator == 1, n
         assert value == euler_even(n), n
