@@ -4,9 +4,9 @@ Subcommands: table, kernel, verify, bench, bernoulli, euler, a-coeff,
 eval, compositions.  Exit codes: 0 success, 1 verification mismatch,
 2 invalid flags or values, 3 refused brute-force size (pass --force).
 
-If KERNEL_CACHE_DIR is set, the exact kernel tables are reloaded from
-"<dir>/kernel_b.txt" / "<dir>/kernel_e.txt" at startup and written back
-after the command runs.
+If KERNEL_CACHE_DIR is set, the exact kernel tables are loaded from
+"<dir>/kernel_b.txt" / "<dir>/kernel_e.txt" at startup, and a table the
+command extended is saved there when it ends.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from mpmath import mp
 
@@ -330,37 +330,35 @@ def _cache_dir() -> Optional[Path]:
     return Path(raw) if raw else None
 
 
-def _load_persisted() -> None:
+def _load_persisted() -> Dict[KernelKind, int]:
+    directory = _cache_dir()
+    for kind, filename in _CACHE_FILES.items():
+        if directory is not None and (directory / filename).exists():
+            read_cache_file(directory / filename, shared_cache(kind))
+    return {kind: len(shared_cache(kind)) for kind in _CACHE_FILES}
+
+
+def _store_persisted(loaded: Dict[KernelKind, int]) -> None:
     directory = _cache_dir()
     if directory is None:
         return
     for kind, filename in _CACHE_FILES.items():
-        path = directory / filename
-        if not path.exists():
-            continue
-        loaded = read_cache_file(path, kind)
-        target = shared_cache(kind)
-        for n, value in loaded.items():
-            target.put(n, value)
-
-
-def _store_persisted() -> None:
-    directory = _cache_dir()
-    if directory is None:
-        return
-    directory.mkdir(parents=True, exist_ok=True)
-    for kind, filename in _CACHE_FILES.items():
-        write_cache_file(shared_cache(kind), directory / filename)
+        cache = shared_cache(kind)
+        if len(cache) > loaded[kind]:
+            directory.mkdir(parents=True, exist_ok=True)
+            write_cache_file(cache, directory / filename)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    # Kernel values pass 4300 digits, Python's default int<->str limit, near n = 780.
+    getattr(sys, "set_int_max_str_digits", lambda digits: None)(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        _load_persisted()
+        loaded = _load_persisted()
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -370,7 +368,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        _store_persisted()
+        _store_persisted(loaded)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -63,12 +63,12 @@ class KernelKind(enum.Enum):
 
 
 class KernelCache:
-    """Write-once memo table of kernel values for a single kind.
+    """Memo table of kernel values for a single kind.
 
-    Index 0 is pre-seeded with 1.  ``put`` never overwrites: storing a
-    different value at an existing index raises, storing an equal value is
-    a no-op.  All mutation happens under a lock, so a cache may be shared
-    across threads.
+    The values are always the prefix K(0..len-1), with K(0) = 1 seeded.
+    The fill of ``kernel_recursive`` is the only writer; ``read_cache_file``
+    only gives a fresh cache a prefix from a file.  Nothing overwrites a
+    value, and both append under a lock, so a cache may be shared.
 
     The cache also holds the frontier of ``kernel_recursive``'s integer
     recurrence, so that extending the table by one value costs O(m)
@@ -78,37 +78,23 @@ class KernelCache:
 
     def __init__(self, kind: KernelKind):
         self.kind = kind
-        self._values: Dict[int, Fraction] = {0: Fraction(1)}
-        # Reentrant: the fill holds it while handing values to ``put``.
-        self._lock = threading.RLock()
+        self._values: List[Fraction] = [Fraction(1)]
+        self._lock = threading.Lock()
         self._scaled: List[int] = [1]
         self._odd_lcm = 1
         self._pascal: List[int] = [1]
 
     def get(self, n: int) -> Optional[Fraction]:
-        return self._values.get(n)
-
-    def put(self, n: int, value: Fraction) -> None:
-        if n < 0:
-            raise ValueError(f"kernel index must be >= 0, got {n}")
-        with self._lock:
-            existing = self._values.get(n)
-            if existing is None:
-                self._values[n] = value
-            elif existing != value:
-                raise ValueError(
-                    f"cache is write-once: index {n} already holds "
-                    f"{format_rational(existing)}, refusing {format_rational(value)}"
-                )
+        return self._values[n] if 0 <= n < len(self._values) else None
 
     def __contains__(self, n: int) -> bool:
-        return n in self._values
+        return 0 <= n < len(self._values)
 
     def __len__(self) -> int:
         return len(self._values)
 
     def items(self) -> Iterator[Tuple[int, Fraction]]:
-        return iter(sorted(self._values.items()))
+        return enumerate(list(self._values))
 
 
 _shared: Dict[KernelKind, KernelCache] = {}
@@ -140,11 +126,11 @@ def kernel_recursive(kind: KernelKind, n: int, cache: Optional[KernelCache] = No
     where P is the lcm of the odd numbers up to 2m+1, so every V(k) is an
     integer.  When 2m+1 is a new odd prime power, P and every stored V(k)
     grow by that prime.  The binomials come from a Pascal row advanced in
-    place, and each new value reaches the write-once ``put`` as
+    place, and each new value is appended to the cache as
     ``Fraction(scaled, unit)``.  A value already cached past the frontier
-    (say, loaded from a file) is taken over in scaled units; one that is
-    not an integer there, or a division by 2m+1 that leaves a remainder,
-    raises ValueError.
+    (loaded from a file) is taken over in scaled units; one that is not an
+    integer there, or a division by 2m+1 that leaves a remainder, raises
+    ValueError.
     """
     if n < 0:
         raise ValueError(f"kernel index must be >= 0, got {n}")
@@ -157,7 +143,7 @@ def kernel_recursive(kind: KernelKind, n: int, cache: Optional[KernelCache] = No
         return known
     bernoulli = kind is KernelKind.BERNOULLI
     with cache._lock:
-        scaled, row = cache._scaled, cache._pascal
+        values, scaled, row = cache._values, cache._scaled, cache._pascal
         for m in range(len(scaled), n + 1):
             odd = 2 * m + 1
             if bernoulli:
@@ -171,8 +157,7 @@ def kernel_recursive(kind: KernelKind, n: int, cache: Optional[KernelCache] = No
                 for j in range(len(row) - 2, 0, -1):
                     row[j] += row[j - 1]
             unit = cache._odd_lcm * factorial(2 * m)
-            cached = cache.get(m)
-            if cached is None:
+            if m == len(values):
                 total = -sum(row[2 * k] * v for k, v in enumerate(scaled))
                 value, remainder = divmod(total, odd) if bernoulli else (total, 0)
                 if remainder:
@@ -180,8 +165,9 @@ def kernel_recursive(kind: KernelKind, n: int, cache: Optional[KernelCache] = No
                         f"kernel recursion at n={m}: the sum is not divisible by {odd}, "
                         f"so a cached value below n={m} is not a kernel value"
                     )
-                cache.put(m, Fraction(value, unit))
+                values.append(Fraction(value, unit))
             else:
+                cached = values[m]
                 value, remainder = divmod(cached.numerator * unit, cached.denominator)
                 if remainder:
                     raise ValueError(
@@ -189,7 +175,7 @@ def kernel_recursive(kind: KernelKind, n: int, cache: Optional[KernelCache] = No
                         f"it is not an integer in the recursion's scaled units"
                     )
             scaled.append(value)
-    return cache.get(n)
+    return values[n]
 
 
 def kernel_compositions(kind: KernelKind, n: int) -> Fraction:
@@ -261,9 +247,14 @@ def write_cache_file(cache: KernelCache, path: Union[str, Path]) -> None:
         raise
 
 
-def read_cache_file(path: Union[str, Path], kind: KernelKind) -> KernelCache:
-    """Rebuild a cache from the ``n p/q`` line format; bad lines raise ValueError."""
-    cache = KernelCache(kind)
+def read_cache_file(path: Union[str, Path], cache: KernelCache) -> None:
+    """Load a file's ``n p/q`` lines into a cache that holds K(0) alone.
+
+    Non-blank line i must hold index i, and line 0 must be ``0 1``; any
+    other line raises ValueError naming ``path:line`` and loads nothing.
+    The fill stays the only writer, and checks each value it takes over.
+    """
+    values: List[Fraction] = []
     text = Path(path).read_text(encoding="ascii")
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -273,5 +264,10 @@ def read_cache_file(path: Union[str, Path], kind: KernelKind) -> KernelCache:
             index, value = int(index_text), parse_rational(value_text)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad cache line {line!r}") from exc
-        cache.put(index, value)
-    return cache
+        if index != len(values) or (index == 0 and value != 1):
+            raise ValueError(f"{path}:{lineno}: expected K({len(values)}) of a prefix from K(0) = 1")
+        values.append(value)
+    with cache._lock:
+        if len(cache._values) != 1:
+            raise ValueError(f"{path}: a file loads only into a cache holding K(0) alone")
+        cache._values.extend(values[1:])

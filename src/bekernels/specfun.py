@@ -211,6 +211,10 @@ def eval_gamma(x: Real, params: TruncationParams) -> EvalReport:
         xm = _mpf(x)
         if not xm > 0:
             raise ValueError(f"eval_gamma requires x > 0, got {x}")
+        # The exponent's absolute error is the result's relative error.
+        magnitude = int(mp.ceil(mp.log10(1 + abs(xm * mp.log(xm)))))
+    with mp.workdps(wp + _GUARD_DIGITS + magnitude):
+        xm = _mpf(x)
 
         def exponent_term(n: int) -> mpmath.mpf:
             return _mpf(a_from_kb(n)) / ((2 * n - 1) * xm ** (2 * n - 1))

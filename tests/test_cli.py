@@ -244,6 +244,22 @@ def test_eval_precision_floor(capsys):
     assert code == 2
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="this Python has no int <-> str limit"
+)
+def test_values_past_the_int_string_limit(capsys):
+    # K_e(170) has the denominator 340!, about 714 digits: past the lowest
+    # limit Python allows on int <-> str conversion.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, _ = run_cli(capsys, "table", "--kind", "e", "--upto", "170")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0
+    assert len(out.splitlines()) == 170
+
+
 def test_compositions_listing(capsys):
     code, out, _ = run_cli(capsys, "compositions", "--n", "3")
     assert code == 0
@@ -300,7 +316,8 @@ def test_cache_dir_persists_tables(tmp_path):
     assert cache_file.exists()
     lines = cache_file.read_text().splitlines()
     assert lines[0] == "0 1" and lines[1] == "1 -1/6" and len(lines) == 9
-    assert (tmp_path / "kernel_e.txt").read_text() == "0 1\n"
+    # A b-only command extends no e table, so it writes none.
+    assert not (tmp_path / "kernel_e.txt").exists()
     # second run reloads the file and must print identical output
     second = _run_subprocess(["table", "--kind", "b", "--upto", "8"], env)
     assert second.returncode == 0
@@ -315,7 +332,21 @@ def test_cache_dir_conflict_detected(tmp_path):
         ["table", "--kind", "b", "--upto", "2"], {"KERNEL_CACHE_DIR": str(tmp_path)}
     )
     assert proc.returncode == 2
-    assert "write-once" in proc.stderr
+    assert "kernel_b.txt:1" in proc.stderr
+
+
+def test_cache_dir_written_only_when_a_table_grew(tmp_path):
+    env = {"KERNEL_CACHE_DIR": str(tmp_path)}
+    assert _run_subprocess(["table", "--kind", "b", "--upto", "8"], env).returncode == 0
+    cache_file = tmp_path / "kernel_b.txt"
+    before = cache_file.stat()
+    # os.replace always makes a new inode, so an unchanged inode and mtime
+    # mean the file was not written at all.
+    for argv in (["table", "--kind", "b", "--upto", "3"], ["compositions", "--n", "3"]):
+        assert _run_subprocess(argv, env).returncode == 0
+        after = cache_file.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns), argv
+    assert sorted(os.listdir(tmp_path)) == ["kernel_b.txt"]
 
 
 def test_cache_dir_non_kernel_value_rejected(tmp_path):

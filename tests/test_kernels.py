@@ -1,4 +1,4 @@
-"""Kernel values by three routes, the write-once cache, persistence."""
+"""Kernel values by three routes, the prefix cache, persistence."""
 
 import io
 import os
@@ -19,6 +19,7 @@ from bekernels.kernels import (
     read_cache_file,
     write_cache_file,
 )
+from bekernels.exactnum import format_rational
 import bekernels.kernels as kernels_module
 
 B = KernelKind.BERNOULLI
@@ -172,16 +173,21 @@ def test_real_soft_limit_is_22():
     assert BRUTE_FORCE_SOFT_LIMIT == 22
 
 
+def _loaded_cache(tmp_path, kind, values):
+    """A cache loaded from a file holding K(0), K(1), ... = values."""
+    path = tmp_path / "kernel.txt"
+    path.write_text("".join(f"{n} {format_rational(v)}\n" for n, v in enumerate(values)))
+    cache = KernelCache(kind)
+    read_cache_file(path, cache)
+    return cache
+
+
 def test_cache_seeded_and_write_once():
     cache = KernelCache(B)
     assert cache.get(0) == 1
     assert 0 in cache and len(cache) == 1
-    cache.put(3, Fraction(-31, 15120))
-    cache.put(3, Fraction(-31, 15120))  # identical rewrite is a no-op
-    with pytest.raises(ValueError, match="write-once"):
-        cache.put(3, Fraction(-31, 15121))
-    with pytest.raises(ValueError):
-        cache.put(-1, Fraction(1))
+    assert cache.get(-1) is None and -1 not in cache and 1 not in cache
+    assert not hasattr(cache, "put")
 
 
 def test_recursive_rejects_mismatched_cache():
@@ -220,33 +226,26 @@ def test_bernoulli_kind_where_odd_lcm_grows():
 def test_loaded_prefix_extends(kind, tmp_path):
     full = KernelCache(kind)
     kernel_recursive(kind, 45, full)
-    prefix = KernelCache(kind)
-    for n, value in full.items():
-        if n <= 20:
-            prefix.put(n, value)
-    path = tmp_path / "kernel.txt"
-    write_cache_file(prefix, path)
-    loaded = read_cache_file(path, kind)
+    loaded = _loaded_cache(tmp_path, kind, [value for n, value in full.items() if n <= 20])
     assert kernel_recursive(kind, 45, loaded) == kernel_determinant(kind, 45)
     assert list(loaded.items()) == list(full.items())
 
 
 @pytest.mark.parametrize("kind", [B, E])
-def test_non_integral_cached_value_rejected(kind):
+def test_non_integral_cached_value_rejected(kind, tmp_path):
     # K(3) with a denominator that no kernel value of index 3 can have.
-    cache = KernelCache(kind)
-    cache.put(3, Fraction(1, 7919))
+    prefix = [Fraction(1)] + [kernel_determinant(kind, n) for n in (1, 2)]
+    cache = _loaded_cache(tmp_path, kind, prefix + [Fraction(1, 7919)])
     assert kernel_recursive(kind, 2, cache) == kernel_determinant(kind, 2)
     with pytest.raises(ValueError, match="not an integer"):
         kernel_recursive(kind, 4, cache)
     assert 4 not in cache
 
 
-def test_wrong_cached_value_caught_by_exact_division():
+def test_wrong_cached_value_caught_by_exact_division(tmp_path):
     # A wrong K(5) (the true one is -73/3421440) that is still integral in
     # scaled units; the division by 2m+1 = 15 at n=7 then leaves a remainder.
-    cache = KernelCache(B)
-    cache.put(5, Fraction(-109, 5132160))
+    cache = _loaded_cache(tmp_path, B, [Fraction(1)] + KB_TABLE[:4] + [Fraction(-109, 5132160)])
     with pytest.raises(ValueError, match="not divisible by 15"):
         kernel_recursive(B, 7, cache)
 
@@ -306,15 +305,49 @@ def test_cache_file_round_trip(tmp_path):
     text = path.read_text()
     assert text.splitlines()[0] == "0 1"
     assert "6 1414477/653837184000" in text
-    reloaded = read_cache_file(path, B)
+    reloaded = KernelCache(B)
+    read_cache_file(path, reloaded)
     assert list(reloaded.items()) == list(cache.items())
 
 
 def test_cache_file_rejects_garbage(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("0 1\n1 not-a-number\n")
+    cache = KernelCache(B)
     with pytest.raises(ValueError, match="bad.txt:2"):
-        read_cache_file(path, B)
+        read_cache_file(path, cache)
+    assert len(cache) == 1
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("0 1\n2 7/360\n", 2),  # a gap
+        ("0 1\n1 -1/6\n1 -1/6\n", 3),  # a repeated index
+        ("0 1\n\n2 7/360\n1 -1/6\n", 3),  # out of order, after a blank line
+        ("0 2\n1 -1/6\n", 1),  # a K(0) other than 1
+        ("1 -1/6\n", 1),  # no line 0
+    ],
+    ids=["gap", "repeat", "order", "line0", "no-line0"],
+)
+def test_cache_file_must_hold_a_prefix(tmp_path, text, line):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    cache = KernelCache(B)
+    with pytest.raises(ValueError, match=f"bad.txt:{line}:"):
+        read_cache_file(path, cache)
+    assert len(cache) == 1
+
+
+def test_cache_file_loads_only_into_a_fresh_cache(tmp_path):
+    # A file cannot overwrite values a cache already holds.
+    cache = KernelCache(B)
+    kernel_recursive(B, 3, cache)
+    path = tmp_path / "kernel_b.txt"
+    path.write_text("0 1\n1 -1/7\n")
+    with pytest.raises(ValueError, match="K\\(0\\) alone"):
+        read_cache_file(path, cache)
+    assert [value for _, value in cache.items()] == [1] + KB_TABLE[:3]
 
 
 class _FailingWrite:

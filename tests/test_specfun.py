@@ -183,6 +183,16 @@ def test_gamma_bound_holds_past_forty_digits():
     assert relative <= 2 * report.first_omitted_term_bound
 
 
+def test_gamma_keeps_its_digits_at_large_x():
+    # x ln x - x is near 7e31 at x = 1e30; at 44 digits its rounding alone
+    # would leave a relative error near 1e-13.
+    report = eval_gamma(1e30, tp(3))
+    with mp.workdps(120):
+        exact = mpmath.gamma(mp.mpf(1e30) + mp.mpf(1) / 2)
+        relative = abs(report.value - exact) / exact
+    assert relative <= mp.mpf(10) ** -34
+
+
 def test_gamma_domain():
     with pytest.raises(ValueError):
         eval_gamma(0, tp(3))
