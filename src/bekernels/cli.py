@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Subcommands: table, kernel, verify, bench, bernoulli, euler, a-coeff,
-eval, compositions.  Exit codes: 0 success, 1 verification mismatch,
+Subcommands: table, kernel, verify, bernoulli, euler, a-coeff, eval,
+compositions.  Exit codes: 0 success, 1 verification mismatch,
 2 invalid flags or values, 3 refused brute-force size (pass --force).
 
 If KERNEL_CACHE_DIR is set, the exact kernel tables are loaded from
@@ -14,9 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import sys
-import time
 from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -28,7 +26,6 @@ from .compositions import compositions
 from .exactnum import format_rational
 from .kernels import (
     BRUTE_FORCE_SOFT_LIMIT,
-    KernelCache,
     KernelKind,
     kernel_compositions,
     kernel_determinant,
@@ -109,13 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact", type=positive_int, default=40, help="depth for O(n^2) routes")
     p.add_argument("--brute", type=positive_int, default=12, help="depth for brute-force routes")
     p.set_defaults(handler=cmd_verify)
-
-    p = sub.add_parser("bench", help="time each method at each size")
-    p.add_argument("--kind", choices=["b", "e"], required=True)
-    p.add_argument("--upto", type=positive_int, required=True)
-    p.add_argument("--repeats", type=positive_int, default=3)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.set_defaults(handler=cmd_bench)
 
     p = sub.add_parser("bernoulli", help="print B_2..B_(2*upto)")
     p.add_argument("--upto", type=positive_int, required=True)
@@ -199,6 +189,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    if args.brute > BRUTE_FORCE_SOFT_LIMIT:
+        print(
+            f"error: --brute ({args.brute}) must not exceed the brute-force limit "
+            f"({BRUTE_FORCE_SOFT_LIMIT})",
+            file=sys.stderr,
+        )
+        return 2
     failed = False
     for check in verify.CHECKS:
         depth = args.exact if check.depth == "exact" else args.brute
@@ -210,49 +207,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(f"FAIL {name}: {problem}")
             failed = True
     return 1 if failed else 0
-
-
-def _digits(value: Fraction) -> int:
-    return max(len(str(abs(value.numerator))), len(str(value.denominator)))
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    kind = KernelKind(args.kind)
-    records = []
-    running_digits = {name: 1 for name in _METHODS}
-    for n in range(1, args.upto + 1):
-        for method in sorted(_METHODS):
-            if method == "compositions" and n > BRUTE_FORCE_SOFT_LIMIT:
-                continue
-            timings = []
-            for _ in range(args.repeats):
-                # Recursion gets a fresh cache per repeat so each timing
-                # covers the full O(n^2) fill, not a lookup.
-                if method == "recursion":
-                    cache = KernelCache(kind)
-                    start = time.perf_counter_ns()
-                    value = kernel_recursive(kind, n, cache)
-                else:
-                    start = time.perf_counter_ns()
-                    value = _METHODS[method](kind, n)
-                timings.append(max(1, time.perf_counter_ns() - start))
-            running_digits[method] = max(running_digits[method], _digits(value))
-            records.append(
-                {
-                    "method": method,
-                    "kind": kind.value,
-                    "n": n,
-                    "wall_nanos": int(statistics.median(timings)),
-                    "max_digits": running_digits[method],
-                }
-            )
-    if args.format == "json":
-        print(json.dumps(records, indent=2))
-    else:
-        print("method,kind,n,wall_nanos,max_digits")
-        for r in records:
-            print(f"{r['method']},{r['kind']},{r['n']},{r['wall_nanos']},{r['max_digits']}")
-    return 0
 
 
 def _print_indexed(rows: List[Tuple[int, Fraction]], fmt: str) -> None:

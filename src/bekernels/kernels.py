@@ -12,7 +12,14 @@ for the Euler-type one.  Three independent routes compute the same values:
   below the diagonal.
 
 The routes exist to check one another; none of them may be redefined in
-terms of the others.
+terms of the others.  They are not equally strong checks.  With
+d_k = (-1)^k K(k), the determinant's minor recurrence is the defining
+recurrence, so recursion-vs-determinant checks what ``kernel_recursive``
+adds to it: the integer scaling, the Pascal row, the odd-lcm growth and
+the takeover of cached values, not the paper's identities.  The
+composition sum (the paper's combinatorial formula) and the two oracles
+in ``oracles`` carry the mathematics, which is why ``verify`` runs its
+oracle checks at the same depth as the exact routes.
 """
 
 from __future__ import annotations
@@ -205,6 +212,13 @@ def kernel_compositions(kind: KernelKind, n: int) -> Fraction:
     return total
 
 
+# The weights w(1..k) and minors d_0..d_k of each kind.  Only
+# kernel_determinant fills them, from exact weights, and the lock makes
+# them safe to grow from several threads.
+_det_lock = threading.Lock()
+_det_rows: Dict[KernelKind, Tuple[List[Fraction], List[Fraction]]] = {}
+
+
 def kernel_determinant(kind: KernelKind, n: int) -> Fraction:
     """K(n) = (-1)^n det(H_n) for the lower Hessenberg weight matrix H_n.
 
@@ -212,20 +226,22 @@ def kernel_determinant(kind: KernelKind, n: int) -> Fraction:
     j <= i.  Expanding along the last row gives the minor recurrence
     d_k = sum_{j=1..k} (-1)^(k-j) w(k - j + 1) d_{j-1} with d_0 = 1, so no
     matrix is ever materialized here; the explicit-matrix route lives in
-    the test suite as an independent check.
+    the test suite as an independent check.  The minors are kept between
+    calls, so a call at an index already reached is a lookup.
     """
     if n < 1:
         raise ValueError(f"determinant form requires n >= 1, got {n}")
-    weights = [kind.weight(b) for b in range(1, n + 1)]
-    minors = [Fraction(1)]
-    for k in range(1, n + 1):
-        acc = Fraction(0)
-        sign = 1
-        for j in range(k, 0, -1):
-            acc += sign * weights[k - j] * minors[j - 1]
-            sign = -sign
-        minors.append(acc)
-    return minors[n] if n % 2 == 0 else -minors[n]
+    with _det_lock:
+        weights, minors = _det_rows.setdefault(kind, ([], [Fraction(1)]))
+        for k in range(len(minors), n + 1):
+            weights.append(kind.weight(k))
+            acc = Fraction(0)
+            sign = 1
+            for j in range(k, 0, -1):
+                acc += sign * weights[k - j] * minors[j - 1]
+                sign = -sign
+            minors.append(acc)
+        return minors[n] if n % 2 == 0 else -minors[n]
 
 
 def write_cache_file(cache: KernelCache, path: Union[str, Path]) -> None:
@@ -255,14 +271,14 @@ def read_cache_file(path: Union[str, Path], cache: KernelCache) -> None:
     The fill stays the only writer, and checks each value it takes over.
     """
     values: List[Fraction] = []
-    text = Path(path).read_text(encoding="ascii")
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
+    for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        if not raw.strip():
             continue
         try:
-            index_text, value_text = line.split()
+            index_text, value_text = raw.decode("ascii").split()
             index, value = int(index_text), parse_rational(value_text)
         except ValueError as exc:
+            line = raw.decode("ascii", "backslashreplace")
             raise ValueError(f"{path}:{lineno}: bad cache line {line!r}") from exc
         if index != len(values) or (index == 0 and value != 1):
             raise ValueError(f"{path}:{lineno}: expected K({len(values)}) of a prefix from K(0) = 1")

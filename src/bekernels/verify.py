@@ -6,11 +6,12 @@ Each entry compares two or more routes that the package keeps independent
 and a ``pairs(depth)`` generator of ``(where, lhs, rhs)`` triples.
 ``first_difference`` turns those triples into a verdict.
 
-Every entry builds its own ``KernelCache``: verification always recomputes
-from scratch, so values loaded from cache files cannot vouch for
-themselves.  Routes are called through their modules, never imported by
-name, so that whatever a module exposes under a route's name is what the
-table checks.
+Every entry builds its own ``KernelCache``, so values loaded from cache
+files cannot vouch for themselves.  The determinant, the oracles and
+``a_recursive`` keep their rows between calls, but only rows computed in
+this process: nothing loads into them.  Routes are called through their
+modules, never imported by name, so that whatever a module exposes under
+a route's name is what the table checks.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from bekernels import oracles
+from bekernels import oracles, verify
 from bekernels.cli import main
 
 EULER_CSV_GOLDEN = "1,-1/2\n2,5/24\n3,-61/720\n"
@@ -124,43 +124,17 @@ def test_verify_reports_a_wrong_oracle(capsys, monkeypatch):
     assert all(line.startswith("PASS") for line in out.splitlines() if line not in fails)
 
 
-def test_verify_precondition_exits_2(capsys):
-    code, _, err = run_cli(capsys, "verify", "--brute", "30", "--exact", "20")
+@pytest.mark.parametrize(
+    "argv",
+    [["--brute", "30", "--exact", "20"], ["--exact", "40", "--brute", "23"]],
+    ids=["brute-over-exact", "brute-over-limit"],
+)
+def test_verify_precondition_exits_2(capsys, monkeypatch, argv):
+    # With no checks to run, a verify that skips its precondition exits 0 at once.
+    monkeypatch.setattr(verify, "CHECKS", ())
+    code, _, err = run_cli(capsys, "verify", *argv)
     assert code == 2
     assert "--brute" in err
-
-
-def test_bench_csv_shape(capsys):
-    code, out, _ = run_cli(capsys, "bench", "--kind", "b", "--upto", "4", "--repeats", "2")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "method,kind,n,wall_nanos,max_digits"
-    rows = [line.split(",") for line in lines[1:]]
-    assert len(rows) == 12  # 3 methods x 4 sizes
-    # sorted by n then method, timings positive
-    labels = [(int(r[2]), r[0]) for r in rows]
-    assert labels == sorted(labels)
-    assert all(int(r[3]) > 0 and int(r[4]) >= 1 for r in rows)
-
-
-def test_bench_caps_compositions(capsys, monkeypatch):
-    # shrink the guard so the capped row is cheap to reach
-    monkeypatch.setattr("bekernels.cli.BRUTE_FORCE_SOFT_LIMIT", 5)
-    code, out, _ = run_cli(
-        capsys, "bench", "--kind", "e", "--upto", "6", "--repeats", "1", "--format", "json"
-    )
-    assert code == 0
-    records = json.loads(out)
-    methods_at = {}
-    for record in records:
-        methods_at.setdefault(record["n"], set()).add(record["method"])
-    assert "compositions" in methods_at[5]
-    assert "compositions" not in methods_at[6]
-
-
-def test_bench_rejects_zero(capsys):
-    code, _, _ = run_cli(capsys, "bench", "--kind", "b", "--upto", "0")
-    assert code == 2
 
 
 def test_bernoulli_json(capsys):

@@ -150,6 +150,39 @@ def test_determinant_matches_explicit_matrix(kind):
         assert kernel_determinant(kind, n) == expected, n
 
 
+@pytest.mark.parametrize("kind", [B, E])
+def test_determinant_keeps_its_minors(kind, monkeypatch):
+    cache = KernelCache(kind)
+    expected = [kernel_recursive(kind, n, cache) for n in range(1, 61)]
+    kernel_determinant(kind, 60)
+    # Minors up to 60 are kept, so asking again builds no weight.
+    monkeypatch.setattr(KernelKind, "weight", None)
+    assert [kernel_determinant(kind, n) for n in range(1, 61)] == expected
+
+
+def test_concurrent_determinant(monkeypatch):
+    monkeypatch.setattr(kernels_module, "_det_rows", {})
+    outcomes = []
+
+    def worker(n):
+        outcomes.append(kernel_determinant(B, n))
+
+    # Threads ask for different indices so fills overlap at the frontier.
+    threads = [threading.Thread(target=worker, args=(33 + i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    cache = KernelCache(B)
+    assert sorted(outcomes) == sorted(kernel_recursive(B, 33 + i, cache) for i in range(8))
+
+
 def test_domain_errors():
     with pytest.raises(ValueError):
         kernel_recursive(B, -1)
@@ -327,12 +360,13 @@ def test_cache_file_rejects_garbage(tmp_path):
         ("0 1\n\n2 7/360\n1 -1/6\n", 3),  # out of order, after a blank line
         ("0 2\n1 -1/6\n", 1),  # a K(0) other than 1
         ("1 -1/6\n", 1),  # no line 0
+        ("0 1\n1 -1/6\n2 7/36\u00e9\n", 3),  # a byte outside ASCII
     ],
-    ids=["gap", "repeat", "order", "line0", "no-line0"],
+    ids=["gap", "repeat", "order", "line0", "no-line0", "non-ascii"],
 )
 def test_cache_file_must_hold_a_prefix(tmp_path, text, line):
     path = tmp_path / "bad.txt"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     cache = KernelCache(B)
     with pytest.raises(ValueError, match=f"bad.txt:{line}:"):
         read_cache_file(path, cache)
