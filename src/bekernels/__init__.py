@@ -7,6 +7,10 @@ expansions of Gamma, digamma, polygamma, and Hurwitz zeta.  The exact
 layer (``exactnum``, ``compositions``, ``kernels``, ``sequences``,
 ``oracles``) works entirely in rationals; ``specfun`` converts to
 high-precision floats only at evaluation time; ``cli`` exposes both.
+
+Importing the package loads the exact layer only.  ``specfun``, and with
+it mpmath, is imported on first use of one of its names here (for
+instance ``bekernels.eval_gamma``) or by importing ``bekernels.specfun``.
 """
 
 from __future__ import annotations
@@ -43,17 +47,30 @@ from .sequences import (
     j_of,
     t_product_terms,
 )
-from .specfun import (
-    EvalReport,
-    TruncationParams,
-    check_ln_pi_over_e,
-    eval_digamma,
-    eval_gamma,
-    eval_hurwitz_expansion,
-    eval_polygamma,
-    p_term,
-    zeta_direct,
-)
+# The evaluators need mpmath, which costs more to import than the whole
+# exact layer; they load on first access (PEP 562), so a process that never
+# evaluates never imports them.
+_SPECFUN_NAMES = {
+    "EvalReport",
+    "TruncationParams",
+    "check_ln_pi_over_e",
+    "eval_digamma",
+    "eval_gamma",
+    "eval_hurwitz_expansion",
+    "eval_polygamma",
+    "p_term",
+    "zeta_direct",
+}
+
+
+def __getattr__(name: str):
+    """Resolve the ``specfun`` names, importing ``specfun`` on first use."""
+    if name in _SPECFUN_NAMES:
+        from . import specfun
+
+        return getattr(specfun, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BRUTE_FORCE_SOFT_LIMIT",

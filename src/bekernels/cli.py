@@ -4,9 +4,16 @@ Subcommands: table, kernel, verify, bernoulli, euler, a-coeff, eval,
 compositions.  Exit codes: 0 success, 1 verification mismatch,
 2 invalid flags or values, 3 refused brute-force size (pass --force).
 
-If KERNEL_CACHE_DIR is set, the exact kernel tables are loaded from
-"<dir>/kernel_b.txt" / "<dir>/kernel_e.txt" at startup, and a table the
-command extended is saved there when it ends.
+If KERNEL_CACHE_DIR is set, a command loads the persisted kernel table
+of the kind it reads, "<dir>/kernel_b.txt" or "<dir>/kernel_e.txt", at
+startup, and saves that table there when it ends if the command extended
+it.  ``table`` and ``kernel`` read their --kind; ``bernoulli``, ``a-coeff``
+and ``eval`` read b; ``euler`` reads e; ``verify`` and ``compositions``
+read neither.  A file is read, validated and written only by a command of
+its kind, so a damaged file is reported by the first command that reads it.
+
+Only ``eval`` imports ``specfun`` and mpmath; the other commands run on
+the exact layer alone.
 """
 
 from __future__ import annotations
@@ -18,8 +25,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
-
-from mpmath import mp
 
 from . import __version__, verify
 from .compositions import compositions
@@ -35,15 +40,11 @@ from .kernels import (
     write_cache_file,
 )
 from .sequences import a_from_kb, bernoulli, euler
-from .specfun import (
-    TruncationParams,
-    eval_digamma,
-    eval_gamma,
-    eval_hurwitz_expansion,
-    eval_polygamma,
-)
 
 _CACHE_FILES = {KernelKind.BERNOULLI: "kernel_b.txt", KernelKind.EULER: "kernel_e.txt"}
+# The persisted table each command without --kind reads: the evaluators
+# take their coefficients from the shared K_b cache (a_from_kb, g_closed).
+_KIND_READ = {"bernoulli": "b", "a-coeff": "b", "eval": "b", "euler": "e"}
 _EVAL_DIGITS = 30  # significant digits printed for high-precision floats
 
 _METHODS = {
@@ -189,10 +190,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.brute > BRUTE_FORCE_SOFT_LIMIT:
+    if args.brute > verify.BRUTE_DEPTH_LIMIT:
         print(
-            f"error: --brute ({args.brute}) must not exceed the brute-force limit "
-            f"({BRUTE_FORCE_SOFT_LIMIT})",
+            f"error: --brute ({args.brute}) must not exceed the g brute-force limit "
+            f"({verify.BRUTE_DEPTH_LIMIT})",
             file=sys.stderr,
         )
         return 2
@@ -236,6 +237,8 @@ def cmd_a_coeff(args: argparse.Namespace) -> int:
 def _render_float(value) -> Optional[str]:
     if value is None:
         return None
+    from mpmath import mp
+
     return mp.nstr(value, _EVAL_DIGITS)
 
 
@@ -249,6 +252,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.target == "polygamma" and args.y is None:
         print("error: the polygamma target requires --y", file=sys.stderr)
         return 2
+    from .specfun import (
+        TruncationParams,
+        eval_digamma,
+        eval_gamma,
+        eval_hurwitz_expansion,
+        eval_polygamma,
+    )
+
     params = TruncationParams(args.terms, args.precision)
     if args.target == "gamma":
         report = eval_gamma(args.x, params)
@@ -284,23 +295,30 @@ def _cache_dir() -> Optional[Path]:
     return Path(raw) if raw else None
 
 
-def _load_persisted() -> Dict[KernelKind, int]:
+def _kinds_read(args: argparse.Namespace) -> Tuple[KernelKind, ...]:
+    code = getattr(args, "kind", None) or _KIND_READ.get(args.command)
+    return (KernelKind(code),) if code else ()
+
+
+def _load_persisted(kinds: Tuple[KernelKind, ...]) -> Dict[KernelKind, int]:
+    """Load the persisted tables of ``kinds``; return each table's length after."""
     directory = _cache_dir()
-    for kind, filename in _CACHE_FILES.items():
-        if directory is not None and (directory / filename).exists():
-            read_cache_file(directory / filename, shared_cache(kind))
-    return {kind: len(shared_cache(kind)) for kind in _CACHE_FILES}
+    for kind in kinds:
+        if directory is not None and (directory / _CACHE_FILES[kind]).exists():
+            read_cache_file(directory / _CACHE_FILES[kind], shared_cache(kind))
+    return {kind: len(shared_cache(kind)) for kind in kinds}
 
 
 def _store_persisted(loaded: Dict[KernelKind, int]) -> None:
+    """Save each loaded table the command grew; a kind it did not load is never written."""
     directory = _cache_dir()
     if directory is None:
         return
-    for kind, filename in _CACHE_FILES.items():
+    for kind, length in loaded.items():
         cache = shared_cache(kind)
-        if len(cache) > loaded[kind]:
+        if len(cache) > length:
             directory.mkdir(parents=True, exist_ok=True)
-            write_cache_file(cache, directory / filename)
+            write_cache_file(cache, directory / _CACHE_FILES[kind])
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -312,7 +330,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        loaded = _load_persisted()
+        loaded = _load_persisted(_kinds_read(args))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -24,7 +24,7 @@ __all__ = [
 
 ExactRational = Fraction
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
 
 @functools.lru_cache(maxsize=None)
@@ -61,12 +61,14 @@ def parse_rational(text: str) -> Fraction:
     """Parse the ``p/q`` (or bare integer) form produced by format_rational.
 
     Accepts an optional leading sign on the numerator only.  Anything else,
-    including a zero denominator, raises ValueError.
+    including a zero denominator, raises ValueError.  The result is reduced
+    to lowest terms, so an unreduced ``p/q`` parses to the same value.
     """
-    stripped = text.strip()
-    if not _RATIONAL_RE.match(stripped):
+    match = _RATIONAL_RE.match(text.strip())
+    if match is None:
         raise ValueError(f"not a rational literal: {text!r}")
+    numerator, denominator = match.groups()
     try:
-        return Fraction(stripped)
+        return Fraction(int(numerator), int(denominator or 1))
     except ZeroDivisionError as exc:
         raise ValueError(f"zero denominator in {text!r}") from exc

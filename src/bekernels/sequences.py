@@ -17,10 +17,9 @@ E_2 = -1, and a_1 = 1/24.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterator, List, Optional
+from typing import Iterator, List, NamedTuple, Optional
 
 from . import oracles
 from .compositions import Composition, compositions
@@ -79,8 +78,7 @@ def g_closed(n: int, m0: int, cache: Optional[KernelCache] = None) -> Fraction:
     return scale * kernel_recursive(KernelKind.BERNOULLI, n, cache)
 
 
-@dataclass(frozen=True)
-class TProductTerm:
+class TProductTerm(NamedTuple):
     """One composition's contribution to the brute-force g sum.
 
     ``parts`` is the composition (b_1, ..., b_l) of n; ``value`` is the

@@ -16,21 +16,27 @@ a route's name is what the table checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterable, Iterator, Literal, Optional, Tuple
+from typing import Callable, Iterable, Iterator, Literal, NamedTuple, Optional, Tuple
 
 from . import exactnum, kernels, oracles, sequences
 from .kernels import KernelCache, KernelKind
 
-__all__ = ["CHECKS", "Check", "first_difference"]
+__all__ = ["BRUTE_DEPTH_LIMIT", "CHECKS", "Check", "first_difference"]
 
 Pair = Tuple[str, Fraction, Fraction]
 
+# The deepest "brute" depth ``bekernels verify`` accepts.  For each n up to
+# the depth and each of five m0, the g brute-force entry sums 2**(n-1)
+# chains of j factors, so its time grows about 2.2x per step: verify
+# --exact k --brute k took about 5 / 11 / 20 s at k = 14 / 15 / 16 on
+# 2 shared x86_64 vCPUs.  The kernels' composition limit (22) is far
+# past the depths this walk can reach in bounded time.
+BRUTE_DEPTH_LIMIT = 16
 
-@dataclass(frozen=True)
-class Check:
+
+class Check(NamedTuple):
     """One cross-route comparison; ``title`` holds ``{n}`` for the depth."""
 
     title: str

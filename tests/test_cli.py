@@ -126,8 +126,12 @@ def test_verify_reports_a_wrong_oracle(capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "argv",
-    [["--brute", "30", "--exact", "20"], ["--exact", "40", "--brute", "23"]],
-    ids=["brute-over-exact", "brute-over-limit"],
+    [
+        ["--brute", "30", "--exact", "20"],
+        ["--exact", "40", "--brute", "23"],
+        ["--exact", "40", "--brute", "17"],
+    ],
+    ids=["brute-over-exact", "brute-over-limit", "brute-over-g-limit"],
 )
 def test_verify_precondition_exits_2(capsys, monkeypatch, argv):
     # With no checks to run, a verify that skips its precondition exits 0 at once.
@@ -282,6 +286,25 @@ def test_module_entry_point():
     assert proc.stdout == "7/360\n"
 
 
+def test_exact_path_imports_no_mpmath():
+    # A fresh interpreter, so modules imported by other tests do not count.
+    script = """
+import sys
+import bekernels, bekernels.cli
+print(sorted(m for m in ("mpmath", "bekernels.specfun", "dataclasses") if m in sys.modules))
+from bekernels import specfun
+print(bekernels.eval_gamma is specfun.eval_gamma)
+namespace = {}
+exec("from bekernels import *", namespace)
+print(sorted(set(bekernels.__all__) - set(namespace)))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True", "[]"]
+
+
 def test_cache_dir_persists_tables(tmp_path):
     env = {"KERNEL_CACHE_DIR": str(tmp_path)}
     first = _run_subprocess(["table", "--kind", "b", "--upto", "8"], env)
@@ -341,3 +364,18 @@ def test_cache_dir_garbage_rejected(tmp_path):
     )
     assert proc.returncode == 2
     assert "bad cache line" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["euler", "--upto", "2"], ["compositions", "--n", "3"], ["verify", "--exact", "8", "--brute", "4"]],
+    ids=["euler", "compositions", "verify"],
+)
+def test_cache_dir_reads_only_the_kind_used(tmp_path, argv):
+    # None of these reads the b table, so a damaged one neither fails them
+    # nor gets rewritten by them.
+    garbage = b"zero one\n"
+    (tmp_path / "kernel_b.txt").write_bytes(garbage)
+    proc = _run_subprocess(argv, {"KERNEL_CACHE_DIR": str(tmp_path)})
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "kernel_b.txt").read_bytes() == garbage
