@@ -7,7 +7,8 @@ compositions.  Exit codes: 0 success, 1 verification mismatch,
 If KERNEL_CACHE_DIR is set, a command loads the persisted kernel table
 of the kind it reads, "<dir>/kernel_b.txt" or "<dir>/kernel_e.txt", at
 startup, and saves that table there when it ends if the command extended
-it.  ``table`` and ``kernel`` read their --kind; ``bernoulli``, ``a-coeff``
+it.  ``table`` and ``kernel`` read their --kind with ``--method
+recursion`` and nothing with the other methods; ``bernoulli``, ``a-coeff``
 and ``eval`` read b; ``euler`` reads e; ``verify`` and ``compositions``
 read neither.  A file is read, validated and written only by a command of
 its kind, so a damaged file is reported by the first command that reads it.
@@ -296,6 +297,9 @@ def _cache_dir() -> Optional[Path]:
 
 
 def _kinds_read(args: argparse.Namespace) -> Tuple[KernelKind, ...]:
+    # Of the --method routes of table and kernel, only the recursion reads the shared cache.
+    if getattr(args, "method", "recursion") != "recursion":
+        return ()
     code = getattr(args, "kind", None) or _KIND_READ.get(args.command)
     return (KernelKind(code),) if code else ()
 

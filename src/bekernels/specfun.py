@@ -14,7 +14,7 @@ guard digits; exact rationals are converted at the last moment.
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -22,6 +22,7 @@ from typing import Optional, Union
 import mpmath
 from mpmath import mp
 
+from . import oracles
 from .exactnum import factorial
 from .sequences import a_from_kb, f_of, g_closed
 
@@ -123,55 +124,65 @@ def p_term(m: int, x: Real, working_precision: int = 34) -> mpmath.mpf:
         return 1 / ((2 * m - 1) * base ** (2 * m - 1))
 
 
-# Euler-Maclaurin corrections B_2 .. B_8 hard-coded on purpose: the direct
-# zeta evaluator is the reference the kernel-derived expansions are judged
-# against, so it must not read those expansions' own Bernoulli pipeline.
-_EM_CORRECTIONS = (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30))
-_EM_NEXT = Fraction(5, 66)  # B_10, the first omitted correction
-
-
-def _zeta_term_count(s: float, q: float, tol: float) -> int:
-    # Smallest N with B_10/10! * s(s+1)...(s+8) * (N+q)^(-s-9) <= tol.
-    lncoef = (
-        math.log(float(_EM_NEXT))
-        - math.lgamma(11)
-        + sum(math.log(s + i) for i in range(9))
-    )
-    needed = math.exp((lncoef - math.log(tol)) / (s + 9)) - q
-    # A q too large for a float makes needed -inf; one term is then enough.
-    return math.ceil(needed) if needed > 1 else 1
-
-
-def zeta_direct(s: Real, q: Real, tol: float) -> mpmath.mpf:
+def zeta_direct(s: Real, q: Real, tol: Real) -> mpmath.mpf:
     """Hurwitz zeta sum_{n>=0} (n+q)^(-s) for s > 1, q > 0, to within tol.
 
     Sums N explicit terms, then corrects with the integral tail
-    (N+q)^(1-s)/(s-1) plus Euler-Maclaurin terms through B_8.  N is chosen
-    so the first omitted correction (the B_10 term) is below tol; since
-    t -> (q+t)^(-s) is completely monotone, the true remainder is bounded
-    by that omitted term.  Term count stays in the hundreds even for
-    tolerances near 1e-36.
+    (N+q)^(1-s)/(s-1), half the edge term (N+q)^(-s)/2 and the
+    Euler-Maclaurin terms B_2k/(2k)! s(s+1)...(s+2k-2) (N+q)^(1-s-2k).
+    tol may be any real (float, str, Fraction or mpf); its decimal
+    exponent sets the digits D, and the sum is carried at D plus the
+    digits of its own size above 1.  N puts the edge N+q near D, where the
+    corrections shrink geometrically, and they are added until the next
+    one is <= tol; should they stop shrinking first, N grows and the
+    corrections start again.  Since t -> (q+t)^(-s) is completely
+    monotone, the true remainder is bounded by that first omitted
+    correction.
+
+    B_2k comes from the Akiyama-Tanigawa oracle (``oracles.bernoulli_even``):
+    this sum is the reference the kernel-derived expansions are judged
+    against, so it must not read their own Bernoulli pipeline.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    dps = max(25, math.ceil(-math.log10(tol)) + _GUARD_DIGITS)
-    with mp.workdps(dps):
+    with mp.workdps(15):
+        tol_m = _mpf(tol)
+        if not tol_m > 0:
+            raise ValueError(f"tol must be positive, got {tol}")
+        digits = max(25, int(mp.ceil(-mp.log10(tol_m))) + _GUARD_DIGITS)
+    with mp.workdps(digits):
         sm = _mpf(s)
         qm = _mpf(q)
         if not sm > 1:
             raise ValueError(f"zeta_direct requires s > 1, got {s}")
         if not qm > 0:
             raise ValueError(f"zeta_direct requires q > 0, got {q}")
-        n_terms = _zeta_term_count(float(sm), float(qm), tol)
-        total = mp.fsum((qm + n) ** (-sm) for n in range(n_terms))
-        edge = qm + n_terms
-        total += edge ** (1 - sm) / (sm - 1)
-        total += edge ** (-sm) / 2
-        rising = sm  # s(s+1)...(s+2k-2), maintained across k
-        for k, b2k in enumerate(_EM_CORRECTIONS, start=1):
-            total += _mpf(b2k) / factorial(2 * k) * rising * edge ** (-sm - 2 * k + 1)
-            rising *= (sm + 2 * k - 1) * (sm + 2 * k)
-        return total
+        # The sum is at most q^(-s) + q^(1-s)/(s-1); an absolute tol needs
+        # the digits of that size above 1 as well.
+        extra = max(0, int(mp.ceil(mp.log10(qm**-sm + qm ** (1 - sm) / (sm - 1)))))
+    with mp.workdps(digits + extra):
+        sm, qm, tol_m = _mpf(s), _mpf(q), _mpf(tol)
+        # An edge near the digits tol asks for makes the corrections shrink geometrically.
+        n_terms = int(mp.ceil(digits - qm)) if qm < digits else 0
+        total = mp.fsum((qm + n) ** -sm for n in range(n_terms))
+        while True:
+            edge = qm + n_terms
+            corrections = [edge ** (1 - sm) / (sm - 1), edge**-sm / 2]
+            # s(s+1)...(s+2k-2) / (2k)! * edge^(1-s-2k), advanced one k at a time
+            weight = sm / 2 * edge ** (-sm - 1)
+            edge_sq = edge**2
+            previous = mp.inf
+            for k in itertools.count(1):
+                term = _mpf(oracles.bernoulli_even(k)) * weight
+                if abs(term) <= tol_m:
+                    return total + mp.fsum(corrections)
+                if abs(term) >= previous:
+                    break
+                corrections.append(term)
+                previous = abs(term)
+                weight *= (sm + 2 * k - 1) * (sm + 2 * k) / ((2 * k + 1) * (2 * k + 2) * edge_sq)
+            # Past the smallest correction and still above tol: double the edge.
+            grown = n_terms + int(mp.ceil(edge))
+            total += mp.fsum((qm + n) ** -sm for n in range(n_terms, grown))
+            n_terms = grown
 
 
 def eval_hurwitz_expansion(m0: int, x: Real, params: TruncationParams) -> EvalReport:
@@ -195,7 +206,7 @@ def eval_hurwitz_expansion(m0: int, x: Real, params: TruncationParams) -> EvalRe
         for z in range(1, params.terms + 1):
             value += z_term(z)
         bound = abs(z_term(params.terms + 1))
-        reference = zeta_direct(2 * m0, xm + 1, 10.0 ** -(wp - _REFERENCE_MARGIN))
+        reference = zeta_direct(2 * m0, xm + 1, mp.mpf(10) ** -(wp - _REFERENCE_MARGIN))
         return _report(value, params.terms, bound, reference)
 
 
@@ -264,7 +275,6 @@ def eval_polygamma(y: int, x: Real, params: TruncationParams) -> EvalReport:
     if y < 1:
         raise ValueError(f"eval_polygamma requires y >= 1, got {y}")
     wp = params.working_precision
-    inner_tol = 10.0 ** -(wp + 2)
     with mp.workdps(wp + _GUARD_DIGITS):
         xm = _mpf(x)
         if not xm > mp.mpf(-1) / 2:
@@ -272,12 +282,22 @@ def eval_polygamma(y: int, x: Real, params: TruncationParams) -> EvalReport:
         base = xm + mp.mpf(1) / 2
         sign = 1 if y % 2 else -1
 
+        def weight(n: int) -> mpmath.mpf:
+            return _mpf(f_of(n)) * (factorial(2 * n + y) // factorial(2 * n - 1))
+
+        # The first omitted term is at least w_{N+1} (x+1)^-(2N+y+3); the
+        # inner sums stay 100x below that, so their errors stay out of the
+        # bound, but need not go below the rounding of the leading part.
+        omitted = params.terms + 1
+        least_omitted = weight(omitted) * (xm + 1) ** -(2 * omitted + y + 1)
+        leading = factorial(y - 1) / base**y
+        inner_tol = min(mp.mpf(10) ** -(wp + 2), max(least_omitted, leading * mp.eps) / 100)
+
         def series_term(n: int) -> mpmath.mpf:
-            weight = _mpf(f_of(n)) * (factorial(2 * n + y) // factorial(2 * n - 1))
-            return weight * zeta_direct(2 * n + y + 1, xm + 1, inner_tol)
+            return weight(n) * zeta_direct(2 * n + y + 1, xm + 1, inner_tol)
 
         series = mp.fsum(series_term(n) for n in range(1, params.terms + 1))
-        value = sign * (factorial(y - 1) / base**y - series)
+        value = sign * (leading - series)
         bound = abs(series_term(params.terms + 1))
         reference = sign * factorial(y) * zeta_direct(y + 1, xm + 1, inner_tol)
         return _report(value, params.terms, bound, reference)
@@ -292,8 +312,8 @@ def check_ln_pi_over_e(terms: int, working_precision: int = 34) -> EvalReport:
     """
     if terms < 1:
         raise ValueError(f"check_ln_pi_over_e requires terms >= 1, got {terms}")
-    inner_tol = 10.0 ** -(working_precision + 2)
     with mp.workdps(working_precision + _GUARD_DIGITS):
+        inner_tol = mp.mpf(10) ** -(working_precision + 2)
 
         def series_term(j: int) -> mpmath.mpf:
             return zeta_direct(2 * j, 1, inner_tol) * _mpf(f_of(j))

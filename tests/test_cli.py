@@ -280,6 +280,24 @@ def test_eval_huge_finite_x_returns(argv):
     assert payload["value"] not in (None, "nan", "inf", "-inf")
 
 
+@pytest.mark.parametrize(
+    "argv, deadline",
+    [
+        (["hurwitz", "--precision", "100", "--m0", "1", "--x", "24.06", "--terms", "4"], 10),
+        (["polygamma", "--y", "2", "--precision", "100", "--x", "11.25", "--terms", "7"], 10),
+        # Tolerances of 1e-336 and 1e-342 are below the smallest float.
+        (["hurwitz", "--precision", "340", "--x", "20", "--terms", "4"], 30),
+        (["polygamma", "--y", "1", "--precision", "340", "--x", "20", "--terms", "4"], 30),
+    ],
+    ids=["hurwitz-100", "polygamma-100", "hurwitz-340", "polygamma-340"],
+)
+def test_eval_high_precision_returns(argv, deadline):
+    proc = _run_subprocess(["eval", *argv], timeout=deadline)
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert float(payload["abs_error"]) <= 2 * float(payload["bound"])
+
+
 def test_module_entry_point():
     proc = _run_subprocess(["kernel", "--kind", "b", "--n", "2"])
     assert proc.returncode == 0
@@ -368,12 +386,19 @@ def test_cache_dir_garbage_rejected(tmp_path):
 
 @pytest.mark.parametrize(
     "argv",
-    [["euler", "--upto", "2"], ["compositions", "--n", "3"], ["verify", "--exact", "8", "--brute", "4"]],
-    ids=["euler", "compositions", "verify"],
+    [
+        ["euler", "--upto", "2"],
+        ["compositions", "--n", "3"],
+        ["verify", "--exact", "8", "--brute", "4"],
+        ["kernel", "--kind", "b", "--n", "3", "--method", "determinant"],
+        ["table", "--kind", "b", "--upto", "5", "--method", "compositions"],
+    ],
+    ids=["euler", "compositions", "verify", "kernel-determinant", "table-compositions"],
 )
 def test_cache_dir_reads_only_the_kind_used(tmp_path, argv):
-    # None of these reads the b table, so a damaged one neither fails them
-    # nor gets rewritten by them.
+    # None of these reads the b table (the determinant and compositions
+    # routes never use the cache), so a damaged one neither fails them nor
+    # gets rewritten by them.
     garbage = b"zero one\n"
     (tmp_path / "kernel_b.txt").write_bytes(garbage)
     proc = _run_subprocess(argv, {"KERNEL_CACHE_DIR": str(tmp_path)})

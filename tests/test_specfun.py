@@ -6,6 +6,7 @@ import mpmath
 import pytest
 from mpmath import mp
 
+from bekernels import kernels, oracles, sequences
 from bekernels.specfun import (
     EvalReport,
     TruncationParams,
@@ -69,6 +70,48 @@ def test_zeta_direct_against_independent_library():
     with mp.workdps(40):
         for s, q in [(2, 10), (5, 1), (2.5, 0.75), (31, 4)]:
             assert abs(zeta_direct(s, q, 1e-25) - mpmath.zeta(s, q)) <= 1e-25
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-56, 1e-100])
+@pytest.mark.parametrize("s", [2, 2.5, 4, 31, 122])
+def test_zeta_direct_meets_tolerance(s, tol):
+    # q = 1e400 is past the float range; q = 0.75 with s = 122 puts the sum
+    # near 2e15, so an absolute tol needs digits above the decimal point.
+    for q in (0.75, 1, 20.74, 1e6, "1e400"):
+        value = zeta_direct(s, q, tol)
+        with mp.workdps(int(-mp.log10(tol)) + 20):
+            assert abs(value - mpmath.zeta(s, mp.mpf(q))) <= tol, q
+
+
+def test_zeta_direct_tolerance_past_float_range():
+    tol = mp.mpf("1e-340")  # 1e-340 as a float rounds to a subnormal
+    value = zeta_direct(2, 1, tol)
+    with mp.workdps(400):
+        assert abs(value - mpmath.zeta(2)) <= mp.mpf("1e-340")
+    for same in ("1e-30", Fraction(1, 10**30)):
+        with mp.workdps(40):
+            assert abs(zeta_direct(2, 1, same) - mpmath.zeta(2)) <= mp.mpf("1e-30")
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("zeta_direct must not read the kernel pipeline")
+
+
+def test_zeta_direct_reads_no_kernel_code(monkeypatch):
+    monkeypatch.setattr(kernels, "kernel_recursive", _raise)
+    monkeypatch.setattr(sequences, "bernoulli", _raise)
+    with mp.workdps(60):
+        assert abs(zeta_direct(4, 1, 1e-50) - mpmath.pi**4 / 90) <= 1e-50
+        assert abs(zeta_direct(3, 20.74, 1e-50) - mpmath.zeta(3, 20.74)) <= 1e-50
+
+
+def test_zeta_direct_takes_bernoulli_from_oracle(monkeypatch):
+    genuine = oracles.bernoulli_even
+    monkeypatch.setattr(
+        oracles, "bernoulli_even", lambda n: Fraction(1, 30) if n == 2 else genuine(n)
+    )
+    with mp.workdps(40):
+        assert abs(zeta_direct(4, 1, 1e-30) - mpmath.pi**4 / 90) > 1e-30
 
 
 def test_zeta_direct_domain():
@@ -211,6 +254,13 @@ def test_polygamma_identity(y, x):
     with mp.workdps(40):
         identity = (-1) ** (y - 1) * mpmath.factorial(y) * zeta_direct(y + 1, x + 1, 1e-36)
         assert abs(report.value - identity) <= 2 * report.first_omitted_term_bound
+
+
+@pytest.mark.parametrize("y, x", [(2, 35.5), (2, 39.1), (3, 35.5), (3, 39.1)])
+def test_polygamma_inner_sums_below_bound(y, x):
+    # The bound here is 2e-38 to 3e-37, below an inner tolerance of 1e-36.
+    report = eval_polygamma(y, x, tp(8))
+    assert report.abs_error <= 2 * report.first_omitted_term_bound
 
 
 def test_polygamma_spec_points():
