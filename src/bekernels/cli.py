@@ -2,16 +2,20 @@
 
 Subcommands: table, kernel, verify, bernoulli, euler, a-coeff, eval,
 compositions.  Exit codes: 0 success, 1 verification mismatch,
-2 invalid flags or values, 3 refused brute-force size (pass --force).
+2 invalid flags or values, including a size past a command's limit.
+
+``table`` and ``kernel`` compute by the defining recursion, the one fast
+route; the compositions and determinant routes stay in ``kernels`` as the
+references ``verify`` checks it against.
 
 If KERNEL_CACHE_DIR is set, a command loads the persisted kernel table
 of the kind it reads, "<dir>/kernel_b.txt" or "<dir>/kernel_e.txt", at
 startup, and saves that table there when it ends if the command extended
-it.  ``table`` and ``kernel`` read their --kind with ``--method
-recursion`` and nothing with the other methods; ``bernoulli``, ``a-coeff``
-and ``eval`` read b; ``euler`` reads e; ``verify`` and ``compositions``
-read neither.  A file is read, validated and written only by a command of
-its kind, so a damaged file is reported by the first command that reads it.
+it.  ``table`` and ``kernel`` read their --kind; ``bernoulli``,
+``a-coeff`` and ``eval`` read b; ``euler`` reads e; ``verify`` and
+``compositions`` read neither.  A file is read, validated and written only
+by a command of its kind, so a damaged file is reported by the first
+command that reads it.
 
 Only ``eval`` imports ``specfun`` and mpmath; the other commands run on
 the exact layer alone.
@@ -33,8 +37,6 @@ from .exactnum import format_rational
 from .kernels import (
     BRUTE_FORCE_SOFT_LIMIT,
     KernelKind,
-    kernel_compositions,
-    kernel_determinant,
     kernel_recursive,
     read_cache_file,
     shared_cache,
@@ -47,12 +49,6 @@ _CACHE_FILES = {KernelKind.BERNOULLI: "kernel_b.txt", KernelKind.EULER: "kernel_
 # take their coefficients from the shared K_b cache (a_from_kb, g_closed).
 _KIND_READ = {"bernoulli": "b", "a-coeff": "b", "eval": "b", "euler": "e"}
 _EVAL_DIGITS = 30  # significant digits printed for high-precision floats
-
-_METHODS = {
-    "recursion": lambda kind, n: kernel_recursive(kind, n),
-    "compositions": kernel_compositions,
-    "determinant": kernel_determinant,
-}
 
 
 def positive_int(text: str) -> int:
@@ -88,20 +84,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="print K(n) for n = 1..upto")
     p.add_argument("--kind", choices=["b", "e"], required=True)
     p.add_argument("--upto", type=positive_int, required=True)
-    p.add_argument(
-        "--method",
-        choices=sorted(_METHODS),
-        default="recursion",
-    )
     p.add_argument("--format", choices=["plain", "json", "csv"], default="plain")
-    p.add_argument("--force", action="store_true", help="allow compositions past n=22")
     p.set_defaults(handler=cmd_table)
 
-    p = sub.add_parser("kernel", help="print a single K(n)")
+    p = sub.add_parser("kernel", help="print one kernel value K(n)")
     p.add_argument("--kind", choices=["b", "e"], required=True)
     p.add_argument("--n", type=nonnegative_int, required=True)
-    p.add_argument("--method", choices=sorted(_METHODS), default="recursion")
-    p.add_argument("--force", action="store_true")
     p.set_defaults(handler=cmd_kernel)
 
     p = sub.add_parser("verify", help="run the cross-method and oracle checks")
@@ -141,28 +129,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _brute_force_refused(args: argparse.Namespace, size: str) -> bool:
-    """Refuse a compositions walk past the soft limit unless --force was given."""
-    n = getattr(args, size)
-    if args.method != "compositions" or n <= BRUTE_FORCE_SOFT_LIMIT or args.force:
-        return False
-    print(
-        f"error: compositions method at {size}={n} walks 2**{n - 1} tuples; "
-        f"rerun with --force to insist",
-        file=sys.stderr,
-    )
-    return True
-
-
 def cmd_table(args: argparse.Namespace) -> int:
     kind = KernelKind(args.kind)
-    if _brute_force_refused(args, "upto"):
-        return 3
-    compute = _METHODS[args.method]
-    rows = [(n, compute(kind, n)) for n in range(1, args.upto + 1)]
+    rows = [(n, kernel_recursive(kind, n)) for n in range(1, args.upto + 1)]
     if args.format == "json":
         payload = [
-            {"n": n, "value": format_rational(value), "method": args.method, "kind": kind.value}
+            {"n": n, "value": format_rational(value), "method": "recursion", "kind": kind.value}
             for n, value in rows
         ]
         print(json.dumps(payload, indent=2))
@@ -174,30 +146,18 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_kernel(args: argparse.Namespace) -> int:
-    kind = KernelKind(args.kind)
-    if args.method != "recursion" and args.n == 0:
-        print(f"error: method {args.method} requires n >= 1", file=sys.stderr)
-        return 2
-    if _brute_force_refused(args, "n"):
-        return 3
-    print(format_rational(_METHODS[args.method](kind, args.n)))
+    print(format_rational(kernel_recursive(KernelKind(args.kind), args.n)))
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.brute > args.exact:
-        print(
-            f"error: --brute ({args.brute}) must not exceed --exact ({args.exact})",
-            file=sys.stderr,
-        )
-        return 2
+        raise ValueError(f"--brute ({args.brute}) must not exceed --exact ({args.exact})")
     if args.brute > verify.BRUTE_DEPTH_LIMIT:
-        print(
-            f"error: --brute ({args.brute}) must not exceed the g brute-force limit "
-            f"({verify.BRUTE_DEPTH_LIMIT})",
-            file=sys.stderr,
+        raise ValueError(
+            f"--brute ({args.brute}) must not exceed the g brute-force limit "
+            f"({verify.BRUTE_DEPTH_LIMIT})"
         )
-        return 2
     failed = False
     for check in verify.CHECKS:
         depth = args.exact if check.depth == "exact" else args.brute
@@ -245,14 +205,11 @@ def _render_float(value) -> Optional[str]:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     if args.y is not None and args.target != "polygamma":
-        print("error: --y only applies to the polygamma target", file=sys.stderr)
-        return 2
+        raise ValueError("--y only applies to the polygamma target")
     if args.m0 is not None and args.target != "hurwitz":
-        print("error: --m0 only applies to the hurwitz target", file=sys.stderr)
-        return 2
+        raise ValueError("--m0 only applies to the hurwitz target")
     if args.target == "polygamma" and args.y is None:
-        print("error: the polygamma target requires --y", file=sys.stderr)
-        return 2
+        raise ValueError("the polygamma target requires --y")
     from .specfun import (
         TruncationParams,
         eval_digamma,
@@ -286,6 +243,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_compositions(args: argparse.Namespace) -> int:
+    if args.n > BRUTE_FORCE_SOFT_LIMIT:
+        raise ValueError(
+            f"--n ({args.n}) must not exceed the compositions listing limit "
+            f"({BRUTE_FORCE_SOFT_LIMIT}); the listing has 2**(n-1) lines"
+        )
     for parts in compositions(args.n):
         print(",".join(map(str, parts)))
     return 0
@@ -297,9 +259,6 @@ def _cache_dir() -> Optional[Path]:
 
 
 def _kinds_read(args: argparse.Namespace) -> Tuple[KernelKind, ...]:
-    # Of the --method routes of table and kernel, only the recursion reads the shared cache.
-    if getattr(args, "method", "recursion") != "recursion":
-        return ()
     code = getattr(args, "kind", None) or _KIND_READ.get(args.command)
     return (KernelKind(code),) if code else ()
 

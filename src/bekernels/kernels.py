@@ -15,8 +15,8 @@ The routes exist to check one another; none of them may be redefined in
 terms of the others.  They are not equally strong checks.  With
 d_k = (-1)^k K(k), the determinant's minor recurrence is the defining
 recurrence, so recursion-vs-determinant checks what ``kernel_recursive``
-adds to it: the integer scaling, the Pascal row, the odd-lcm growth and
-the takeover of cached values, not the paper's identities.  The
+adds to it: the integer scaling, the binomial step, the odd-lcm growth
+and the takeover of cached values, not the paper's identities.  The
 composition sum (the paper's combinatorial formula) and the two oracles
 in ``oracles`` carry the mathematics, which is why ``verify`` runs its
 oracle checks at the same depth as the exact routes.
@@ -48,8 +48,9 @@ __all__ = [
     "write_cache_file",
 ]
 
-# Above this index a composition sum walks more than 2**22 tuples; callers
-# get a warning rather than an error so that explicit overrides stay easy.
+# Above this index a composition sum walks more than 2**22 tuples; library
+# callers get a warning rather than an error so that explicit overrides stay
+# easy.  The CLI's compositions listing rejects an n past it.
 BRUTE_FORCE_SOFT_LIMIT = 22
 
 
@@ -79,8 +80,8 @@ class KernelCache:
 
     The cache also holds the frontier of ``kernel_recursive``'s integer
     recurrence, so that extending the table by one value costs O(m)
-    integer operations: the scaled values of K(0), K(1), ..., their common
-    odd factor P (1 for kind e) and the last Pascal row used.
+    integer operations: the scaled values of K(0), K(1), ... and their
+    common odd factor P (1 for kind e).
     """
 
     def __init__(self, kind: KernelKind):
@@ -89,7 +90,6 @@ class KernelCache:
         self._lock = threading.Lock()
         self._scaled: List[int] = [1]
         self._odd_lcm = 1
-        self._pascal: List[int] = [1]
 
     def get(self, n: int) -> Optional[Fraction]:
         return self._values[n] if 0 <= n < len(self._values) else None
@@ -132,8 +132,10 @@ def kernel_recursive(kind: KernelKind, n: int, cache: Optional[KernelCache] = No
 
     where P is the lcm of the odd numbers up to 2m+1, so every V(k) is an
     integer.  When 2m+1 is a new odd prime power, P and every stored V(k)
-    grow by that prime.  The binomials come from a Pascal row advanced in
-    place, and each new value is appended to the cache as
+    grow by that prime.  With r = 2m+1 for kind b and r = 2m for kind e,
+    each binomial comes from the one before it in the sum, exactly:
+    C(r, 2k+2) = C(r, 2k) (r-2k)(r-2k-1) / ((2k+1)(2k+2)).  Each new value
+    is appended to the cache as
     ``Fraction(scaled, unit)``.  A value already cached past the frontier
     (loaded from a file) is taken over in scaled units; one that is not an
     integer there, or a division by 2m+1 that leaves a remainder, raises
@@ -150,7 +152,7 @@ def kernel_recursive(kind: KernelKind, n: int, cache: Optional[KernelCache] = No
         return known
     bernoulli = kind is KernelKind.BERNOULLI
     with cache._lock:
-        values, scaled, row = cache._values, cache._scaled, cache._pascal
+        values, scaled = cache._values, cache._scaled
         for m in range(len(scaled), n + 1):
             odd = 2 * m + 1
             if bernoulli:
@@ -158,14 +160,15 @@ def kernel_recursive(kind: KernelKind, n: int, cache: Optional[KernelCache] = No
                 if grow > 1:
                     cache._odd_lcm *= grow
                     scaled[:] = [v * grow for v in scaled]
-            # Advance the row to C(2m+1, .) for kind b, C(2m, .) for kind e.
-            while len(row) <= (odd if bernoulli else 2 * m):
-                row.append(1)
-                for j in range(len(row) - 2, 0, -1):
-                    row[j] += row[j - 1]
             unit = cache._odd_lcm * factorial(2 * m)
             if m == len(values):
-                total = -sum(row[2 * k] * v for k, v in enumerate(scaled))
+                r = odd if bernoulli else 2 * m
+                total, binomial = 0, 1
+                for k, v in enumerate(scaled):
+                    total -= binomial * v
+                    binomial = binomial * (r - 2 * k) * (r - 2 * k - 1) // (
+                        (2 * k + 1) * (2 * k + 2)
+                    )
                 value, remainder = divmod(total, odd) if bernoulli else (total, 0)
                 if remainder:
                     raise ValueError(

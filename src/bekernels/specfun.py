@@ -22,7 +22,6 @@ from typing import Optional, Union
 import mpmath
 from mpmath import mp
 
-from . import oracles
 from .exactnum import factorial
 from .sequences import a_from_kb, f_of, g_closed
 
@@ -139,9 +138,9 @@ def zeta_direct(s: Real, q: Real, tol: Real) -> mpmath.mpf:
     monotone, the true remainder is bounded by that first omitted
     correction.
 
-    B_2k comes from the Akiyama-Tanigawa oracle (``oracles.bernoulli_even``):
-    this sum is the reference the kernel-derived expansions are judged
-    against, so it must not read their own Bernoulli pipeline.
+    B_2k comes from ``mpmath.bernoulli`` at the working precision: this sum
+    is the reference the kernel-derived expansions are judged against, so
+    it must not read their own Bernoulli pipeline.
     """
     with mp.workdps(15):
         tol_m = _mpf(tol)
@@ -171,7 +170,7 @@ def zeta_direct(s: Real, q: Real, tol: Real) -> mpmath.mpf:
             edge_sq = edge**2
             previous = mp.inf
             for k in itertools.count(1):
-                term = _mpf(oracles.bernoulli_even(k)) * weight
+                term = mpmath.bernoulli(2 * k) * weight
                 if abs(term) <= tol_m:
                     return total + mp.fsum(corrections)
                 if abs(term) >= previous:

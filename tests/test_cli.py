@@ -42,14 +42,11 @@ def test_table_csv_golden(capsys):
 
 
 def test_table_json_schema(capsys):
-    code, out, _ = run_cli(
-        capsys, "table", "--kind", "b", "--upto", "3", "--method", "determinant",
-        "--format", "json",
-    )
+    code, out, _ = run_cli(capsys, "table", "--kind", "b", "--upto", "3", "--format", "json")
     assert code == 0
     rows = json.loads(out)
     assert [set(row) for row in rows] == [{"n", "value", "method", "kind"}] * 3
-    assert rows[2] == {"n": 3, "value": "-31/15120", "method": "determinant", "kind": "b"}
+    assert rows[2] == {"n": 3, "value": "-31/15120", "method": "recursion", "kind": "b"}
 
 
 def test_table_deterministic(capsys):
@@ -58,30 +55,27 @@ def test_table_deterministic(capsys):
     assert first == second
 
 
-def test_table_methods_agree(capsys):
-    outputs = set()
-    for method in ("recursion", "compositions", "determinant"):
-        code, out, _ = run_cli(
-            capsys, "table", "--kind", "b", "--upto", "9", "--method", method,
-            "--format", "csv",
-        )
-        assert code == 0
-        outputs.add(out)
-    assert len(outputs) == 1
-
-
 def test_table_invalid_upto_exits_2(capsys):
     code, _, err = run_cli(capsys, "table", "--kind", "b", "--upto", "0")
     assert code == 2
     assert "upto" in err
 
 
-def test_table_brute_force_guard_exits_3(capsys):
-    code, _, err = run_cli(
-        capsys, "table", "--kind", "b", "--upto", "23", "--method", "compositions"
-    )
-    assert code == 3
-    assert "--force" in err
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--kind", "b", "--upto", "5", "--method", "determinant"],
+        ["table", "--kind", "b", "--upto", "5", "--force"],
+        ["kernel", "--kind", "b", "--n", "5", "--method", "compositions"],
+        ["kernel", "--kind", "b", "--n", "5", "--force"],
+    ],
+    ids=["table-method", "table-force", "kernel-method", "kernel-force"],
+)
+def test_removed_route_flags_exit_2(capsys, argv):
+    # The recursion is the one route behind table and kernel.
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments" in err
 
 
 def test_kernel_single_value(capsys):
@@ -89,16 +83,6 @@ def test_kernel_single_value(capsys):
     assert (code, out) == (0, "1414477/653837184000\n")
     code, out, _ = run_cli(capsys, "kernel", "--kind", "e", "--n", "0")
     assert (code, out) == (0, "1\n")
-
-
-def test_kernel_zero_needs_recursion(capsys):
-    code, _, err = run_cli(capsys, "kernel", "--kind", "e", "--n", "0", "--method", "determinant")
-    assert code == 2 and "n >= 1" in err
-
-
-def test_kernel_brute_force_guard(capsys):
-    code, _, _ = run_cli(capsys, "kernel", "--kind", "b", "--n", "30", "--method", "compositions")
-    assert code == 3
 
 
 def test_verify_passes(capsys):
@@ -288,14 +272,26 @@ def test_eval_huge_finite_x_returns(argv):
         # Tolerances of 1e-336 and 1e-342 are below the smallest float.
         (["hurwitz", "--precision", "340", "--x", "20", "--terms", "4"], 30),
         (["polygamma", "--y", "1", "--precision", "340", "--x", "20", "--terms", "4"], 30),
+        (["hurwitz", "--precision", "1000", "--x", "20", "--terms", "4"], 10),
+        (["polygamma", "--y", "1", "--precision", "1000", "--x", "20", "--terms", "4"], 10),
     ],
-    ids=["hurwitz-100", "polygamma-100", "hurwitz-340", "polygamma-340"],
+    ids=[
+        "hurwitz-100", "polygamma-100", "hurwitz-340", "polygamma-340",
+        "hurwitz-1000", "polygamma-1000",
+    ],
 )
 def test_eval_high_precision_returns(argv, deadline):
     proc = _run_subprocess(["eval", *argv], timeout=deadline)
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert float(payload["abs_error"]) <= 2 * float(payload["bound"])
+
+
+def test_compositions_past_limit_exits_2():
+    # A subprocess with a deadline: past the limit the listing would run for minutes.
+    proc = _run_subprocess(["compositions", "--n", "23"], timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "--n" in proc.stderr and "22" in proc.stderr
 
 
 def test_module_entry_point():
@@ -390,15 +386,12 @@ def test_cache_dir_garbage_rejected(tmp_path):
         ["euler", "--upto", "2"],
         ["compositions", "--n", "3"],
         ["verify", "--exact", "8", "--brute", "4"],
-        ["kernel", "--kind", "b", "--n", "3", "--method", "determinant"],
-        ["table", "--kind", "b", "--upto", "5", "--method", "compositions"],
     ],
-    ids=["euler", "compositions", "verify", "kernel-determinant", "table-compositions"],
+    ids=["euler", "compositions", "verify"],
 )
 def test_cache_dir_reads_only_the_kind_used(tmp_path, argv):
-    # None of these reads the b table (the determinant and compositions
-    # routes never use the cache), so a damaged one neither fails them nor
-    # gets rewritten by them.
+    # None of these reads the b table, so a damaged one neither fails them
+    # nor gets rewritten by them.
     garbage = b"zero one\n"
     (tmp_path / "kernel_b.txt").write_bytes(garbage)
     proc = _run_subprocess(argv, {"KERNEL_CACHE_DIR": str(tmp_path)})

@@ -94,21 +94,23 @@ def test_zeta_direct_tolerance_past_float_range():
 
 
 def _raise(*args, **kwargs):
-    raise AssertionError("zeta_direct must not read the kernel pipeline")
+    raise AssertionError("zeta_direct must read neither the kernel pipeline nor its oracles")
 
 
 def test_zeta_direct_reads_no_kernel_code(monkeypatch):
     monkeypatch.setattr(kernels, "kernel_recursive", _raise)
     monkeypatch.setattr(sequences, "bernoulli", _raise)
+    monkeypatch.setattr(oracles, "bernoulli_even", _raise)
+    monkeypatch.setattr(oracles, "bernoulli_numbers", _raise)
     with mp.workdps(60):
         assert abs(zeta_direct(4, 1, 1e-50) - mpmath.pi**4 / 90) <= 1e-50
         assert abs(zeta_direct(3, 20.74, 1e-50) - mpmath.zeta(3, 20.74)) <= 1e-50
 
 
-def test_zeta_direct_takes_bernoulli_from_oracle(monkeypatch):
-    genuine = oracles.bernoulli_even
+def test_zeta_direct_takes_bernoulli_from_mpmath(monkeypatch):
+    genuine = mpmath.bernoulli
     monkeypatch.setattr(
-        oracles, "bernoulli_even", lambda n: Fraction(1, 30) if n == 2 else genuine(n)
+        mpmath, "bernoulli", lambda n: mp.mpf(1) / 30 if n == 4 else genuine(n)
     )
     with mp.workdps(40):
         assert abs(zeta_direct(4, 1, 1e-30) - mpmath.pi**4 / 90) > 1e-30
