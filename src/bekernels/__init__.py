@@ -34,7 +34,6 @@ from .kernels import (
     kernel_recursive,
 )
 from .sequences import (
-    TProductTerm,
     a_from_bernoulli,
     a_from_kb,
     a_recursive,
@@ -45,7 +44,6 @@ from .sequences import (
     g_bruteforce,
     g_closed,
     j_of,
-    t_product_terms,
 )
 # The evaluators need mpmath, which costs more to import than the whole
 # exact layer; they load on first access (PEP 562), so a process that never
@@ -79,7 +77,6 @@ __all__ = [
     "ExactRational",
     "KernelCache",
     "KernelKind",
-    "TProductTerm",
     "TruncationParams",
     "__version__",
     "a_from_bernoulli",
@@ -106,6 +103,5 @@ __all__ = [
     "kernel_recursive",
     "p_term",
     "parse_rational",
-    "t_product_terms",
     "zeta_direct",
 ]

@@ -1,10 +1,10 @@
 """Integer compositions: ordered sequences of positive parts with a fixed sum.
 
 The enumeration order is part of the contract.  ``compositions(n)`` yields
-tuples whose first part ascends, recursing on the remainder in the same
-order, so for n = 3 the stream is (1,1,1), (1,2), (2,1), (3).  Callers that
-snapshot term-by-term output (the brute-force product sums, the CLI) rely
-on this order being stable across runs.
+the tuples in lexicographic order, so for n = 3 the stream is (1,1,1),
+(1,2), (2,1), (3).  The CLI listing and library callers that snapshot the
+stream rely on this order being stable across runs; the brute-force sums
+in ``kernels`` and ``sequences`` walk the composition tree themselves.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ Composition = Tuple[int, ...]
 
 
 def compositions(n: int) -> Iterator[Composition]:
-    """Yield every composition of n, first part ascending.
+    """Yield every composition of n in lexicographic order.
 
     n must be a positive integer; exactly 2**(n-1) tuples are produced and
     each tuple sums to n.
@@ -28,8 +28,13 @@ def compositions(n: int) -> Iterator[Composition]:
 
 
 def _generate(n: int) -> Iterator[Composition]:
-    for first in range(1, n):
-        for rest in _generate(n - first):
-            yield (first,) + rest
-    yield (n,)
+    # Successor rule: after (..., x, y) comes (..., x + 1) and y - 1 ones.
+    parts = [1] * n
+    while True:
+        yield tuple(parts)
+        if len(parts) == 1:
+            return
+        y = parts.pop()
+        parts[-1] += 1
+        parts.extend([1] * (y - 1))
 

@@ -33,7 +33,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from .compositions import compositions
 from .exactnum import factorial, format_rational, parse_rational
 
 __all__ = [
@@ -191,6 +190,12 @@ def kernel_recursive(kind: KernelKind, n: int, cache: Optional[KernelCache] = No
 def kernel_compositions(kind: KernelKind, n: int) -> Fraction:
     """K(n) as a signed sum over all 2**(n-1) compositions of n.
 
+    A depth-first walk over the composition tree visits every composition
+    once.  It keeps the sum as one integer over D = (3n)!, which every
+    product of (2b+1)! (kind b) or (2b)! (kind e) over the parts divides,
+    and carries D // (the prefix's product) down the tree.  No suffix sum
+    is memoized: that would turn the route into the recursion.
+
     Exponential in n by construction; beyond BRUTE_FORCE_SOFT_LIMIT a
     warning is emitted and the walk proceeds anyway.  n = 0 is rejected:
     the empty composition is the callers' base case, not an enumerated one.
@@ -203,16 +208,16 @@ def kernel_compositions(kind: KernelKind, n: int) -> Fraction:
             f"expect a long wait past n={BRUTE_FORCE_SOFT_LIMIT}",
             stacklevel=2,
         )
-    total = Fraction(0)
-    for parts in compositions(n):
-        denominator = 1
-        for b in parts:
-            denominator *= kind.weight_denominator(b)
-        if len(parts) % 2:
-            total -= Fraction(1, denominator)
-        else:
-            total += Fraction(1, denominator)
-    return total
+
+    def walk(remaining: int, quotient: int, sign: int) -> int:
+        total = 0
+        for b in range(1, remaining + 1):
+            q = quotient // kind.weight_denominator(b)
+            total += sign * q if b == remaining else walk(remaining - b, q, -sign)
+        return total
+
+    common = factorial(3 * n)
+    return Fraction(walk(n, common, -1), common)
 
 
 # The weights w(1..k) and minors d_0..d_k of each kind.  Only

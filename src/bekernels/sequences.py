@@ -19,15 +19,13 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from math import comb
-from typing import Iterator, List, NamedTuple, Optional
+from typing import List, Optional
 
 from . import oracles
-from .compositions import Composition, compositions
 from .exactnum import beta_even, factorial
 from .kernels import KernelCache, KernelKind, kernel_recursive
 
 __all__ = [
-    "TProductTerm",
     "a_from_bernoulli",
     "a_from_kb",
     "a_recursive",
@@ -38,7 +36,6 @@ __all__ = [
     "g_bruteforce",
     "g_closed",
     "j_of",
-    "t_product_terms",
 ]
 
 
@@ -78,36 +75,29 @@ def g_closed(n: int, m0: int, cache: Optional[KernelCache] = None) -> Fraction:
     return scale * kernel_recursive(KernelKind.BERNOULLI, n, cache)
 
 
-class TProductTerm(NamedTuple):
-    """One composition's contribution to the brute-force g sum.
-
-    ``parts`` is the composition (b_1, ..., b_l) of n; ``value`` is the
-    product of j(a_k, b_k) along the chain a_1 = m0, a_{k+1} = a_k + b_k.
-    """
-
-    m0: int
-    parts: Composition
-    value: Fraction
-
-
-def t_product_terms(n: int, m0: int) -> Iterator[TProductTerm]:
-    """Yield the 2**(n-1) product terms of g(n; m0) in composition order."""
-    if n < 1 or m0 < 1:
-        raise ValueError(f"t_product_terms requires n >= 1 and m0 >= 1, got n={n}, m0={m0}")
-    for parts in compositions(n):
-        a = m0
-        value = Fraction(1)
-        for b in parts:
-            value *= j_of(a, b)
-            a += b
-        yield TProductTerm(m0, parts, value)
-
-
 def g_bruteforce(n: int, m0: int) -> Fraction:
-    """g(n; m0) summed term by term over compositions; exponential in n."""
+    """g(n; m0) summed over all 2**(n-1) compositions of n; exponential in n.
+
+    A composition (b_1, ..., b_l) contributes the product of j(a_k, b_k)
+    along a_1 = m0, a_{k+1} = a_k + b_k.  A depth-first walk over the
+    composition tree carries each prefix's product down and visits every
+    composition once; the product is never telescoped into the kernel.
+    """
+    if n < 1 or m0 < 1:
+        raise ValueError(f"g_bruteforce requires n >= 1 and m0 >= 1, got n={n}, m0={m0}")
+
     total = Fraction(0)
-    for term in t_product_terms(n, m0):
-        total += term.value
+
+    def walk(remaining: int, a: int, product: Fraction) -> None:
+        nonlocal total
+        for b in range(1, remaining + 1):
+            term = product * j_of(a, b)
+            if b == remaining:
+                total += term
+            else:
+                walk(remaining - b, a + b, term)
+
+    walk(n, m0, Fraction(1))
     return total
 
 

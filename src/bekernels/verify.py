@@ -27,13 +27,13 @@ __all__ = ["BRUTE_DEPTH_LIMIT", "CHECKS", "Check", "first_difference"]
 
 Pair = Tuple[str, Fraction, Fraction]
 
-# The deepest "brute" depth ``bekernels verify`` accepts.  For each n up to
-# the depth and each of five m0, the g brute-force entry sums 2**(n-1)
-# chains of j factors, so its time grows about 2.2x per step: verify
-# --exact k --brute k took about 5 / 11 / 20 s at k = 14 / 15 / 16 on
-# 2 shared x86_64 vCPUs.  The kernels' composition limit (22) is far
-# past the depths this walk can reach in bounded time.
-BRUTE_DEPTH_LIMIT = 16
+# The deepest "brute" depth ``bekernels verify`` accepts.  The g brute-force
+# entry walks 2**n - 1 composition prefixes for each n and m0, so verify
+# --exact k --brute k took 6.0 / 12.3 / 22.9 s at k = 16 / 17 / 18 (median
+# of 3, 2 shared x86_64 vCPUs); 17 is the deepest k no slower than k = 16
+# with a product per composition (16.9 s).  The kernels' composition limit
+# (22) is far past the depths this walk can reach in bounded time.
+BRUTE_DEPTH_LIMIT = 17
 
 
 class Check(NamedTuple):

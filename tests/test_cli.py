@@ -113,7 +113,7 @@ def test_verify_reports_a_wrong_oracle(capsys, monkeypatch):
     [
         ["--brute", "30", "--exact", "20"],
         ["--exact", "40", "--brute", "23"],
-        ["--exact", "40", "--brute", "17"],
+        ["--exact", "40", "--brute", str(verify.BRUTE_DEPTH_LIMIT + 1)],
     ],
     ids=["brute-over-exact", "brute-over-limit", "brute-over-g-limit"],
 )

@@ -1,5 +1,7 @@
 """Composition enumeration: order contract, counts, streaming behavior."""
 
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -35,6 +37,19 @@ def test_order_stable_across_runs(n):
 
 
 def test_is_streaming_not_materialized():
-    stream = compositions(30)
-    first = next(stream)
-    assert first == tuple([1] * 30)
+    # 2**4999 tuples, and deeper than the recursion limit: only a stream
+    # that builds each tuple from the one before it can start.
+    stream = compositions(5000)
+    assert next(stream) == (1,) * 5000
+    assert next(stream) == (1,) * 4998 + (2,)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_order_is_lexicographic(n):
+    # Independent oracle: one composition per set of cut points in 1..n-1.
+    expected = []
+    for size in range(n):
+        for cuts in itertools.combinations(range(1, n), size):
+            bounds = (0,) + cuts + (n,)
+            expected.append(tuple(b - a for a, b in zip(bounds, bounds[1:])))
+    assert list(compositions(n)) == sorted(expected)

@@ -67,6 +67,24 @@ def test_determinant_known_values():
 
 
 @pytest.mark.parametrize("kind", [B, E])
+def test_composition_sum_visits_each_prefix_once(monkeypatch, kind):
+    # One weight per composition prefix: 2**n - 1 of them for n.  A
+    # per-composition product makes (n+1) 2**(n-2); a memoized suffix sum
+    # O(n**2).
+    calls = []
+    right = KernelKind.weight_denominator
+
+    def counted(self, b):
+        calls.append(b)
+        return right(self, b)
+
+    monkeypatch.setattr(KernelKind, "weight_denominator", counted)
+    value = kernel_compositions(kind, 10)
+    assert len(calls) == 2**10 - 1
+    assert value == kernel_recursive(kind, 10, KernelCache(kind))
+
+
+@pytest.mark.parametrize("kind", [B, E])
 def test_three_way_agreement(kind):
     cache = KernelCache(kind)
     for n in range(1, 15):

@@ -18,7 +18,6 @@ from bekernels.sequences import (
     g_bruteforce,
     g_closed,
     j_of,
-    t_product_terms,
 )
 import bekernels.sequences as sequences_module
 
@@ -69,19 +68,20 @@ def test_g_routes_agree():
             assert g_closed(n, m0) == g_bruteforce(n, m0), (n, m0)
 
 
-def test_t_product_terms_follow_triple_rules():
-    terms = list(t_product_terms(4, 3))
-    assert len(terms) == 8
-    for term in terms:
-        assert sum(term.parts) == 4
-        assert term.m0 == 3
-        a, product = 3, Fraction(1)
-        for b in term.parts:
-            product *= j_of(a, b)
-            a += b
-        assert term.value == product
-    # composition order carries over
-    assert [t.parts for t in terms][:3] == [(1, 1, 1, 1), (1, 1, 2), (1, 2, 1)]
+def test_g_bruteforce_visits_each_prefix_once(monkeypatch):
+    # One j factor per composition prefix: 2**n - 1 of them for n.  A
+    # per-composition product makes (n+1) 2**(n-2); a memoized suffix sum
+    # O(n**2).
+    calls = []
+    right = sequences_module.j_of
+
+    def counted(a, b):
+        calls.append((a, b))
+        return right(a, b)
+
+    monkeypatch.setattr(sequences_module, "j_of", counted)
+    assert g_bruteforce(10, 3) == g_closed(10, 3)
+    assert len(calls) == 2**10 - 1
 
 
 def test_a_from_kb_values():
