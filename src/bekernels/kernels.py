@@ -220,11 +220,12 @@ def kernel_compositions(kind: KernelKind, n: int) -> Fraction:
     return Fraction(walk(n, common, -1), common)
 
 
-# The weights w(1..k) and minors d_0..d_k of each kind.  Only
+# The weight-denominator ratios W(b) / W(b-1) for b = 1..k (W(0) = 1), the
+# scaled minors N_0..N_k and the minors d_0..d_k of each kind.  Only
 # kernel_determinant fills them, from exact weights, and the lock makes
 # them safe to grow from several threads.
 _det_lock = threading.Lock()
-_det_rows: Dict[KernelKind, Tuple[List[Fraction], List[Fraction]]] = {}
+_det_rows: Dict[KernelKind, Tuple[List[int], List[int], List[Fraction]]] = {}
 
 
 def kernel_determinant(kind: KernelKind, n: int) -> Fraction:
@@ -236,19 +237,29 @@ def kernel_determinant(kind: KernelKind, n: int) -> Fraction:
     matrix is ever materialized here; the explicit-matrix route lives in
     the test suite as an independent check.  The minors are kept between
     calls, so a call at an index already reached is a lookup.
+
+    The recurrence runs in integers.  With W(b) the denominator of w(b),
+    N_k = d_k (3k)! satisfies N_k = sum_j (-1)^(k-j) c(k, j) N_{j-1} with
+    c(k, j) = (3k)! / ((3j-3)! W(k-j+1)), an integer because
+    (3j-3) + (2k-2j+3) <= 3k.  Going down from c(k, k+1) = 1, each
+    multiplier comes from the one before it, exactly:
+    c(k, j) = c(k, j+1) (3j)(3j-1)(3j-2) / (W(b) / W(b-1)) with b = k-j+1.
+    Each minor becomes a Fraction once.
     """
     if n < 1:
         raise ValueError(f"determinant form requires n >= 1, got {n}")
     with _det_lock:
-        weights, minors = _det_rows.setdefault(kind, ([], [Fraction(1)]))
+        ratios, scaled, minors = _det_rows.setdefault(kind, ([], [1], [Fraction(1)]))
         for k in range(len(minors), n + 1):
-            weights.append(kind.weight(k))
-            acc = Fraction(0)
-            sign = 1
+            previous = kind.weight_denominator(k - 1) if k > 1 else 1
+            ratios.append(kind.weight_denominator(k) // previous)
+            acc, multiplier, sign = 0, 1, 1
             for j in range(k, 0, -1):
-                acc += sign * weights[k - j] * minors[j - 1]
+                multiplier = multiplier * (3 * j) * (3 * j - 1) * (3 * j - 2) // ratios[k - j]
+                acc += sign * multiplier * scaled[j - 1]
                 sign = -sign
-            minors.append(acc)
+            scaled.append(acc)
+            minors.append(Fraction(acc, factorial(3 * k)))
         return minors[n] if n % 2 == 0 else -minors[n]
 
 

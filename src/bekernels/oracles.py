@@ -13,6 +13,7 @@ coefficients of 1/cosh, so E_0 = 1, E_2 = -1, E_4 = 5, E_6 = -61.
 
 from __future__ import annotations
 
+import math
 import threading
 from fractions import Fraction
 from typing import List
@@ -21,9 +22,11 @@ __all__ = ["bernoulli_even", "bernoulli_numbers", "euler_even", "zigzag_numbers"
 
 # Both triangles extend row by row, so completed rows are kept between
 # calls and only the missing tail is computed.  The locks make the shared
-# state safe to grow from multiple threads.
+# state safe to grow from multiple threads.  _at_row holds the
+# Akiyama-Tanigawa row times _at_lcm = lcm(1..m+1), in integers.
 _at_lock = threading.Lock()
-_at_row: List[Fraction] = []
+_at_row: List[int] = []
+_at_lcm = 1
 _at_done: List[Fraction] = []
 
 _zz_lock = threading.Lock()
@@ -37,16 +40,25 @@ def bernoulli_numbers(upto: int) -> List[Fraction]:
     Row m of the triangle starts from 1/(m+1) and is folded in place by
     a[j-1] = j * (a[j-1] - a[j]); the surviving head entry is B_m.  Uses
     the B_1 = +1/2 sign convention.
+
+    The fold is linear with integer coefficients, so the row is kept in
+    integers times L = lcm(1..m+1): the new entry is L/(m+1), and when L
+    grows the whole row is multiplied by the growth.  B_m = row[0] / L.
     """
+    global _at_lcm
     if upto < 0:
         raise ValueError(f"bernoulli_numbers requires upto >= 0, got {upto}")
     with _at_lock:
         while len(_at_done) <= upto:
             m = len(_at_done)
-            _at_row.append(Fraction(1, m + 1))
+            grow = (m + 1) // math.gcd(_at_lcm, m + 1)
+            if grow > 1:
+                _at_lcm *= grow
+                _at_row[:] = [v * grow for v in _at_row]
+            _at_row.append(_at_lcm // (m + 1))
             for j in range(m, 0, -1):
                 _at_row[j - 1] = j * (_at_row[j - 1] - _at_row[j])
-            _at_done.append(_at_row[0])
+            _at_done.append(Fraction(_at_row[0], _at_lcm))
         return _at_done[: upto + 1].copy()
 
 

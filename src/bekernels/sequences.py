@@ -16,9 +16,10 @@ E_2 = -1, and a_1 = 1/24.
 
 from __future__ import annotations
 
+import functools
 import threading
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from typing import List, Optional
 
 from . import oracles
@@ -46,11 +47,13 @@ def f_of(n: int) -> Fraction:
     return Fraction(1, (1 << (2 * n)) * (2 * n) * (2 * n + 1))
 
 
+@functools.lru_cache(maxsize=None)
 def j_of(a: int, b: int) -> Fraction:
     """j(a, b) = -(2a+2b-1)! / (2^{2b} (2b+1)! (2a-1)!) for a, b >= 1.
 
     Always negative, which is what makes the sign of a product of j
-    factors depend only on the number of factors.
+    factors depend only on the number of factors.  Memoized on (a, b),
+    as ``exactnum.factorial`` is on m.
     """
     if a < 1 or b < 1:
         raise ValueError(f"j_of requires a >= 1 and b >= 1, got a={a}, b={b}")
@@ -82,23 +85,27 @@ def g_bruteforce(n: int, m0: int) -> Fraction:
     along a_1 = m0, a_{k+1} = a_k + b_k.  A depth-first walk over the
     composition tree carries each prefix's product down and visits every
     composition once; the product is never telescoped into the kernel.
+
+    The walk runs in integers.  Every prefix product has a denominator
+    dividing D = (2m0-1)! 4^n (3n)!, so it carries q = D * product and
+    steps q -> q * j.numerator / j.denominator, an exact division (a
+    remainder raises ArithmeticError).  The sum is Fraction(sum of q, D).
     """
     if n < 1 or m0 < 1:
         raise ValueError(f"g_bruteforce requires n >= 1 and m0 >= 1, got n={n}, m0={m0}")
 
-    total = Fraction(0)
-
-    def walk(remaining: int, a: int, product: Fraction) -> None:
-        nonlocal total
+    def walk(remaining: int, a: int, quotient: int) -> int:
+        total = 0
         for b in range(1, remaining + 1):
-            term = product * j_of(a, b)
-            if b == remaining:
-                total += term
-            else:
-                walk(remaining - b, a + b, term)
+            j = j_of(a, b)
+            q, remainder = divmod(quotient * j.numerator, j.denominator)
+            if remainder:
+                raise ArithmeticError(f"g_bruteforce: j({a}, {b}) does not step D exactly")
+            total += q if b == remaining else walk(remaining - b, a + b, q)
+        return total
 
-    walk(n, m0, Fraction(1))
-    return total
+    common = factorial(2 * m0 - 1) * (1 << (2 * n)) * factorial(3 * n)
+    return Fraction(walk(n, m0, common), common)
 
 
 def bernoulli(n: int, cache: Optional[KernelCache] = None) -> Fraction:
@@ -128,9 +135,12 @@ def a_from_kb(n: int, cache: Optional[KernelCache] = None) -> Fraction:
 # _a_table[m] = a_m for 1 <= m < len(_a_table); index 0 is unused.  The
 # recursion extends row by row, so computed rows are kept between calls and
 # only the missing tail is computed; the lock makes the shared table safe
-# to grow from several threads.
+# to grow from several threads.  _a_scaled[m] = _a_unit * 4^m * a_m is
+# the same row in integers over the route's running common denominator.
 _a_lock = threading.Lock()
 _a_table: List[Fraction] = [Fraction(0)]
+_a_scaled: List[int] = [0]
+_a_unit = 1
 
 
 def a_recursive(n: int) -> Fraction:
@@ -138,16 +148,36 @@ def a_recursive(n: int) -> Fraction:
 
     a_m = f(m) - sum_{k=1}^{m-1} C(2m-1, 2k) / (2^{2k} (2k+1)) * a_{m-k};
     no kernel values are consulted.
+
+    The recursion runs in integers.  With u_m = 4^m a_m it reads
+    2m (2m+1) u_m = 1 - (2m+1) sum_{k=1}^{m-1} C(2m, 2k+1) u_{m-k}, and
+    every u_m is held as U_m = L u_m over a common denominator L of the
+    route's own.  When 2m (2m+1) does not divide the right-hand side
+    times L, L and every stored U grow by the missing factor.  Each
+    binomial comes from the one before it in the sum, exactly:
+    C(2m, 2k+3) = C(2m, 2k+1) (2m-2k-1)(2m-2k-2) / ((2k+2)(2k+3)).  Each
+    new row becomes a Fraction once.
     """
+    global _a_unit
     if n < 1:
         raise ValueError(f"a_recursive requires n >= 1, got {n}")
     with _a_lock:
         for m in range(len(_a_table), n + 1):
-            value = f_of(m)
+            total, binomial = 0, comb(2 * m, 3)
             for k in range(1, m):
-                weight = Fraction(comb(2 * m - 1, 2 * k), (1 << (2 * k)) * (2 * k + 1))
-                value -= weight * _a_table[m - k]
-            _a_table.append(value)
+                total += binomial * _a_scaled[m - k]
+                binomial = binomial * (2 * m - 2 * k - 1) * (2 * m - 2 * k - 2) // (
+                    (2 * k + 2) * (2 * k + 3)
+                )
+            total = _a_unit - (2 * m + 1) * total
+            divisor = 2 * m * (2 * m + 1)
+            grow = divisor // gcd(total, divisor)
+            if grow > 1:
+                _a_unit *= grow
+                total *= grow
+                _a_scaled[:] = [u * grow for u in _a_scaled]
+            _a_scaled.append(total // divisor)
+            _a_table.append(Fraction(_a_scaled[m], _a_unit << (2 * m)))
         return _a_table[n]
 
 

@@ -15,9 +15,8 @@ guard digits; exact rationals are converted at the last moment.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import mpmath
 from mpmath import mp
@@ -48,8 +47,7 @@ _GUARD_DIGITS = 10
 _REFERENCE_MARGIN = 4
 
 
-@dataclass(frozen=True)
-class TruncationParams:
+class TruncationParams(NamedTuple("_Truncation", [("terms", int), ("working_precision", int)])):
     """How deep to sum and at what precision.
 
     ``terms`` may be 0: the expansions all have a closed leading part, and
@@ -57,20 +55,22 @@ class TruncationParams:
     term as its bound.
     """
 
-    terms: int
-    working_precision: int = 34
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.terms < 0:
-            raise ValueError(f"terms must be >= 0, got {self.terms}")
-        if self.working_precision < 15:
-            raise ValueError(
-                f"working_precision must be >= 15, got {self.working_precision}"
-            )
+    def __new__(cls, terms: int, working_precision: int = 34) -> "TruncationParams":
+        if terms < 0:
+            raise ValueError(f"terms must be >= 0, got {terms}")
+        if working_precision < 15:
+            raise ValueError(f"working_precision must be >= 15, got {working_precision}")
+        return super().__new__(cls, terms, working_precision)
+
+    @classmethod
+    def _make(cls, iterable) -> "TruncationParams":
+        # ``_replace`` builds through ``_make``; route it through the checks.
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     """Outcome of one truncated evaluation.
 
     ``first_omitted_term_bound`` is the magnitude of the first term the

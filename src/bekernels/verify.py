@@ -29,11 +29,11 @@ Pair = Tuple[str, Fraction, Fraction]
 
 # The deepest "brute" depth ``bekernels verify`` accepts.  The g brute-force
 # entry walks 2**n - 1 composition prefixes for each n and m0, so verify
-# --exact k --brute k took 6.0 / 12.3 / 22.9 s at k = 16 / 17 / 18 (median
-# of 3, 2 shared x86_64 vCPUs); 17 is the deepest k no slower than k = 16
-# with a product per composition (16.9 s).  The kernels' composition limit
-# (22) is far past the depths this walk can reach in bounded time.
-BRUTE_DEPTH_LIMIT = 17
+# --exact k --brute k took 1.7 / 4.2 / 6.1 / 15.3 s at k = 17 / 18 / 19 / 20
+# (median of 3, 2 shared x86_64 vCPUs); 19 is the deepest k no slower than
+# k = 17 with a Fraction per prefix (10.9 s).  The kernels' composition
+# limit (22) is far past the depths this walk can reach in bounded time.
+BRUTE_DEPTH_LIMIT = 19
 
 
 class Check(NamedTuple):

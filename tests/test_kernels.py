@@ -174,8 +174,18 @@ def test_determinant_keeps_its_minors(kind, monkeypatch):
     expected = [kernel_recursive(kind, n, cache) for n in range(1, 61)]
     kernel_determinant(kind, 60)
     # Minors up to 60 are kept, so asking again builds no weight.
-    monkeypatch.setattr(KernelKind, "weight", None)
+    monkeypatch.setattr(KernelKind, "weight_denominator", None)
     assert [kernel_determinant(kind, n) for n in range(1, 61)] == expected
+
+
+@pytest.mark.parametrize("kind", [B, E])
+def test_determinant_reduces_once_per_minor(kind, monkeypatch, gcd_calls):
+    # The minors stay integers; one Fraction per new minor.  A Fraction
+    # sum per matrix entry makes thousands of gcds by n = 40.
+    monkeypatch.setattr(kernels_module, "_det_rows", {})
+    value = kernel_determinant(kind, 40)
+    assert gcd_calls[0] <= 4 * 40
+    assert value == kernel_recursive(kind, 40, KernelCache(kind))
 
 
 def test_concurrent_determinant(monkeypatch):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from bekernels.oracles import bernoulli_even, bernoulli_numbers, euler_even, zigzag_numbers
+import bekernels.oracles as oracles_module
 
 
 def test_bernoulli_low_values_plus_convention():
@@ -24,6 +25,17 @@ def test_bernoulli_low_values_plus_convention():
 def test_odd_bernoulli_vanish_beyond_one():
     values = bernoulli_numbers(31)
     assert all(values[k] == 0 for k in range(3, 32, 2))
+
+
+def test_bernoulli_triangle_reduces_once_per_row(monkeypatch, gcd_calls):
+    # The triangle stays in integers over lcm(1..m+1); one Fraction per row.
+    expected = bernoulli_numbers(80)
+    monkeypatch.setattr(oracles_module, "_at_row", [])
+    monkeypatch.setattr(oracles_module, "_at_lcm", 1)
+    monkeypatch.setattr(oracles_module, "_at_done", [])
+    gcd_calls[0] = 0
+    assert bernoulli_numbers(80) == expected
+    assert gcd_calls[0] <= 4 * 81
 
 
 def test_zigzag_sequence():

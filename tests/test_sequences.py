@@ -1,5 +1,7 @@
 """Derived sequences: f, j, g (two routes), a (three routes), B, E, Faulhaber."""
 
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -84,6 +86,22 @@ def test_g_bruteforce_visits_each_prefix_once(monkeypatch):
     assert len(calls) == 2**10 - 1
 
 
+def test_g_bruteforce_reduces_once(gcd_calls):
+    # The walk keeps the product as an integer over a common denominator;
+    # with j memoized, a repeat call reduces only its sum.
+    first = g_bruteforce(10, 3)
+    gcd_calls[0] = 0
+    assert g_bruteforce(10, 3) == first
+    assert gcd_calls[0] <= 4
+
+
+def test_g_bruteforce_rejects_an_inexact_step(monkeypatch):
+    # A j factor whose denominator D does not absorb must not be rounded away.
+    monkeypatch.setattr(sequences_module, "j_of", lambda a, b: Fraction(-1, 7**50))
+    with pytest.raises(ArithmeticError):
+        g_bruteforce(2, 1)
+
+
 def test_a_from_kb_values():
     assert a_from_kb(1) == Fraction(1, 24)
     assert a_from_kb(2) == Fraction(-7, 960)
@@ -103,6 +121,42 @@ def test_a_recursive_keeps_its_rows(monkeypatch):
     monkeypatch.setattr(sequences_module, "comb", None)
     assert a_recursive(25) == deep
     assert a_recursive(12) == a_from_kb(12)
+
+
+@pytest.fixture
+def fresh_a_rows(monkeypatch):
+    """a_recursive starting from a_1, with the process's rows restored afterwards."""
+    monkeypatch.setattr(sequences_module, "_a_table", [Fraction(0)])
+    monkeypatch.setattr(sequences_module, "_a_scaled", [0])
+    monkeypatch.setattr(sequences_module, "_a_unit", 1)
+
+
+def test_a_recursive_reduces_once_per_row(fresh_a_rows, gcd_calls):
+    value = a_recursive(40)
+    assert gcd_calls[0] <= 4 * 40
+    assert value == a_from_kb(40, KernelCache(KernelKind.BERNOULLI))
+
+
+def test_concurrent_a_recursive(fresh_a_rows):
+    # The rows and their common denominator grow together under one lock.
+    outcomes = []
+
+    def worker(n):
+        outcomes.append((n, a_recursive(n)))
+
+    threads = [threading.Thread(target=worker, args=(33 + i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    cache = KernelCache(KernelKind.BERNOULLI)
+    assert sorted(outcomes) == [(n, a_from_kb(n, cache)) for n in range(33, 41)]
 
 
 def test_a_triple_consistency():

@@ -1,5 +1,7 @@
 """Truncated evaluators: domain checks, spec'd trivial points, error discipline."""
 
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -30,6 +32,19 @@ def test_truncation_params_validation():
         TruncationParams(-1)
     with pytest.raises(ValueError):
         TruncationParams(3, 14)
+    assert tp(3)._replace(working_precision=50) == tp(3, 50)
+    with pytest.raises(ValueError):
+        tp(3)._replace(terms=-1)
+
+
+def test_eval_path_imports_no_dataclasses():
+    # A fresh interpreter, so modules imported by other tests do not count.
+    script = "import sys, bekernels.specfun; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_p_term_known_points():
