@@ -2,7 +2,9 @@
 
 Subcommands: table, kernel, verify, bernoulli, euler, a-coeff, eval,
 compositions.  Exit codes: 0 success, 1 verification mismatch,
-2 invalid flags or values, including a size past a command's limit.
+2 invalid flags or values, including a size past a command's limit
+(``--upto`` past UPTO_LIMIT, ``verify --brute`` past its depth limit,
+``compositions --n`` past BRUTE_FORCE_SOFT_LIMIT).
 
 ``table`` and ``kernel`` compute by the defining recursion, the one fast
 route; the compositions and determinant routes stay in ``kernels`` as the
@@ -49,6 +51,10 @@ _CACHE_FILES = {KernelKind.BERNOULLI: "kernel_b.txt", KernelKind.EULER: "kernel_
 # take their coefficients from the shared K_b cache (a_from_kb, g_closed).
 _KIND_READ = {"bernoulli": "b", "a-coeff": "b", "eval": "b", "euler": "e"}
 _EVAL_DIGITS = 30  # significant digits printed for high-precision floats
+# The largest --upto of table, bernoulli, euler and a-coeff: a cold
+# `table --kind b --upto 1800` takes about 15 s.  Larger tables come from
+# the library call kernel_recursive.
+UPTO_LIMIT = 1800
 
 
 def positive_int(text: str) -> int:
@@ -129,9 +135,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _upto(args: argparse.Namespace) -> range:
+    """The indices 1..--upto, or ValueError past UPTO_LIMIT."""
+    if args.upto > UPTO_LIMIT:
+        raise ValueError(
+            f"--upto ({args.upto}) must not exceed the table limit ({UPTO_LIMIT}); "
+            f"call kernel_recursive from the library for larger tables"
+        )
+    return range(1, args.upto + 1)
+
+
 def cmd_table(args: argparse.Namespace) -> int:
     kind = KernelKind(args.kind)
-    rows = [(n, kernel_recursive(kind, n)) for n in range(1, args.upto + 1)]
+    rows = [(n, kernel_recursive(kind, n)) for n in _upto(args)]
     if args.format == "json":
         payload = [
             {"n": n, "value": format_rational(value), "method": "recursion", "kind": kind.value}
@@ -181,17 +197,17 @@ def _print_indexed(rows: List[Tuple[int, Fraction]], fmt: str) -> None:
 
 
 def cmd_bernoulli(args: argparse.Namespace) -> int:
-    _print_indexed([(2 * n, bernoulli(n)) for n in range(1, args.upto + 1)], args.format)
+    _print_indexed([(2 * n, bernoulli(n)) for n in _upto(args)], args.format)
     return 0
 
 
 def cmd_euler(args: argparse.Namespace) -> int:
-    _print_indexed([(2 * n, euler(n)) for n in range(1, args.upto + 1)], args.format)
+    _print_indexed([(2 * n, euler(n)) for n in _upto(args)], args.format)
     return 0
 
 
 def cmd_a_coeff(args: argparse.Namespace) -> int:
-    _print_indexed([(n, a_from_kb(n)) for n in range(1, args.upto + 1)], args.format)
+    _print_indexed([(n, a_from_kb(n)) for n in _upto(args)], args.format)
     return 0
 
 

@@ -15,8 +15,9 @@ The routes exist to check one another; none of them may be redefined in
 terms of the others.  They are not equally strong checks.  With
 d_k = (-1)^k K(k), the determinant's minor recurrence is the defining
 recurrence, so recursion-vs-determinant checks what ``kernel_recursive``
-adds to it: the integer scaling, the binomial step, the odd-lcm growth
-and the takeover of cached values, not the paper's identities.  The
+adds to it: the integer scaling, the row step of the terms with the odd-lcm
+growth folded into it, and the one-time rebuild that takes over cached
+values, not the paper's identities.  The
 composition sum (the paper's combinatorial formula) and the two oracles
 in ``oracles`` carry the mathematics, which is why ``verify`` runs its
 oracle checks at the same depth as the exact routes.
@@ -77,17 +78,20 @@ class KernelCache:
     only gives a fresh cache a prefix from a file.  Nothing overwrites a
     value, and both append under a lock, so a cache may be shared.
 
-    The cache also holds the frontier of ``kernel_recursive``'s integer
+    The cache also holds the last row of ``kernel_recursive``'s integer
     recurrence, so that extending the table by one value costs O(m)
-    integer operations: the scaled values of K(0), K(1), ... and their
-    common odd factor P (1 for kind e).
+    integer operations by small factors: that row's terms C(r, 2k) V(k),
+    nearest-first, its value V(m), its odd factor P (1 for kind e) and the
+    divisors that step the terms to the next row.
     """
 
     def __init__(self, kind: KernelKind):
         self.kind = kind
         self._values: List[Fraction] = [Fraction(1)]
         self._lock = threading.Lock()
-        self._scaled: List[int] = [1]
+        self._terms: List[int] = []
+        self._last = 1
+        self._divisors: List[int] = []
         self._odd_lcm = 1
 
     def get(self, n: int) -> Optional[Fraction]:
@@ -130,15 +134,22 @@ def kernel_recursive(kind: KernelKind, n: int, cache: Optional[KernelCache] = No
       (2m+1) V(m) = -sum_{k<m} C(2m+1, 2k) V(k),
 
     where P is the lcm of the odd numbers up to 2m+1, so every V(k) is an
-    integer.  When 2m+1 is a new odd prime power, P and every stored V(k)
-    grow by that prime.  With r = 2m+1 for kind b and r = 2m for kind e,
-    each binomial comes from the one before it in the sum, exactly:
-    C(r, 2k+2) = C(r, 2k) (r-2k)(r-2k-1) / ((2k+1)(2k+2)).  Each new value
-    is appended to the cache as
-    ``Fraction(scaled, unit)``.  A value already cached past the frontier
-    (loaded from a file) is taken over in scaled units; one that is not an
-    integer there, or a division by 2m+1 that leaves a remainder, raises
-    ValueError.
+    integer.  With r = 2m+1 for kind b and r = 2m for kind e, row m sums
+    the terms t_k = C(r, 2k) V(k), and the cache keeps them from one row to
+    the next.  Row m+1 has r' = r+2, and when 2m+3 is a new odd prime power
+    p, P and every V(k) grow by p (grow = 1 otherwise).  So each term steps
+    exactly, by one small multiplier and one small divisor:
+    t'_k = t_k r'(r'-1) grow / ((r'-2k)(r'-2k-1)), and the row's one new
+    term is grow V(m) C(r', r'-2m).  Each new value is appended to the
+    cache as ``Fraction(V(m), P (2m)!)``.
+
+    Values already cached past the frontier (loaded from a file) are taken
+    over once: the first row that must be computed rebuilds its terms from
+    the cached Fractions with ``math.comb``.  A cached K(k) that is not an
+    integer in the scaled units of its own row, P (2k)!, or a division by
+    2m+1 that leaves a remainder, raises ValueError.  The values of the rows
+    before it stay cached, and the row state falls back to that of row 0,
+    so the next call rebuilds the failing row and raises the same error.
     """
     if n < 0:
         raise ValueError(f"kernel index must be >= 0, got {n}")
@@ -150,41 +161,62 @@ def kernel_recursive(kind: KernelKind, n: int, cache: Optional[KernelCache] = No
     if known is not None:
         return known
     bernoulli = kind is KernelKind.BERNOULLI
+    shift = 1 if bernoulli else 0  # r = 2m + shift
     with cache._lock:
-        values, scaled = cache._values, cache._scaled
-        for m in range(len(scaled), n + 1):
-            odd = 2 * m + 1
-            if bernoulli:
-                grow = odd // math.gcd(cache._odd_lcm, odd)
-                if grow > 1:
-                    cache._odd_lcm *= grow
-                    scaled[:] = [v * grow for v in scaled]
-            unit = cache._odd_lcm * factorial(2 * m)
-            if m == len(values):
-                r = odd if bernoulli else 2 * m
-                total, binomial = 0, 1
-                for k, v in enumerate(scaled):
-                    total -= binomial * v
-                    binomial = binomial * (r - 2 * k) * (r - 2 * k - 1) // (
-                        (2 * k + 1) * (2 * k + 2)
-                    )
-                value, remainder = divmod(total, odd) if bernoulli else (total, 0)
-                if remainder:
-                    raise ValueError(
-                        f"kernel recursion at n={m}: the sum is not divisible by {odd}, "
-                        f"so a cached value below n={m} is not a kernel value"
-                    )
-                values.append(Fraction(value, unit))
-            else:
-                cached = values[m]
-                value, remainder = divmod(cached.numerator * unit, cached.denominator)
-                if remainder:
-                    raise ValueError(
-                        f"cached K({m}) = {format_rational(cached)} is not a kernel value: "
-                        f"it is not an integer in the recursion's scaled units"
-                    )
-            scaled.append(value)
+        values, divisors = cache._values, cache._divisors
+        # The divisor (r' - 2k)(r' - 2k - 1) = (2j + shift)(2j + shift - 1) of
+        # the term j = m - k places from the front, for j = 2, 3, ...
+        for j in range(len(divisors) + 2, n + 2):
+            divisors.append((2 * j + shift) * (2 * j + shift - 1))
+        for m in range(len(values), n + 1):
+            odd, r = 2 * m + 1, 2 * m + shift
+            if len(cache._terms) == m - 1:  # the state holds row m - 1
+                terms, odd_lcm = cache._terms, cache._odd_lcm
+                grow = odd // math.gcd(odd_lcm, odd) if bernoulli else 1
+                odd_lcm *= grow
+                multiplier = r * (r - 1) * grow
+                for i, d in enumerate(divisors[: m - 1]):
+                    terms[i] = terms[i] * multiplier // d
+                terms.insert(0, cache._last * (grow * math.comb(r, 2 + shift)))
+            else:  # values past the state's row were loaded, or a row failed
+                terms, odd_lcm = _take_over(values, m, bernoulli)
+            total = -sum(terms)
+            value, remainder = divmod(total, odd) if bernoulli else (total, 0)
+            if remainder:
+                # The terms may have been stepped in place: fall back to the
+                # state of row 0, so the next call rebuilds row m and raises again.
+                cache._terms, cache._last, cache._odd_lcm = [], 1, 1
+                raise ValueError(
+                    f"kernel recursion at n={m}: the sum is not divisible by {odd}, "
+                    f"so a cached value below n={m} is not a kernel value"
+                )
+            values.append(Fraction(value, odd_lcm * factorial(2 * m)))
+            cache._terms, cache._last, cache._odd_lcm = terms, value, odd_lcm
     return values[n]
+
+
+def _take_over(values: List[Fraction], m: int, bernoulli: bool) -> Tuple[List[int], int]:
+    """Row m's terms C(r, 2k) V(k), nearest-first, and its P, from K(0..m-1).
+
+    Each cached K(k) must be an integer in its own row's units P_k (2k)!;
+    it then enters the terms in row m's units P_m (2k)!.
+    """
+    odd_lcms = [1]
+    for k in range(1, m + 1):
+        odd = 2 * k + 1
+        odd_lcms.append(odd_lcms[-1] * (odd // math.gcd(odd_lcms[-1], odd)) if bernoulli else 1)
+    odd_lcm = odd_lcms[m]
+    scaled = [odd_lcm]
+    for k in range(1, m):
+        cached, unit = values[k], odd_lcms[k] * factorial(2 * k)
+        if unit % cached.denominator:
+            raise ValueError(
+                f"cached K({k}) = {format_rational(cached)} is not a kernel value: "
+                f"it is not an integer in the recursion's scaled units"
+            )
+        scaled.append(cached.numerator * (unit // cached.denominator) * (odd_lcm // odd_lcms[k]))
+    r = 2 * m + 1 if bernoulli else 2 * m
+    return [math.comb(r, 2 * k) * scaled[k] for k in range(m - 1, -1, -1)], odd_lcm
 
 
 def kernel_compositions(kind: KernelKind, n: int) -> Fraction:

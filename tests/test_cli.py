@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from bekernels import oracles, verify
-from bekernels.cli import main
+from bekernels.cli import UPTO_LIMIT, main
 
 EULER_CSV_GOLDEN = "1,-1/2\n2,5/24\n3,-61/720\n"
 KB_TABLE_STRINGS = [
@@ -292,6 +292,19 @@ def test_compositions_past_limit_exits_2():
     proc = _run_subprocess(["compositions", "--n", "23"], timeout=10)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert "--n" in proc.stderr and "22" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["table", "--kind", "b"], ["table", "--kind", "e"], ["bernoulli"], ["euler"], ["a-coeff"]],
+    ids=["table-b", "table-e", "bernoulli", "euler", "a-coeff"],
+)
+def test_upto_past_limit_exits_2(argv):
+    # A subprocess with a deadline: past the limit a table would run for minutes.
+    assert UPTO_LIMIT == 1800
+    proc = _run_subprocess([*argv, "--upto", "1801"], timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "--upto" in proc.stderr and "1800" in proc.stderr and "kernel_recursive" in proc.stderr
 
 
 def test_module_entry_point():

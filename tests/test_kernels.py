@@ -1,5 +1,6 @@
 """Kernel values by three routes, the prefix cache, persistence."""
 
+import hashlib
 import io
 import os
 import sys
@@ -298,17 +299,51 @@ def test_non_integral_cached_value_rejected(kind, tmp_path):
     prefix = [Fraction(1)] + [kernel_determinant(kind, n) for n in (1, 2)]
     cache = _loaded_cache(tmp_path, kind, prefix + [Fraction(1, 7919)])
     assert kernel_recursive(kind, 2, cache) == kernel_determinant(kind, 2)
-    with pytest.raises(ValueError, match="not an integer"):
-        kernel_recursive(kind, 4, cache)
-    assert 4 not in cache
+    _assert_fails_again(cache, 4, "not an integer")
+    assert len(cache) == 4
 
 
 def test_wrong_cached_value_caught_by_exact_division(tmp_path):
     # A wrong K(5) (the true one is -73/3421440) that is still integral in
     # scaled units; the division by 2m+1 = 15 at n=7 then leaves a remainder.
+    # Row 6 is rebuilt from the loaded values and passes; row 7 is stepped.
     cache = _loaded_cache(tmp_path, B, [Fraction(1)] + KB_TABLE[:4] + [Fraction(-109, 5132160)])
-    with pytest.raises(ValueError, match="not divisible by 15"):
-        kernel_recursive(B, 7, cache)
+    _assert_fails_again(cache, 7, "not divisible by 15")
+    assert len(cache) == 7
+
+
+def _assert_fails_again(cache, n, match):
+    """A fill to n raises, and a second call raises the same message and adds nothing."""
+    with pytest.raises(ValueError, match=match) as first:
+        kernel_recursive(cache.kind, n, cache)
+    length = len(cache)
+    with pytest.raises(ValueError) as second:
+        kernel_recursive(cache.kind, n, cache)
+    assert str(second.value) == str(first.value)
+    assert len(cache) == length
+
+
+@pytest.mark.parametrize("kind", [B, E])
+def test_takeover_across_odd_prime_powers(kind, tmp_path):
+    # The prefix ends at n = 12 (2m+1 = 25), so the rebuilt row is n = 13
+    # (2m+1 = 27): for kind b, P must already hold 25 and then grow by 3.
+    fresh = KernelCache(kind)
+    kernel_recursive(kind, 60, fresh)
+    loaded = _loaded_cache(tmp_path, kind, [value for n, value in fresh.items() if n <= 12])
+    kernel_recursive(kind, 60, loaded)
+    assert list(loaded.items()) == list(fresh.items())
+
+
+def test_fill_output_is_pinned():
+    # sha256 of "kind n p/q" lines for both kinds to n = 400: a change to
+    # the fill's arithmetic must leave every byte of its values as it is.
+    digest = hashlib.sha256()
+    for kind in (B, E):
+        cache = KernelCache(kind)
+        kernel_recursive(kind, 400, cache)
+        for n, value in cache.items():
+            digest.update(f"{kind.value} {n} {format_rational(value)}\n".encode())
+    assert digest.hexdigest() == "00561245dc0ba9aafa21bd5aae73a26063ffafb09a56c40a6c64f37b8ee03b13"
 
 
 @pytest.mark.parametrize("kind", [B, E])
