@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Iterator, Literal, NamedTuple, Optional, 
 from . import exactnum, kernels, oracles, sequences
 from .kernels import KernelCache, KernelKind
 
-__all__ = ["BRUTE_DEPTH_LIMIT", "CHECKS", "Check", "first_difference"]
+__all__ = ["BRUTE_DEPTH_LIMIT", "CHECKS", "Check", "EXACT_DEPTH_LIMIT", "first_difference"]
 
 Pair = Tuple[str, Fraction, Fraction]
 
@@ -34,6 +34,12 @@ Pair = Tuple[str, Fraction, Fraction]
 # k = 17 with a Fraction per prefix (10.9 s).  The kernels' composition
 # limit (22) is far past the depths this walk can reach in bounded time.
 BRUTE_DEPTH_LIMIT = 19
+# The deepest "exact" depth ``bekernels verify`` accepts.  The determinant
+# and coefficient entries cost about 9x per doubling of the depth: verify
+# --exact N --brute 12 took 6.0 / 8.7 / 12.3 / 15.2 s at N = 500 / 550 /
+# 600 / 650 (median of 3 cold CLI runs, 2 shared x86_64 vCPUs); 600 is the
+# deepest of these inside the 6-15 s that set the other CLI ceilings.
+EXACT_DEPTH_LIMIT = 600
 
 
 class Check(NamedTuple):

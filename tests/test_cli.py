@@ -8,7 +8,8 @@ import sys
 import pytest
 
 from bekernels import oracles, verify
-from bekernels.cli import UPTO_LIMIT, main
+from bekernels.cli import UPTO_LIMIT, build_parser, main
+from bekernels.kernels import BRUTE_FORCE_SOFT_LIMIT
 
 EULER_CSV_GOLDEN = "1,-1/2\n2,5/24\n3,-61/720\n"
 KB_TABLE_STRINGS = [
@@ -216,9 +217,11 @@ def test_values_past_the_int_string_limit(capsys):
     sys.set_int_max_str_digits(640)
     try:
         code, out, _ = run_cli(capsys, "table", "--kind", "e", "--upto", "170")
+        after = sys.get_int_max_str_digits()
     finally:
         sys.set_int_max_str_digits(limit)
     assert code == 0
+    assert after == 640  # main lifts the limit for its own call only
     assert len(out.splitlines()) == 170
 
 
@@ -305,6 +308,39 @@ def test_upto_past_limit_exits_2(argv):
     proc = _run_subprocess([*argv, "--upto", "1801"], timeout=10)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert "--upto" in proc.stderr and "1800" in proc.stderr and "kernel_recursive" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, flag, limit",
+    [
+        (["table", "--kind", "b"], "--upto", UPTO_LIMIT),
+        (["bernoulli"], "--upto", UPTO_LIMIT),
+        (["euler"], "--upto", UPTO_LIMIT),
+        (["a-coeff"], "--upto", UPTO_LIMIT),
+        (["kernel", "--kind", "e"], "--n", UPTO_LIMIT),
+        (["verify", "--brute", "1"], "--exact", verify.EXACT_DEPTH_LIMIT),
+        (["verify", "--exact", "40"], "--brute", verify.BRUTE_DEPTH_LIMIT),
+        (["compositions"], "--n", BRUTE_FORCE_SOFT_LIMIT),
+    ],
+    ids=["table", "bernoulli", "euler", "a-coeff", "kernel", "exact", "brute", "compositions"],
+)
+def test_ceiling_accepts_the_limit_and_rejects_past_it(capsys, argv, flag, limit):
+    # The limit is only parsed: running it would take seconds.
+    args = build_parser().parse_args([*argv, flag, str(limit)])
+    assert getattr(args, flag.lstrip("-")) == limit
+    code, out, err = run_cli(capsys, *argv, flag, str(limit + 1))
+    assert (code, out) == (2, "")
+    assert f"argument {flag}: must be <= {limit}" in err
+
+
+def test_ceiling_checked_before_the_cache_is_read(capsys, monkeypatch, tmp_path):
+    garbage = b"zero one\n"
+    (tmp_path / "kernel_b.txt").write_bytes(garbage)
+    monkeypatch.setenv("KERNEL_CACHE_DIR", str(tmp_path))
+    code, out, err = run_cli(capsys, "table", "--kind", "b", "--upto", str(UPTO_LIMIT + 1))
+    assert (code, out) == (2, "")
+    assert "--upto" in err and "kernel_b.txt" not in err
+    assert (tmp_path / "kernel_b.txt").read_bytes() == garbage
 
 
 def test_module_entry_point():
