@@ -8,100 +8,56 @@ layer (``exactnum``, ``compositions``, ``kernels``, ``sequences``,
 ``oracles``) works entirely in rationals; ``specfun`` converts to
 high-precision floats only at evaluation time; ``cli`` exposes both.
 
-Importing the package loads the exact layer only.  ``specfun``, and with
-it mpmath, is imported on first use of one of its names here (for
-instance ``bekernels.eval_gamma``) or by importing ``bekernels.specfun``.
+A module loads when something from it is first used.  ``_EXPORTS`` maps
+each public name to the module that defines it; the first access to a
+name here (for instance ``bekernels.eval_gamma``, which brings in
+``specfun`` and mpmath) imports that module and keeps the name in this
+namespace, so later accesses cost a dict lookup.  Importing the package
+itself loads ``compositions`` alone; the note at the end says why.
 """
 
 from __future__ import annotations
 
+import importlib
+
 __version__ = "0.1.0"
 
-from .compositions import Composition, compositions
-from .exactnum import (
-    ExactRational,
-    beta_even,
-    factorial,
-    format_rational,
-    parse_rational,
-)
-from .kernels import (
-    BRUTE_FORCE_SOFT_LIMIT,
-    KernelCache,
-    KernelKind,
-    kernel_compositions,
-    kernel_determinant,
-    kernel_recursive,
-)
-from .sequences import (
-    a_from_bernoulli,
-    a_from_kb,
-    a_recursive,
-    bernoulli,
-    euler,
-    f_of,
-    faulhaber_check,
-    g_bruteforce,
-    g_closed,
-    j_of,
-)
-# The evaluators need mpmath, which costs more to import than the whole
-# exact layer; they load on first access (PEP 562), so a process that never
-# evaluates never imports them.
-_SPECFUN_NAMES = {
-    "EvalReport",
-    "TruncationParams",
-    "check_ln_pi_over_e",
-    "eval_digamma",
-    "eval_gamma",
-    "eval_hurwitz_expansion",
-    "eval_polygamma",
-    "p_term",
-    "zeta_direct",
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "compositions": ("Composition", "compositions"),
+        "exactnum": (
+            "ExactRational", "beta_even", "factorial", "format_rational", "parse_rational",
+        ),
+        "kernels": (
+            "BRUTE_FORCE_SOFT_LIMIT", "KernelCache", "KernelKind",
+            "kernel_compositions", "kernel_determinant", "kernel_recursive",
+        ),
+        "sequences": (
+            "a_from_bernoulli", "a_from_kb", "a_recursive", "bernoulli", "euler",
+            "f_of", "faulhaber_check", "g_bruteforce", "g_closed", "j_of",
+        ),
+        "specfun": (
+            "EvalReport", "TruncationParams", "check_ln_pi_over_e", "eval_digamma",
+            "eval_gamma", "eval_hurwitz_expansion", "eval_polygamma", "p_term", "zeta_direct",
+        ),
+    }.items()
+    for name in names
 }
+
+__all__ = sorted(["__version__", *_EXPORTS])
 
 
 def __getattr__(name: str):
-    """Resolve the ``specfun`` names, importing ``specfun`` on first use."""
-    if name in _SPECFUN_NAMES:
-        from . import specfun
+    """Resolve a public name from its module on first use (PEP 562)."""
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
 
-        return getattr(specfun, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-
-__all__ = [
-    "BRUTE_FORCE_SOFT_LIMIT",
-    "Composition",
-    "EvalReport",
-    "ExactRational",
-    "KernelCache",
-    "KernelKind",
-    "TruncationParams",
-    "__version__",
-    "a_from_bernoulli",
-    "a_from_kb",
-    "a_recursive",
-    "bernoulli",
-    "beta_even",
-    "check_ln_pi_over_e",
-    "compositions",
-    "euler",
-    "eval_digamma",
-    "eval_gamma",
-    "eval_hurwitz_expansion",
-    "eval_polygamma",
-    "f_of",
-    "factorial",
-    "faulhaber_check",
-    "format_rational",
-    "g_bruteforce",
-    "g_closed",
-    "j_of",
-    "kernel_compositions",
-    "kernel_determinant",
-    "kernel_recursive",
-    "p_term",
-    "parse_rational",
-    "zeta_direct",
-]
+# ``compositions`` is also the name of its module, and importing a submodule
+# binds the module's name in the package, where ``__getattr__`` never sees it.
+# Resolved now, the name keeps naming the function whoever imports the module.
+compositions = __getattr__("compositions")

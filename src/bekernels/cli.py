@@ -32,8 +32,10 @@ read b; ``euler`` reads e; ``verify`` and ``compositions`` read neither.
 A file is read, validated and written only by a command of its kind, so a
 damaged file is reported by the first command that reads it.
 
-Only ``eval`` imports ``specfun`` and mpmath; the other commands run on
-the exact layer alone.
+A module loads when a command first uses it.  Every command loads
+``cli``, ``compositions``, ``exactnum`` and ``kernels``; ``bernoulli``,
+``euler`` and ``a-coeff`` add ``sequences`` and ``oracles``; ``verify``
+adds those and ``verify``; ``eval`` adds those and ``specfun`` with mpmath.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import sys
 from pathlib import Path
 from typing import Callable, List, Optional
 
-from . import __version__, sequences, verify
+from . import __version__
 from .compositions import compositions
 from .exactnum import format_rational
 from .kernels import (
@@ -60,6 +62,18 @@ from .kernels import (
 _CACHE_FILES = {KernelKind.BERNOULLI: "kernel_b.txt", KernelKind.EULER: "kernel_e.txt"}
 _EVAL_DIGITS = 30  # significant digits printed for high-precision floats
 UPTO_LIMIT = 1800  # the ceiling of --upto and kernel --n, from the table above
+# The deepest verify --exact.  The determinant and coefficient entries cost
+# about 9x per doubling of the depth: verify --exact N --brute 12 took 6.0 /
+# 8.7 / 12.3 / 15.2 s at N = 500 / 550 / 600 / 650 (median of 3 cold CLI
+# runs, 2 shared x86_64 vCPUs); 600 is the deepest of these inside 6-15 s.
+EXACT_DEPTH_LIMIT = 600
+# The deepest verify --brute.  The g brute-force entry walks 2**n - 1
+# composition prefixes for each n and m0, so verify --exact k --brute k took
+# 1.7 / 4.2 / 6.1 / 15.3 s at k = 17 / 18 / 19 / 20 (median of 3, 2 shared
+# x86_64 vCPUs); 19 is the deepest k no slower than k = 17 with a Fraction
+# per prefix (10.9 s).  The kernels' composition limit (22) is far past the
+# depths this walk can reach in bounded time.
+BRUTE_DEPTH_LIMIT = 19
 # Commands that print a scaling of one kernel table: name -> (kind read, index
 # step, scaling called through ``sequences`` as ``verify`` calls routes, help).
 _SCALED = {
@@ -107,9 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_kernel)
 
     p = sub.add_parser("verify", help="run the cross-method and oracle checks")
-    p.add_argument("--exact", type=int_in(1, verify.EXACT_DEPTH_LIMIT), default=40,
+    p.add_argument("--exact", type=int_in(1, EXACT_DEPTH_LIMIT), default=40,
                    help="depth for O(n^2) routes")
-    p.add_argument("--brute", type=int_in(1, verify.BRUTE_DEPTH_LIMIT), default=12,
+    p.add_argument("--brute", type=int_in(1, BRUTE_DEPTH_LIMIT), default=12,
                    help="depth for brute-force routes")
     p.set_defaults(handler=cmd_verify, kind=None)
 
@@ -161,6 +175,8 @@ def cmd_kernel(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.brute > args.exact:
         raise ValueError(f"--brute ({args.brute}) must not exceed --exact ({args.exact})")
+    from . import verify
+
     failed = False
     for check in verify.CHECKS:
         depth = args.exact if check.depth == "exact" else args.brute
@@ -175,6 +191,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_scaled(args: argparse.Namespace) -> int:
+    from . import sequences
+
     scale = getattr(sequences, args.scaling)
     rows = [(args.step * n, scale(n)) for n in range(1, args.upto + 1)]
     if args.format == "json":

@@ -268,7 +268,8 @@ def eval_polygamma(y: int, x: Real, params: TruncationParams) -> EvalReport:
     value = (-1)^(y-1) [ (y-1)!/(x+1/2)^y
                          - sum_{n=1}^{N} f(n) (2n+y)!/(2n-1)! zeta(2n+y+1, x+1) ],
     with the inner zeta values from zeta_direct.  The identity
-    psi^(y)(x+1) = (-1)^(y-1) y! zeta(y+1, x+1) supplies the reference.
+    psi^(y)(x+1) = (-1)^(y-1) y! zeta(y+1, x+1), with mpmath's Hurwitz
+    zeta at working precision, supplies the reference.
     Requires y >= 1 and x > -1/2.
     """
     if y < 1:
@@ -298,7 +299,7 @@ def eval_polygamma(y: int, x: Real, params: TruncationParams) -> EvalReport:
         series = mp.fsum(series_term(n) for n in range(1, params.terms + 1))
         value = sign * (leading - series)
         bound = abs(series_term(params.terms + 1))
-        reference = sign * factorial(y) * zeta_direct(y + 1, xm + 1, inner_tol)
+        reference = sign * factorial(y) * mpmath.zeta(y + 1, xm + 1)
         return _report(value, params.terms, bound, reference)
 
 

@@ -4,7 +4,8 @@ Each entry compares two or more routes that the package keeps independent
 (see the ``kernels`` docstring): it names a title, the depth it runs at
 (``"exact"`` for the O(n^2) routes, ``"brute"`` for the exponential ones)
 and a ``pairs(depth)`` generator of ``(where, lhs, rhs)`` triples.
-``first_difference`` turns those triples into a verdict.
+``first_difference`` turns those triples into a verdict.  The CLI caps
+the two depths (``cli.EXACT_DEPTH_LIMIT``, ``cli.BRUTE_DEPTH_LIMIT``).
 
 Every entry builds its own ``KernelCache``, so values loaded from cache
 files cannot vouch for themselves.  The determinant, the oracles and
@@ -23,23 +24,9 @@ from typing import Callable, Iterable, Iterator, Literal, NamedTuple, Optional, 
 from . import exactnum, kernels, oracles, sequences
 from .kernels import KernelCache, KernelKind
 
-__all__ = ["BRUTE_DEPTH_LIMIT", "CHECKS", "Check", "EXACT_DEPTH_LIMIT", "first_difference"]
+__all__ = ["CHECKS", "Check", "first_difference"]
 
 Pair = Tuple[str, Fraction, Fraction]
-
-# The deepest "brute" depth ``bekernels verify`` accepts.  The g brute-force
-# entry walks 2**n - 1 composition prefixes for each n and m0, so verify
-# --exact k --brute k took 1.7 / 4.2 / 6.1 / 15.3 s at k = 17 / 18 / 19 / 20
-# (median of 3, 2 shared x86_64 vCPUs); 19 is the deepest k no slower than
-# k = 17 with a Fraction per prefix (10.9 s).  The kernels' composition
-# limit (22) is far past the depths this walk can reach in bounded time.
-BRUTE_DEPTH_LIMIT = 19
-# The deepest "exact" depth ``bekernels verify`` accepts.  The determinant
-# and coefficient entries cost about 9x per doubling of the depth: verify
-# --exact N --brute 12 took 6.0 / 8.7 / 12.3 / 15.2 s at N = 500 / 550 /
-# 600 / 650 (median of 3 cold CLI runs, 2 shared x86_64 vCPUs); 600 is the
-# deepest of these inside the 6-15 s that set the other CLI ceilings.
-EXACT_DEPTH_LIMIT = 600
 
 
 class Check(NamedTuple):

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from bekernels import oracles, verify
-from bekernels.cli import UPTO_LIMIT, build_parser, main
+from bekernels.cli import BRUTE_DEPTH_LIMIT, EXACT_DEPTH_LIMIT, UPTO_LIMIT, build_parser, main
 from bekernels.kernels import BRUTE_FORCE_SOFT_LIMIT
 
 EULER_CSV_GOLDEN = "1,-1/2\n2,5/24\n3,-61/720\n"
@@ -114,7 +114,7 @@ def test_verify_reports_a_wrong_oracle(capsys, monkeypatch):
     [
         ["--brute", "30", "--exact", "20"],
         ["--exact", "40", "--brute", "23"],
-        ["--exact", "40", "--brute", str(verify.BRUTE_DEPTH_LIMIT + 1)],
+        ["--exact", "40", "--brute", str(BRUTE_DEPTH_LIMIT + 1)],
     ],
     ids=["brute-over-exact", "brute-over-limit", "brute-over-g-limit"],
 )
@@ -318,8 +318,8 @@ def test_upto_past_limit_exits_2(argv):
         (["euler"], "--upto", UPTO_LIMIT),
         (["a-coeff"], "--upto", UPTO_LIMIT),
         (["kernel", "--kind", "e"], "--n", UPTO_LIMIT),
-        (["verify", "--brute", "1"], "--exact", verify.EXACT_DEPTH_LIMIT),
-        (["verify", "--exact", "40"], "--brute", verify.BRUTE_DEPTH_LIMIT),
+        (["verify", "--brute", "1"], "--exact", EXACT_DEPTH_LIMIT),
+        (["verify", "--exact", "40"], "--brute", BRUTE_DEPTH_LIMIT),
         (["compositions"], "--n", BRUTE_FORCE_SOFT_LIMIT),
     ],
     ids=["table", "bernoulli", "euler", "a-coeff", "kernel", "exact", "brute", "compositions"],
@@ -366,6 +366,49 @@ print(sorted(set(bekernels.__all__) - set(namespace)))
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "True", "[]"]
+
+
+_EXACT_CORE = ["cli", "compositions", "exactnum", "kernels"]
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["table", "--kind", "b", "--upto", "3"], _EXACT_CORE),
+        (["bernoulli", "--upto", "3"], [*_EXACT_CORE, "oracles", "sequences"]),
+        (["eval", "gamma", "--x", "5", "--terms", "3"],
+         [*_EXACT_CORE, "oracles", "sequences", "specfun"]),
+        (["verify", "--exact", "3", "--brute", "2"],
+         [*_EXACT_CORE, "oracles", "sequences", "verify"]),
+        (["compositions", "--n", "3"], _EXACT_CORE),
+    ],
+    ids=["table", "bernoulli", "eval", "verify", "compositions"],
+)
+def test_command_loads_only_the_modules_it_uses(argv, loaded):
+    # A fresh interpreter, so modules imported by other tests do not count.
+    script = """
+import sys
+from bekernels import cli
+code = cli.main(sys.argv[1:])
+print(code, sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("bekernels.")))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"0 {sorted(loaded)}"
+
+
+def test_compositions_names_the_function_after_its_module_loads():
+    script = """
+import bekernels.compositions, bekernels
+print(list(bekernels.compositions(2)))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[(1, 1), (2,)]\n"
 
 
 def test_cache_dir_persists_tables(tmp_path):

@@ -293,6 +293,19 @@ def test_polygamma_spec_points():
             assert abs(report.reference - expected) < mp.mpf(10) ** -28
 
 
+def test_polygamma_reference_shares_no_code_with_its_value(monkeypatch):
+    from bekernels import specfun
+
+    before = eval_polygamma(2, 9, tp(8))
+    original = specfun.zeta_direct
+    monkeypatch.setattr(
+        specfun, "zeta_direct", lambda s, q, tol: original(s, q, tol) * (1 + mp.mpf("1e-20"))
+    )
+    after = eval_polygamma(2, 9, tp(8))
+    assert after.value != before.value  # the value does go through zeta_direct
+    assert after.reference == before.reference
+
+
 def test_polygamma_domain():
     with pytest.raises(ValueError):
         eval_polygamma(0, 4, tp(3))
