@@ -2,10 +2,11 @@
 
 Subcommands: table, kernel, verify, bernoulli, euler, a-coeff, eval,
 compositions.  Exit codes: 0 success, 1 verification mismatch, 2 invalid
-flags or values.  The parser declares every range (``int_in``), so a
-value out of range exits 2, naming the flag and its limit, before any
-persisted table is read.  Each ceiling sits near where a cold run takes
-6-15 s (2 shared x86_64 vCPUs):
+flags or values, or a persisted table or output that cannot be read or
+written.  The parser declares every range (``int_in``), so a value out of
+range exits 2, naming the flag and its limit, before any persisted table
+is read.  Each ceiling sits near where a cold run takes 6-15 s (2 shared
+x86_64 vCPUs):
 
     flag                 limit  timing that set it
     --upto, kernel --n   1800   table --kind b --upto 1800: about 15 s
@@ -27,15 +28,18 @@ If KERNEL_CACHE_DIR is set, a command loads the persisted kernel table of
 the kind its parser declares (``set_defaults(kind=...)``),
 "<dir>/kernel_b.txt" or "<dir>/kernel_e.txt", at startup, and saves that
 table there when it ends if the command extended it.  ``table`` and
-``kernel`` read their --kind; ``bernoulli``, ``a-coeff`` and ``eval``
-read b; ``euler`` reads e; ``verify`` and ``compositions`` read neither.
-A file is read, validated and written only by a command of its kind, so a
-damaged file is reported by the first command that reads it.
+``kernel`` read their --kind; ``bernoulli`` and ``a-coeff`` read b;
+``euler`` reads e; ``verify``, ``eval`` and ``compositions`` read neither.
+``eval`` uses at most terms + 1 kernel values, which fill faster than a
+persisted file parses.  A file is read, validated and written only by a
+command of its kind, so a damaged file is reported by the first command
+that reads it.
 
 A module loads when a command first uses it.  Every command loads
 ``cli``, ``compositions``, ``exactnum`` and ``kernels``; ``bernoulli``,
 ``euler`` and ``a-coeff`` add ``sequences`` and ``oracles``; ``verify``
-adds those and ``verify``; ``eval`` adds those and ``specfun`` with mpmath.
+adds those and ``verify``; ``eval`` adds those and ``specfun`` with mpmath,
+and fills its few kernel values in the process, reading no ``kernels`` file.
 """
 
 from __future__ import annotations
@@ -44,8 +48,9 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from . import __version__
 from .compositions import compositions
@@ -59,7 +64,6 @@ from .kernels import (
     write_cache_file,
 )
 
-_CACHE_FILES = {KernelKind.BERNOULLI: "kernel_b.txt", KernelKind.EULER: "kernel_e.txt"}
 _EVAL_DIGITS = 30  # significant digits printed for high-precision floats
 UPTO_LIMIT = 1800  # the ceiling of --upto and kernel --n, from the table above
 # The deepest verify --exact.  The determinant and coefficient entries cost
@@ -80,6 +84,14 @@ _SCALED = {
     "bernoulli": ("b", 2, "bernoulli", "print B_2..B_(2*upto)"),
     "euler": ("e", 2, "euler", "print E_2..E_(2*upto)"),
     "a-coeff": ("b", 1, "a_from_kb", "print the expansion coefficients a_1..a_upto"),
+}
+# eval targets: name -> (evaluator called through ``specfun``, the flag that
+# gives its leading argument).  --m0 defaults to 1; --y is required.
+_EVAL = {
+    "gamma": ("eval_gamma", None),
+    "digamma": ("eval_digamma", None),
+    "polygamma": ("eval_polygamma", "y"),
+    "hurwitz": ("eval_hurwitz_expansion", "m0"),
 }
 
 
@@ -134,14 +146,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=cmd_scaled, kind=kind, step=step, scaling=scaling)
 
     p = sub.add_parser("eval", help="evaluate a truncated expansion")
-    p.add_argument("target", choices=["gamma", "digamma", "polygamma", "hurwitz"])
+    p.add_argument("target", choices=_EVAL)
     p.add_argument("--x", required=True, help="argument offset (decimal)")
     p.add_argument("--y", type=int_in(1), help="polygamma order (polygamma only)")
     p.add_argument("--m0", type=int_in(1), help="leading index (hurwitz only, default 1)")
     p.add_argument("--terms", type=int_in(0), required=True)
     p.add_argument("--precision", type=int_in(15), default=34)
     p.add_argument("--format", choices=["json", "plain"], default="json")
-    p.set_defaults(handler=cmd_eval, kind="b")
+    p.set_defaults(handler=cmd_eval, kind=None)
 
     p = sub.add_parser("compositions", help="list the compositions of n")
     listing = int_in(1, BRUTE_FORCE_SOFT_LIMIT, "the listing has 2**(n-1) lines")
@@ -151,19 +163,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_rows(
+    rows: List[Tuple[int, Fraction]], format: str, as_json: Callable[[int, str], dict]
+) -> None:
+    """Print (index, value) rows: a JSON list of ``as_json(index, text)``, csv or tab-separated."""
+    if format == "json":
+        print(json.dumps([as_json(i, format_rational(v)) for i, v in rows], indent=2))
+    else:
+        separator = "," if format == "csv" else "\t"
+        for i, v in rows:
+            print(f"{i}{separator}{format_rational(v)}")
+
+
 def cmd_table(args: argparse.Namespace) -> int:
     kind = KernelKind(args.kind)
     rows = [(n, kernel_recursive(kind, n)) for n in range(1, args.upto + 1)]
-    if args.format == "json":
-        payload = [
-            {"n": n, "value": format_rational(value), "method": "recursion", "kind": kind.value}
-            for n, value in rows
-        ]
-        print(json.dumps(payload, indent=2))
-    else:
-        separator = "," if args.format == "csv" else "\t"
-        for n, value in rows:
-            print(f"{n}{separator}{format_rational(value)}")
+    _print_rows(rows, args.format, lambda n, text: {
+        "n": n, "value": text, "method": "recursion", "kind": kind.value})
     return 0
 
 
@@ -195,12 +211,7 @@ def cmd_scaled(args: argparse.Namespace) -> int:
 
     scale = getattr(sequences, args.scaling)
     rows = [(args.step * n, scale(n)) for n in range(1, args.upto + 1)]
-    if args.format == "json":
-        payload = [{"index": i, "value": format_rational(v)} for i, v in rows]
-        print(json.dumps(payload, indent=2))
-    else:
-        for i, v in rows:
-            print(f"{i},{format_rational(v)}")
+    _print_rows(rows, args.format, lambda i, text: {"index": i, "value": text})
     return 0
 
 
@@ -213,29 +224,18 @@ def _render_float(value) -> Optional[str]:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    if args.y is not None and args.target != "polygamma":
+    evaluator, flag = _EVAL[args.target]
+    if args.y is not None and flag != "y":
         raise ValueError("--y only applies to the polygamma target")
-    if args.m0 is not None and args.target != "hurwitz":
+    if args.m0 is not None and flag != "m0":
         raise ValueError("--m0 only applies to the hurwitz target")
-    if args.target == "polygamma" and args.y is None:
+    if flag == "y" and args.y is None:
         raise ValueError("the polygamma target requires --y")
-    from .specfun import (
-        TruncationParams,
-        eval_digamma,
-        eval_gamma,
-        eval_hurwitz_expansion,
-        eval_polygamma,
-    )
+    from . import specfun
 
-    params = TruncationParams(args.terms, args.precision)
-    if args.target == "gamma":
-        report = eval_gamma(args.x, params)
-    elif args.target == "digamma":
-        report = eval_digamma(args.x, params)
-    elif args.target == "polygamma":
-        report = eval_polygamma(args.y, args.x, params)
-    else:
-        report = eval_hurwitz_expansion(args.m0 or 1, args.x, params)
+    leading = () if flag is None else (getattr(args, flag) or 1,)
+    params = specfun.TruncationParams(args.terms, args.precision)
+    report = getattr(specfun, evaluator)(*leading, args.x, params)
     payload = {
         "value": _render_float(report.value),
         "terms": report.terms_used,
@@ -257,29 +257,6 @@ def cmd_compositions(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cache_dir() -> Optional[Path]:
-    raw = os.environ.get("KERNEL_CACHE_DIR")
-    return Path(raw) if raw else None
-
-
-def _load_persisted(kind: Optional[KernelKind]) -> int:
-    """Load the persisted table of ``kind``, if any; return the table's length after."""
-    if kind is None:
-        return 0
-    directory = _cache_dir()
-    if directory is not None and (directory / _CACHE_FILES[kind]).exists():
-        read_cache_file(directory / _CACHE_FILES[kind], shared_cache(kind))
-    return len(shared_cache(kind))
-
-
-def _store_persisted(kind: Optional[KernelKind], loaded: int) -> None:
-    """Save the table of ``kind`` if the command grew it past ``loaded`` values."""
-    directory = _cache_dir()
-    if kind is not None and directory is not None and len(shared_cache(kind)) > loaded:
-        directory.mkdir(parents=True, exist_ok=True)
-        write_cache_file(shared_cache(kind), directory / _CACHE_FILES[kind])
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     # Kernel values pass 4300 digits, Python's default int<->str limit, near n = 780.
     # The limit is lifted for this call only, so later code in the process keeps its own.
@@ -287,25 +264,25 @@ def main(argv: Optional[List[str]] = None) -> int:
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        parser = build_parser()
         try:
-            args = parser.parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else 2
-        kind = KernelKind(args.kind) if args.kind else None
+        # The persisted table of the kind the parser declared: loaded before
+        # the command runs, saved after it only if the command extended it.
+        cache_dir = os.environ.get("KERNEL_CACHE_DIR")
+        path = Path(cache_dir, f"kernel_{args.kind}.txt") if cache_dir and args.kind else None
         try:
-            loaded = _load_persisted(kind)
-        except (ValueError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        try:
+            if path is not None:
+                table = shared_cache(KernelKind(args.kind))
+                if path.exists():
+                    read_cache_file(path, table)
+                loaded = len(table)
             code = args.handler(args)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        try:
-            _store_persisted(kind, loaded)
-        except OSError as exc:
+            if path is not None and len(table) > loaded:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                write_cache_file(table, path)
+        except (ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         return code

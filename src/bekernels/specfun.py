@@ -75,7 +75,10 @@ class EvalReport(NamedTuple):
 
     ``first_omitted_term_bound`` is the magnitude of the first term the
     truncation dropped; for the multiplicative Gamma form it bounds the
-    relative error, for the additive series the absolute error.
+    relative error, for the additive series the absolute error.  It covers
+    truncation only, not rounding at the working precision: for Hurwitz
+    zeta at x = 1e400 with 3 terms it is 3.3e-3602, while ``abs_error`` is
+    1.0e-442, the rounding of a value near 1e-400.
     ``reference`` is None when no independent value is defined for the
     inputs, and ``abs_error`` is |value - reference| otherwise.
     """

@@ -2,14 +2,16 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from bekernels import oracles, verify
+from bekernels import cli, kernels, oracles, verify
 from bekernels.cli import BRUTE_DEPTH_LIMIT, EXACT_DEPTH_LIMIT, UPTO_LIMIT, build_parser, main
-from bekernels.kernels import BRUTE_FORCE_SOFT_LIMIT
+from bekernels.kernels import BRUTE_FORCE_SOFT_LIMIT, KernelKind
 
 EULER_CSV_GOLDEN = "1,-1/2\n2,5/24\n3,-61/720\n"
 KB_TABLE_STRINGS = [
@@ -478,8 +480,10 @@ def test_cache_dir_garbage_rejected(tmp_path):
         ["euler", "--upto", "2"],
         ["compositions", "--n", "3"],
         ["verify", "--exact", "8", "--brute", "4"],
+        ["eval", "gamma", "--x", "5", "--terms", "3"],
+        ["eval", "hurwitz", "--x", "5", "--terms", "3"],
     ],
-    ids=["euler", "compositions", "verify"],
+    ids=["euler", "compositions", "verify", "eval-gamma", "eval-hurwitz"],
 )
 def test_cache_dir_reads_only_the_kind_used(tmp_path, argv):
     # None of these reads the b table, so a damaged one neither fails them
@@ -489,3 +493,60 @@ def test_cache_dir_reads_only_the_kind_used(tmp_path, argv):
     proc = _run_subprocess(argv, {"KERNEL_CACHE_DIR": str(tmp_path)})
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "kernel_b.txt").read_bytes() == garbage
+
+
+def test_error_inside_a_command_exits_2_and_writes_no_table(capsys, monkeypatch, tmp_path):
+    # A fresh process-wide table, so the command surely extends it.
+    monkeypatch.setattr(kernels, "_shared", {})
+
+    def broken_pipe(args):
+        kernels.kernel_recursive(KernelKind(args.kind), args.n)
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(cli, "cmd_kernel", broken_pipe)
+    monkeypatch.setenv("KERNEL_CACHE_DIR", str(tmp_path))
+    code, out, err = run_cli(capsys, "kernel", "--kind", "b", "--n", "5")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Broken pipe" in err
+    assert len(kernels.shared_cache(KernelKind.BERNOULLI)) == 6
+    assert os.listdir(tmp_path) == []
+
+
+def test_cache_dir_naming_a_file_exits_2_and_leaves_it(tmp_path):
+    plain = tmp_path / "plain.txt"
+    plain.write_bytes(b"not a directory\n")
+    proc = _run_subprocess(["table", "--kind", "b", "--upto", "3"], {"KERNEL_CACHE_DIR": str(plain)})
+    assert proc.returncode == 2
+    assert proc.stdout.splitlines() == [f"{n}\t{text}" for n, text in enumerate(KB_TABLE_STRINGS[:3], 1)]
+    assert proc.stderr.startswith("error: [Errno 17]")
+    assert plain.read_bytes() == b"not a directory\n"
+
+
+def _docstring_limits():
+    table = cli.__doc__.split("timing that set it\n", 1)[1].split("\n\n", 1)[0]
+    return {flag: int(limit) for flag, limit, _ in
+            (re.split(r" {2,}", row.strip()) for row in table.splitlines())}
+
+
+def _readme_limits():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| (`[^|]*) \| (\d+) \|", readme, flags=re.MULTILINE)
+    return {flag: int(limit) for flag, limit in rows}
+
+
+def test_ceiling_tables_state_the_limits_in_force():
+    # The tables in the cli docstring and the README name each ceiling;
+    # they must not drift from the constants the parser checks.
+    assert _docstring_limits() == {
+        "--upto, kernel --n": UPTO_LIMIT,
+        "verify --exact": EXACT_DEPTH_LIMIT,
+        "verify --brute": BRUTE_DEPTH_LIMIT,
+        "compositions --n": BRUTE_FORCE_SOFT_LIMIT,
+    }
+    assert _readme_limits() == {
+        "`--upto` of `table`, `bernoulli`, `euler`, `a-coeff`": UPTO_LIMIT,
+        "`kernel --n`": UPTO_LIMIT,
+        "`verify --exact`": EXACT_DEPTH_LIMIT,
+        "`verify --brute`": BRUTE_DEPTH_LIMIT,
+        "`compositions --n`": BRUTE_FORCE_SOFT_LIMIT,
+    }
