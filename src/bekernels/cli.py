@@ -33,7 +33,10 @@ table there when it ends if the command extended it.  ``table`` and
 ``eval`` uses at most terms + 1 kernel values, which fill faster than a
 persisted file parses.  A file is read, validated and written only by a
 command of its kind, so a damaged file is reported by the first command
-that reads it.
+that reads it.  Each loaded value is checked to be an integer in the
+recursion's scaled units when the file is read, before the command prints
+anything.  So is the directory: one that cannot be made or is not a
+directory exits 2 with empty stdout.
 
 A module loads when a command first uses it.  Every command loads
 ``cli``, ``compositions``, ``exactnum`` and ``kernels``; ``bernoulli``,
@@ -210,6 +213,7 @@ def cmd_scaled(args: argparse.Namespace) -> int:
     from . import sequences
 
     scale = getattr(sequences, args.scaling)
+    kernel_recursive(KernelKind(args.kind), args.upto)  # one fill; the rows read its integers
     rows = [(args.step * n, scale(n)) for n in range(1, args.upto + 1)]
     _print_rows(rows, args.format, lambda i, text: {"index": i, "value": text})
     return 0
@@ -268,19 +272,26 @@ def main(argv: Optional[List[str]] = None) -> int:
             args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else 2
-        # The persisted table of the kind the parser declared: loaded before
-        # the command runs, saved after it only if the command extended it.
+        # The persisted table of the kind the parser declared: its directory
+        # made and the file loaded before the command runs, so a bad one
+        # fails before anything is printed; saved after it only if the
+        # command extended it.
         cache_dir = os.environ.get("KERNEL_CACHE_DIR")
         path = Path(cache_dir, f"kernel_{args.kind}.txt") if cache_dir and args.kind else None
         try:
             if path is not None:
+                try:
+                    path.parent.mkdir(parents=True, exist_ok=True)
+                except OSError as exc:
+                    raise ValueError(
+                        f"KERNEL_CACHE_DIR={cache_dir} is not a usable directory: {exc}"
+                    ) from exc
                 table = shared_cache(KernelKind(args.kind))
                 if path.exists():
                     read_cache_file(path, table)
                 loaded = len(table)
             code = args.handler(args)
             if path is not None and len(table) > loaded:
-                path.parent.mkdir(parents=True, exist_ok=True)
                 write_cache_file(table, path)
         except (ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -21,6 +21,13 @@ values, not the paper's identities.  The
 composition sum (the paper's combinatorial formula) and the two oracles
 in ``oracles`` carry the mathematics, which is why ``verify`` runs its
 oracle checks at the same depth as the exact routes.
+
+``KernelCache`` holds the recursion's values as its integers, V(n) and P
+with K(n) = V(n) / (P (2n)!), and reduces K(n) to a Fraction only when it
+is first read, once.  The scalings in ``sequences`` read the integers
+through ``KernelCache.scaled``, so ``verify`` checks both forms: the
+recursion-vs-determinant entries the Fractions, the oracle and coefficient
+entries the integers.
 """
 
 from __future__ import annotations
@@ -78,33 +85,53 @@ class KernelCache:
     only gives a fresh cache a prefix from a file.  Nothing overwrites a
     value, and both append under a lock, so a cache may be shared.
 
+    Each K(k) is held as the fill's integers: V(k) and P_k, with
+    K(k) = V(k) / (P_k (2k)!) and P_k the lcm of the odd numbers up to
+    2k+1 (1 for kind e).  ``scaled`` returns them as they are; ``get`` makes
+    the reduced Fraction the first time K(k) is read and keeps it.
+
     The cache also holds the last row of ``kernel_recursive``'s integer
     recurrence, so that extending the table by one value costs O(m)
     integer operations by small factors: that row's terms C(r, 2k) V(k),
-    nearest-first, its value V(m), its odd factor P (1 for kind e) and the
-    divisors that step the terms to the next row.
+    nearest-first, and the divisors that step the terms to the next row.
     """
 
     def __init__(self, kind: KernelKind):
         self.kind = kind
-        self._values: List[Fraction] = [Fraction(1)]
+        self._scaled: List[Tuple[int, int]] = [(1, 1)]
+        self._values: List[Optional[Fraction]] = [Fraction(1)]
         self._lock = threading.Lock()
         self._terms: List[int] = []
-        self._last = 1
         self._divisors: List[int] = []
-        self._odd_lcm = 1
 
     def get(self, n: int) -> Optional[Fraction]:
-        return self._values[n] if 0 <= n < len(self._values) else None
+        """K(n) as a reduced Fraction, or None when n is not cached."""
+        if not 0 <= n < len(self._scaled):
+            return None
+        value = self._values[n]
+        if value is None:  # two readers may both make it; they make equal values
+            numerator, odd_lcm = self._scaled[n]
+            value = self._values[n] = Fraction(numerator, odd_lcm * factorial(2 * n))
+        return value
+
+    def scaled(self, n: int) -> Tuple[int, int]:
+        """(V, P) with K(n) = V / (P (2n)!), as the fill made them; P is 1 for kind e.
+
+        No reduction takes place, so this is the cheap way to scale K(n) by
+        a factorial.  n must be cached.
+        """
+        if not 0 <= n < len(self._scaled):
+            raise IndexError(f"K({n}) is not cached")
+        return self._scaled[n]
 
     def __contains__(self, n: int) -> bool:
-        return 0 <= n < len(self._values)
+        return 0 <= n < len(self._scaled)
 
     def __len__(self) -> int:
-        return len(self._values)
+        return len(self._scaled)
 
     def items(self) -> Iterator[Tuple[int, Fraction]]:
-        return enumerate(list(self._values))
+        return enumerate([self.get(n) for n in range(len(self))])
 
 
 _shared: Dict[KernelKind, KernelCache] = {}
@@ -140,16 +167,16 @@ def kernel_recursive(kind: KernelKind, n: int, cache: Optional[KernelCache] = No
     p, P and every V(k) grow by p (grow = 1 otherwise).  So each term steps
     exactly, by one small multiplier and one small divisor:
     t'_k = t_k r'(r'-1) grow / ((r'-2k)(r'-2k-1)), and the row's one new
-    term is grow V(m) C(r', r'-2m).  Each new value is appended to the
-    cache as ``Fraction(V(m), P (2m)!)``.
+    term is grow V(m) C(r', r'-2m).  Each new row appends its integers
+    V(m) and P to the cache and makes no Fraction; the one returned, K(n),
+    is made by ``KernelCache.get``.
 
     Values already cached past the frontier (loaded from a file) are taken
     over once: the first row that must be computed rebuilds its terms from
-    the cached Fractions with ``math.comb``.  A cached K(k) that is not an
-    integer in the scaled units of its own row, P (2k)!, or a division by
-    2m+1 that leaves a remainder, raises ValueError.  The values of the rows
-    before it stay cached, and the row state falls back to that of row 0,
-    so the next call rebuilds the failing row and raises the same error.
+    the cached integers with ``math.comb``.  A division by 2m+1 that leaves
+    a remainder raises ValueError.  The values of the rows before it stay
+    cached, and the row state falls back to that of row 0, so the next call
+    rebuilds the failing row and raises the same error.
     """
     if n < 0:
         raise ValueError(f"kernel index must be >= 0, got {n}")
@@ -157,66 +184,45 @@ def kernel_recursive(kind: KernelKind, n: int, cache: Optional[KernelCache] = No
         cache = shared_cache(kind)
     elif cache.kind is not kind:
         raise ValueError(f"cache holds kind {cache.kind.value!r}, not {kind.value!r}")
-    known = cache.get(n)
-    if known is not None:
-        return known
+    if n in cache:
+        return cache.get(n)
     bernoulli = kind is KernelKind.BERNOULLI
     shift = 1 if bernoulli else 0  # r = 2m + shift
     with cache._lock:
-        values, divisors = cache._values, cache._divisors
+        rows, divisors = cache._scaled, cache._divisors
         # The divisor (r' - 2k)(r' - 2k - 1) = (2j + shift)(2j + shift - 1) of
         # the term j = m - k places from the front, for j = 2, 3, ...
         for j in range(len(divisors) + 2, n + 2):
             divisors.append((2 * j + shift) * (2 * j + shift - 1))
-        for m in range(len(values), n + 1):
+        for m in range(len(rows), n + 1):
             odd, r = 2 * m + 1, 2 * m + shift
+            last, odd_lcm = rows[m - 1]
+            grow = odd // math.gcd(odd_lcm, odd) if bernoulli else 1
+            odd_lcm *= grow
             if len(cache._terms) == m - 1:  # the state holds row m - 1
-                terms, odd_lcm = cache._terms, cache._odd_lcm
-                grow = odd // math.gcd(odd_lcm, odd) if bernoulli else 1
-                odd_lcm *= grow
+                terms = cache._terms
                 multiplier = r * (r - 1) * grow
                 for i, d in enumerate(divisors[: m - 1]):
                     terms[i] = terms[i] * multiplier // d
-                terms.insert(0, cache._last * (grow * math.comb(r, 2 + shift)))
+                terms.insert(0, last * (grow * math.comb(r, 2 + shift)))
             else:  # values past the state's row were loaded, or a row failed
-                terms, odd_lcm = _take_over(values, m, bernoulli)
+                terms = [math.comb(r, 2 * k) * rows[k][0] * (odd_lcm // rows[k][1])
+                         for k in range(m - 1, -1, -1)]
             total = -sum(terms)
             value, remainder = divmod(total, odd) if bernoulli else (total, 0)
             if remainder:
                 # The terms may have been stepped in place: fall back to the
                 # state of row 0, so the next call rebuilds row m and raises again.
-                cache._terms, cache._last, cache._odd_lcm = [], 1, 1
+                cache._terms = []
                 raise ValueError(
                     f"kernel recursion at n={m}: the sum is not divisible by {odd}, "
                     f"so a cached value below n={m} is not a kernel value"
                 )
-            values.append(Fraction(value, odd_lcm * factorial(2 * m)))
-            cache._terms, cache._last, cache._odd_lcm = terms, value, odd_lcm
-    return values[n]
-
-
-def _take_over(values: List[Fraction], m: int, bernoulli: bool) -> Tuple[List[int], int]:
-    """Row m's terms C(r, 2k) V(k), nearest-first, and its P, from K(0..m-1).
-
-    Each cached K(k) must be an integer in its own row's units P_k (2k)!;
-    it then enters the terms in row m's units P_m (2k)!.
-    """
-    odd_lcms = [1]
-    for k in range(1, m + 1):
-        odd = 2 * k + 1
-        odd_lcms.append(odd_lcms[-1] * (odd // math.gcd(odd_lcms[-1], odd)) if bernoulli else 1)
-    odd_lcm = odd_lcms[m]
-    scaled = [odd_lcm]
-    for k in range(1, m):
-        cached, unit = values[k], odd_lcms[k] * factorial(2 * k)
-        if unit % cached.denominator:
-            raise ValueError(
-                f"cached K({k}) = {format_rational(cached)} is not a kernel value: "
-                f"it is not an integer in the recursion's scaled units"
-            )
-        scaled.append(cached.numerator * (unit // cached.denominator) * (odd_lcm // odd_lcms[k]))
-    r = 2 * m + 1 if bernoulli else 2 * m
-    return [math.comb(r, 2 * k) * scaled[k] for k in range(m - 1, -1, -1)], odd_lcm
+            # The slot first: a reader that sees the row must find its slot.
+            cache._values.append(None)
+            rows.append((value, odd_lcm))
+            cache._terms = terms
+    return cache.get(n)
 
 
 def kernel_compositions(kind: KernelKind, n: int) -> Fraction:
@@ -317,24 +323,43 @@ def write_cache_file(cache: KernelCache, path: Union[str, Path]) -> None:
 def read_cache_file(path: Union[str, Path], cache: KernelCache) -> None:
     """Load a file's ``n p/q`` lines into a cache that holds K(0) alone.
 
-    Non-blank line i must hold index i, and line 0 must be ``0 1``; any
-    other line raises ValueError naming ``path:line`` and loads nothing.
-    The fill stays the only writer, and checks each value it takes over.
+    Non-blank line i must hold index i, line 0 must be ``0 1``, and each
+    K(k) must be an integer in its own row's scaled units P_k (2k)!, as
+    every kernel value is; any other line raises ValueError naming
+    ``path:line`` and loads nothing.  Each value enters the cache both as
+    the fill's integers and as the Fraction that was parsed.
     """
-    values: List[Fraction] = []
-    for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
-        if not raw.strip():
-            continue
-        try:
-            index_text, value_text = raw.decode("ascii").split()
-            index, value = int(index_text), parse_rational(value_text)
-        except ValueError as exc:
-            line = raw.decode("ascii", "backslashreplace")
-            raise ValueError(f"{path}:{lineno}: bad cache line {line!r}") from exc
-        if index != len(values) or (index == 0 and value != 1):
-            raise ValueError(f"{path}:{lineno}: expected K({len(values)}) of a prefix from K(0) = 1")
-        values.append(value)
     with cache._lock:
-        if len(cache._values) != 1:
+        if len(cache._scaled) != 1:
             raise ValueError(f"{path}: a file loads only into a cache holding K(0) alone")
+        rows: List[Tuple[int, int]] = []
+        values: List[Fraction] = []
+        odd_lcm, unit = 1, 1  # P_k and P_k (2k)! of the line's index k
+        bernoulli = cache.kind is KernelKind.BERNOULLI
+        for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+            if not raw.strip():
+                continue
+            try:
+                index_text, value_text = raw.decode("ascii").split()
+                index, value = int(index_text), parse_rational(value_text)
+            except ValueError as exc:
+                line = raw.decode("ascii", "backslashreplace")
+                raise ValueError(f"{path}:{lineno}: bad cache line {line!r}") from exc
+            k = len(values)
+            if index != k or (k == 0 and value != 1):
+                raise ValueError(f"{path}:{lineno}: expected K({k}) of a prefix from K(0) = 1")
+            if k:
+                odd = 2 * k + 1
+                grow = odd // math.gcd(odd_lcm, odd) if bernoulli else 1
+                odd_lcm *= grow
+                unit *= grow * (2 * k - 1) * (2 * k)
+                quotient, remainder = divmod(unit, value.denominator)
+                if remainder:
+                    raise ValueError(
+                        f"{path}:{lineno}: cached K({k}) = {format_rational(value)} is not a "
+                        f"kernel value: it is not an integer in the recursion's scaled units"
+                    )
+                rows.append((value.numerator * quotient, odd_lcm))
+            values.append(value)
         cache._values.extend(values[1:])
+        cache._scaled.extend(rows)

@@ -20,11 +20,11 @@ import functools
 import threading
 from fractions import Fraction
 from math import comb, gcd
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from . import oracles
 from .exactnum import beta_even, factorial
-from .kernels import KernelCache, KernelKind, kernel_recursive
+from .kernels import KernelCache, KernelKind, kernel_recursive, shared_cache
 
 __all__ = [
     "a_from_bernoulli",
@@ -108,28 +108,49 @@ def g_bruteforce(n: int, m0: int) -> Fraction:
     return Fraction(walk(n, m0, common), common)
 
 
+def _scaled_kernel(kind: KernelKind, n: int, cache: Optional[KernelCache]) -> Tuple[int, int]:
+    """(V, P) with K(n) = V / (P (2n)!), filling the cache only when n is not in it.
+
+    ``kernel_recursive`` gets ``cache`` as the caller passed it, None for
+    the process-wide cache, as it would from a direct call.
+    """
+    table = shared_cache(kind) if cache is None else cache
+    if n not in table or table.kind is not kind:
+        kernel_recursive(kind, n, cache)  # fills, or rejects a cache of the other kind
+    return table.scaled(n)
+
+
 def bernoulli(n: int, cache: Optional[KernelCache] = None) -> Fraction:
-    """B_{2n} = -(2n)! / (2^{2n} - 2) * K_b(n) for n >= 1."""
+    """B_{2n} = -(2n)! / (2^{2n} - 2) * K_b(n) for n >= 1.
+
+    With K_b(n) = V / (P (2n)!) this is -V / ((2^{2n} - 2) P): one reduction.
+    """
     if n < 1:
         raise ValueError(f"bernoulli requires n >= 1, got {n}")
-    scale = Fraction(factorial(2 * n), (1 << (2 * n)) - 2)
-    return -scale * kernel_recursive(KernelKind.BERNOULLI, n, cache)
+    scaled, odd_lcm = _scaled_kernel(KernelKind.BERNOULLI, n, cache)
+    return Fraction(-scaled, ((1 << (2 * n)) - 2) * odd_lcm)
 
 
 def euler(n: int, cache: Optional[KernelCache] = None) -> Fraction:
-    """E_{2n} = (2n)! * K_e(n) for n >= 1; the result is always an integer."""
+    """E_{2n} = (2n)! * K_e(n) for n >= 1; the result is always an integer.
+
+    It is the fill's own integer E(n) = (2n)! K_e(n) (P is 1 for kind e).
+    """
     if n < 1:
         raise ValueError(f"euler requires n >= 1, got {n}")
-    return factorial(2 * n) * kernel_recursive(KernelKind.EULER, n, cache)
+    scaled, _ = _scaled_kernel(KernelKind.EULER, n, cache)
+    return Fraction(scaled)
 
 
 def a_from_kb(n: int, cache: Optional[KernelCache] = None) -> Fraction:
-    """a_n = -(2n-1)! / 2^{2n} * K_b(n), the kernel route."""
+    """a_n = -(2n-1)! / 2^{2n} * K_b(n), the kernel route.
+
+    With K_b(n) = V / (P (2n)!) this is -V / (2n 2^{2n} P): one reduction.
+    """
     if n < 1:
         raise ValueError(f"a_from_kb requires n >= 1, got {n}")
-    return -Fraction(factorial(2 * n - 1), 1 << (2 * n)) * kernel_recursive(
-        KernelKind.BERNOULLI, n, cache
-    )
+    scaled, odd_lcm = _scaled_kernel(KernelKind.BERNOULLI, n, cache)
+    return Fraction(-scaled, (2 * n << (2 * n)) * odd_lcm)
 
 
 # _a_table[m] = a_m for 1 <= m < len(_a_table); index 0 is unused.  The

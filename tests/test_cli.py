@@ -465,6 +465,19 @@ def test_cache_dir_non_kernel_value_rejected(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv", [["bernoulli", "--upto", "3", "--format", "csv"], ["table", "--kind", "b", "--upto", "3"]]
+)
+def test_cache_dir_non_kernel_value_rejected_at_load(tmp_path, argv):
+    # K(3) = 1/7919 is no kernel value, though it is the last one loaded and
+    # so no row of the fill would step past it; the load rejects it.
+    (tmp_path / "kernel_b.txt").write_text("0 1\n1 -1/6\n2 7/360\n3 1/7919\n")
+    proc = _run_subprocess(argv, {"KERNEL_CACHE_DIR": str(tmp_path)})
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "kernel_b.txt:4: " in proc.stderr and "not an integer" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_cache_dir_garbage_rejected(tmp_path):
     (tmp_path / "kernel_e.txt").write_text("zero one\n")
     proc = _run_subprocess(
@@ -515,10 +528,11 @@ def test_error_inside_a_command_exits_2_and_writes_no_table(capsys, monkeypatch,
 def test_cache_dir_naming_a_file_exits_2_and_leaves_it(tmp_path):
     plain = tmp_path / "plain.txt"
     plain.write_bytes(b"not a directory\n")
+    # The directory is checked before the command runs, so nothing is printed.
     proc = _run_subprocess(["table", "--kind", "b", "--upto", "3"], {"KERNEL_CACHE_DIR": str(plain)})
-    assert proc.returncode == 2
-    assert proc.stdout.splitlines() == [f"{n}\t{text}" for n, text in enumerate(KB_TABLE_STRINGS[:3], 1)]
-    assert proc.stderr.startswith("error: [Errno 17]")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(f"error: KERNEL_CACHE_DIR={plain} ")
+    assert "Traceback" not in proc.stderr
     assert plain.read_bytes() == b"not a directory\n"
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import math
 import os
 import sys
 import threading
@@ -252,6 +253,25 @@ def test_cache_seeded_and_write_once():
     assert not hasattr(cache, "put")
 
 
+@pytest.mark.parametrize("kind", [B, E])
+def test_scaled_holds_the_fill_integers(kind):
+    # K(n) = V / (P (2n)!), with P the lcm of the odd numbers up to 2n+1
+    # for kind b and 1 for kind e; the Fraction made on first read is kept.
+    cache = KernelCache(kind)
+    kernel_recursive(kind, 30, cache)
+    odd_lcm = 1
+    for n in range(31):
+        if kind is B and n:
+            odd_lcm = odd_lcm * (2 * n + 1) // math.gcd(odd_lcm, 2 * n + 1)
+        scaled, unit = cache.scaled(n)
+        assert unit == odd_lcm
+        expected = kernel_determinant(kind, n) if n else 1
+        assert cache.get(n) == Fraction(scaled, unit * math.factorial(2 * n)) == expected
+    assert cache.get(30) is cache.get(30)
+    with pytest.raises(IndexError):
+        cache.scaled(31)
+
+
 def test_recursive_rejects_mismatched_cache():
     with pytest.raises(ValueError, match="kind"):
         kernel_recursive(B, 3, KernelCache(E))
@@ -295,12 +315,15 @@ def test_loaded_prefix_extends(kind, tmp_path):
 
 @pytest.mark.parametrize("kind", [B, E])
 def test_non_integral_cached_value_rejected(kind, tmp_path):
-    # K(3) with a denominator that no kernel value of index 3 can have.
-    prefix = [Fraction(1)] + [kernel_determinant(kind, n) for n in (1, 2)]
-    cache = _loaded_cache(tmp_path, kind, prefix + [Fraction(1, 7919)])
-    assert kernel_recursive(kind, 2, cache) == kernel_determinant(kind, 2)
-    _assert_fails_again(cache, 4, "not an integer")
-    assert len(cache) == 4
+    # K(3) with a denominator that no kernel value of index 3 can have: the
+    # load itself refuses the file, on that value's line, and loads nothing.
+    values = [Fraction(1)] + [kernel_determinant(kind, n) for n in (1, 2)] + [Fraction(1, 7919)]
+    path = tmp_path / "kernel.txt"
+    path.write_text("".join(f"{n} {format_rational(v)}\n" for n, v in enumerate(values)))
+    cache = KernelCache(kind)
+    with pytest.raises(ValueError, match="kernel.txt:4: .*not an integer"):
+        read_cache_file(path, cache)
+    assert list(cache.items()) == [(0, 1)]
 
 
 def test_wrong_cached_value_caught_by_exact_division(tmp_path):
@@ -404,6 +427,7 @@ def test_cache_file_round_trip(tmp_path):
     reloaded = KernelCache(B)
     read_cache_file(path, reloaded)
     assert list(reloaded.items()) == list(cache.items())
+    assert [reloaded.scaled(n) for n in range(7)] == [cache.scaled(n) for n in range(7)]
 
 
 def test_cache_file_rejects_garbage(tmp_path):

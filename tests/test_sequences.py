@@ -1,13 +1,14 @@
 """Derived sequences: f, j, g (two routes), a (three routes), B, E, Faulhaber."""
 
+import hashlib
 import sys
 import threading
 from fractions import Fraction
 
 import pytest
 
-from bekernels.exactnum import beta_even
-from bekernels.kernels import KernelCache, KernelKind
+from bekernels.exactnum import beta_even, format_rational
+from bekernels.kernels import KernelCache, KernelKind, kernel_recursive
 from bekernels.oracles import bernoulli_even, euler_even
 from bekernels.sequences import (
     a_from_bernoulli,
@@ -201,6 +202,42 @@ def test_euler_matches_oracle_and_is_integer():
         value = euler(n, cache)
         assert value.denominator == 1, n
         assert value == euler_even(n), n
+
+
+SCALINGS = [(bernoulli, KernelKind.BERNOULLI), (euler, KernelKind.EULER), (a_from_kb, KernelKind.BERNOULLI)]
+
+
+def test_scalings_are_pinned():
+    # sha256 of "name k p/q" lines for k = 1..400, each scaling reading its
+    # own filled cache: a change to how B, E and a are scaled from the
+    # kernel must leave every byte of their values as it is.
+    digest = hashlib.sha256()
+    for scaling, kind in SCALINGS:
+        cache = KernelCache(kind)
+        kernel_recursive(kind, 400, cache)
+        for k in range(1, 401):
+            digest.update(f"{scaling.__name__} {k} {format_rational(scaling(k, cache))}\n".encode())
+    assert digest.hexdigest() == "63a88184a1faa470d51d86d978bed78b91c29ed06a16c265377f937a280d5f04"
+
+
+@pytest.mark.parametrize("scaling, kind", SCALINGS, ids=[s.__name__ for s, _ in SCALINGS])
+def test_fill_and_scaling_reduce_once_per_value(scaling, kind, gcd_calls):
+    # The fill reduces only the K(200) it returns, and the kind b fill takes
+    # one gcd per row for the growth of P.  E_2n is the fill's own integer;
+    # B_2n and a_n cost one reduction each.
+    cache = KernelCache(kind)
+    kernel_recursive(kind, 200, cache)
+    for k in range(1, 201):
+        scaling(k, cache)
+    assert gcd_calls[0] <= (2 if kind is KernelKind.EULER else 2 * 200 + 1)
+
+
+@pytest.mark.parametrize("scaling, kind", SCALINGS, ids=[s.__name__ for s, _ in SCALINGS])
+def test_scaling_rejects_a_cache_of_the_other_kind(scaling, kind):
+    other = KernelCache(KernelKind.EULER if kind is KernelKind.BERNOULLI else KernelKind.BERNOULLI)
+    kernel_recursive(other.kind, 5, other)
+    with pytest.raises(ValueError, match="kind"):
+        scaling(3, other)
 
 
 def test_faulhaber_examples():
