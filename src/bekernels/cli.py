@@ -33,10 +33,12 @@ table there when it ends if the command extended it.  ``table`` and
 ``eval`` uses at most terms + 1 kernel values, which fill faster than a
 persisted file parses.  A file is read, validated and written only by a
 command of its kind, so a damaged file is reported by the first command
-that reads it.  Each loaded value is checked to be an integer in the
-recursion's scaled units when the file is read, before the command prints
-anything.  So is the directory: one that cannot be made or is not a
-directory exits 2 with empty stdout.
+that reads it.  A file holds one ``n V`` line per cached index, V the
+fill's integer P (2n)! K(n) in hex.  A line of another form, such as the
+older ``n p/q``, exits 2 naming the file and line when the file is read,
+before the command prints anything; a V that is an integer but wrong still
+loads.  A directory that cannot be made or is not a directory also exits 2
+with empty stdout.
 
 A module loads when a command first uses it.  Every command loads
 ``cli``, ``compositions``, ``exactnum`` and ``kernels``; ``bernoulli``,

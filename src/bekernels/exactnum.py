@@ -1,10 +1,11 @@
 """Exact rational arithmetic primitives shared by every module.
 
-All exact values in this package are ``fractions.Fraction`` instances.  The
-class already guarantees the invariants the rest of the code relies on:
-results are reduced to lowest terms, the denominator is positive, and zero
-is represented as 0/1.  ``ExactRational`` is the name the public API uses
-for that type.
+Every exact rational value the package returns is a ``fractions.Fraction``;
+the kernel fill and its cache hold their values as integers and make a
+Fraction only when one is read.  The class already guarantees the
+invariants the rest of the code relies on: results are reduced to lowest
+terms, the denominator is positive, and zero is represented as 0/1.
+``ExactRational`` is the name the public API uses for that type.
 """
 
 from __future__ import annotations

@@ -23,8 +23,10 @@ in ``oracles`` carry the mathematics, which is why ``verify`` runs its
 oracle checks at the same depth as the exact routes.
 
 ``KernelCache`` holds the recursion's values as its integers, V(n) and P
-with K(n) = V(n) / (P (2n)!), and reduces K(n) to a Fraction only when it
-is first read, once.  The scalings in ``sequences`` read the integers
+with K(n) = V(n) / (P (2n)!), and nothing else: ``get`` reduces K(n) to a
+Fraction on each call.  The persisted file holds the same integers, one
+``n V`` line per value with V in hex, so a save reduces nothing and a load
+makes no Fraction.  The scalings in ``sequences`` read the integers
 through ``KernelCache.scaled``, so ``verify`` checks both forms: the
 recursion-vs-determinant entries the Fractions, the oracle and coefficient
 entries the integers.
@@ -41,7 +43,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from .exactnum import factorial, format_rational, parse_rational
+from .exactnum import factorial
 
 __all__ = [
     "BRUTE_FORCE_SOFT_LIMIT",
@@ -85,10 +87,10 @@ class KernelCache:
     only gives a fresh cache a prefix from a file.  Nothing overwrites a
     value, and both append under a lock, so a cache may be shared.
 
-    Each K(k) is held as the fill's integers: V(k) and P_k, with
+    Each K(k) is held only as the fill's integers: V(k) and P_k, with
     K(k) = V(k) / (P_k (2k)!) and P_k the lcm of the odd numbers up to
     2k+1 (1 for kind e).  ``scaled`` returns them as they are; ``get`` makes
-    the reduced Fraction the first time K(k) is read and keeps it.
+    the reduced Fraction anew on each call and keeps none.
 
     The cache also holds the last row of ``kernel_recursive``'s integer
     recurrence, so that extending the table by one value costs O(m)
@@ -99,20 +101,16 @@ class KernelCache:
     def __init__(self, kind: KernelKind):
         self.kind = kind
         self._scaled: List[Tuple[int, int]] = [(1, 1)]
-        self._values: List[Optional[Fraction]] = [Fraction(1)]
         self._lock = threading.Lock()
         self._terms: List[int] = []
         self._divisors: List[int] = []
 
     def get(self, n: int) -> Optional[Fraction]:
-        """K(n) as a reduced Fraction, or None when n is not cached."""
+        """K(n) as a reduced Fraction, made on each call, or None when n is not cached."""
         if not 0 <= n < len(self._scaled):
             return None
-        value = self._values[n]
-        if value is None:  # two readers may both make it; they make equal values
-            numerator, odd_lcm = self._scaled[n]
-            value = self._values[n] = Fraction(numerator, odd_lcm * factorial(2 * n))
-        return value
+        numerator, odd_lcm = self._scaled[n]
+        return Fraction(numerator, odd_lcm * factorial(2 * n))
 
     def scaled(self, n: int) -> Tuple[int, int]:
         """(V, P) with K(n) = V / (P (2n)!), as the fill made them; P is 1 for kind e.
@@ -171,12 +169,13 @@ def kernel_recursive(kind: KernelKind, n: int, cache: Optional[KernelCache] = No
     V(m) and P to the cache and makes no Fraction; the one returned, K(n),
     is made by ``KernelCache.get``.
 
-    Values already cached past the frontier (loaded from a file) are taken
-    over once: the first row that must be computed rebuilds its terms from
-    the cached integers with ``math.comb``.  A division by 2m+1 that leaves
-    a remainder raises ValueError.  The values of the rows before it stay
-    cached, and the row state falls back to that of row 0, so the next call
-    rebuilds the failing row and raises the same error.
+    Values already cached past the frontier (loaded from a file, which
+    holds the same V(k)) are taken over once: the first row that must be
+    computed rebuilds its terms from the cached integers with ``math.comb``.
+    A division by 2m+1 that leaves a remainder raises ValueError.  The
+    values of the rows before it stay cached, and the row state falls back
+    to that of row 0, so the next call rebuilds the failing row and raises
+    the same error.
     """
     if n < 0:
         raise ValueError(f"kernel index must be >= 0, got {n}")
@@ -218,8 +217,6 @@ def kernel_recursive(kind: KernelKind, n: int, cache: Optional[KernelCache] = No
                     f"kernel recursion at n={m}: the sum is not divisible by {odd}, "
                     f"so a cached value below n={m} is not a kernel value"
                 )
-            # The slot first: a reader that sees the row must find its slot.
-            cache._values.append(None)
             rows.append((value, odd_lcm))
             cache._terms = terms
     return cache.get(n)
@@ -302,18 +299,19 @@ def kernel_determinant(kind: KernelKind, n: int) -> Fraction:
 
 
 def write_cache_file(cache: KernelCache, path: Union[str, Path]) -> None:
-    """Persist a cache as sorted ``n p/q`` lines.
+    """Persist a cache as sorted ``n V`` lines: V(n) of ``KernelCache.scaled`` in hex.
 
-    The lines go to a temporary file in the same directory, which then
-    replaces ``path`` in one step, so a failed write leaves the previous
-    file as it was.
+    Nothing is reduced, and hex needs no int-to-str digit limit.  The lines
+    go to a temporary file in the same directory, which then replaces
+    ``path`` in one step, so a failed write leaves the previous file as it
+    was.
     """
     path = Path(path)
     temp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
     try:
         with temp.open("x", encoding="ascii") as out:
-            for n, value in cache.items():
-                out.write(f"{n} {format_rational(value)}\n")
+            for n, (value, _) in enumerate(cache._scaled):
+                out.write(f"{n} {value:x}\n")
         os.replace(temp, path)
     except BaseException:
         temp.unlink(missing_ok=True)
@@ -321,45 +319,38 @@ def write_cache_file(cache: KernelCache, path: Union[str, Path]) -> None:
 
 
 def read_cache_file(path: Union[str, Path], cache: KernelCache) -> None:
-    """Load a file's ``n p/q`` lines into a cache that holds K(0) alone.
+    """Load a file's ``n V`` lines into a cache that holds K(0) alone.
 
-    Non-blank line i must hold index i, line 0 must be ``0 1``, and each
-    K(k) must be an integer in its own row's scaled units P_k (2k)!, as
-    every kernel value is; any other line raises ValueError naming
-    ``path:line`` and loads nothing.  Each value enters the cache both as
-    the fill's integers and as the Fraction that was parsed.
+    Each line holds an index and V(n) = P_n (2n)! K(n) in hex, as
+    ``write_cache_file`` writes them; P_n is recomputed by the fill's growth
+    rule.  Non-blank line i must hold index i and line 0 must be ``0 1``;
+    any other line raises ValueError naming ``path:line`` and loads nothing.
+    A line is not checked to hold a kernel value: a wrong V loads, and the
+    fill's exact division by 2m+1 may catch it later.
     """
     with cache._lock:
         if len(cache._scaled) != 1:
             raise ValueError(f"{path}: a file loads only into a cache holding K(0) alone")
         rows: List[Tuple[int, int]] = []
-        values: List[Fraction] = []
-        odd_lcm, unit = 1, 1  # P_k and P_k (2k)! of the line's index k
+        odd_lcm = 1  # P_k of the line's index k
         bernoulli = cache.kind is KernelKind.BERNOULLI
         for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
             if not raw.strip():
                 continue
             try:
                 index_text, value_text = raw.decode("ascii").split()
-                index, value = int(index_text), parse_rational(value_text)
+                index, value = int(index_text), int(value_text, 16)
             except ValueError as exc:
                 line = raw.decode("ascii", "backslashreplace")
-                raise ValueError(f"{path}:{lineno}: bad cache line {line!r}") from exc
-            k = len(values)
+                raise ValueError(
+                    f"{path}:{lineno}: bad cache line {line!r}: a line holds 'n V', "
+                    f"V the kernel value's integer in hex"
+                ) from exc
+            k = len(rows)
             if index != k or (k == 0 and value != 1):
                 raise ValueError(f"{path}:{lineno}: expected K({k}) of a prefix from K(0) = 1")
-            if k:
+            if bernoulli:
                 odd = 2 * k + 1
-                grow = odd // math.gcd(odd_lcm, odd) if bernoulli else 1
-                odd_lcm *= grow
-                unit *= grow * (2 * k - 1) * (2 * k)
-                quotient, remainder = divmod(unit, value.denominator)
-                if remainder:
-                    raise ValueError(
-                        f"{path}:{lineno}: cached K({k}) = {format_rational(value)} is not a "
-                        f"kernel value: it is not an integer in the recursion's scaled units"
-                    )
-                rows.append((value.numerator * quotient, odd_lcm))
-            values.append(value)
-        cache._values.extend(values[1:])
-        cache._scaled.extend(rows)
+                odd_lcm *= odd // math.gcd(odd_lcm, odd)
+            rows.append((value, odd_lcm))
+        cache._scaled.extend(rows[1:])

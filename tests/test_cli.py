@@ -420,7 +420,7 @@ def test_cache_dir_persists_tables(tmp_path):
     cache_file = tmp_path / "kernel_b.txt"
     assert cache_file.exists()
     lines = cache_file.read_text().splitlines()
-    assert lines[0] == "0 1" and lines[1] == "1 -1/6" and len(lines) == 9
+    assert lines[0] == "0 1" and lines[1] == "1 -1" and len(lines) == 9
     # A b-only command extends no e table, so it writes none.
     assert not (tmp_path / "kernel_e.txt").exists()
     # second run reloads the file and must print identical output
@@ -454,15 +454,19 @@ def test_cache_dir_written_only_when_a_table_grew(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["kernel_b.txt"]
 
 
-def test_cache_dir_non_kernel_value_rejected(tmp_path):
-    # 1/7 is no K_b(1): times the scaled unit P * 2! = 6 it is not an integer.
-    (tmp_path / "kernel_b.txt").write_text("0 1\n1 1/7\n")
+def test_cache_dir_rational_file_refused_and_left_alone(tmp_path):
+    # A file of ``n p/q`` lines, the format before V was stored in hex:
+    # K_b(1) = -1/6 is no hex integer, so line 2 is refused before any row
+    # prints, and the file is not rewritten.
+    text = b"0 1\n1 -1/6\n2 7/360\n3 -31/15120\n"
+    (tmp_path / "kernel_b.txt").write_bytes(text)
     proc = _run_subprocess(
         ["table", "--kind", "b", "--upto", "3"], {"KERNEL_CACHE_DIR": str(tmp_path)}
     )
-    assert proc.returncode == 2
-    assert "not an integer" in proc.stderr
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "kernel_b.txt:2: " in proc.stderr and "in hex" in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert (tmp_path / "kernel_b.txt").read_bytes() == text
 
 
 @pytest.mark.parametrize(
@@ -470,11 +474,12 @@ def test_cache_dir_non_kernel_value_rejected(tmp_path):
 )
 def test_cache_dir_non_kernel_value_rejected_at_load(tmp_path, argv):
     # K(3) = 1/7919 is no kernel value, though it is the last one loaded and
-    # so no row of the fill would step past it; the load rejects it.
-    (tmp_path / "kernel_b.txt").write_text("0 1\n1 -1/6\n2 7/360\n3 1/7919\n")
+    # so no row of the fill would step past it; a line holds V, an integer
+    # in hex, so the load rejects it.
+    (tmp_path / "kernel_b.txt").write_text("0 1\n1 -1\n2 7\n3 1/7919\n")
     proc = _run_subprocess(argv, {"KERNEL_CACHE_DIR": str(tmp_path)})
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert "kernel_b.txt:4: " in proc.stderr and "not an integer" in proc.stderr
+    assert "kernel_b.txt:4: " in proc.stderr and "in hex" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -236,10 +236,20 @@ def test_real_soft_limit_is_22():
     assert BRUTE_FORCE_SOFT_LIMIT == 22
 
 
+def _scaled_values(source, upto):
+    """V(0..upto) of a filled cache, as ``scaled`` holds them."""
+    return [source.scaled(n)[0] for n in range(upto + 1)]
+
+
+def _cache_text(values):
+    """The ``n V`` lines of a file holding V(0), V(1), ... = values, in hex."""
+    return "".join(f"{n} {v:x}\n" for n, v in enumerate(values))
+
+
 def _loaded_cache(tmp_path, kind, values):
-    """A cache loaded from a file holding K(0), K(1), ... = values."""
+    """A cache loaded from a file holding V(0), V(1), ... = values."""
     path = tmp_path / "kernel.txt"
-    path.write_text("".join(f"{n} {format_rational(v)}\n" for n, v in enumerate(values)))
+    path.write_text(_cache_text(values))
     cache = KernelCache(kind)
     read_cache_file(path, cache)
     return cache
@@ -256,7 +266,7 @@ def test_cache_seeded_and_write_once():
 @pytest.mark.parametrize("kind", [B, E])
 def test_scaled_holds_the_fill_integers(kind):
     # K(n) = V / (P (2n)!), with P the lcm of the odd numbers up to 2n+1
-    # for kind b and 1 for kind e; the Fraction made on first read is kept.
+    # for kind b and 1 for kind e.
     cache = KernelCache(kind)
     kernel_recursive(kind, 30, cache)
     odd_lcm = 1
@@ -267,7 +277,6 @@ def test_scaled_holds_the_fill_integers(kind):
         assert unit == odd_lcm
         expected = kernel_determinant(kind, n) if n else 1
         assert cache.get(n) == Fraction(scaled, unit * math.factorial(2 * n)) == expected
-    assert cache.get(30) is cache.get(30)
     with pytest.raises(IndexError):
         cache.scaled(31)
 
@@ -308,29 +317,32 @@ def test_bernoulli_kind_where_odd_lcm_grows():
 def test_loaded_prefix_extends(kind, tmp_path):
     full = KernelCache(kind)
     kernel_recursive(kind, 45, full)
-    loaded = _loaded_cache(tmp_path, kind, [value for n, value in full.items() if n <= 20])
+    loaded = _loaded_cache(tmp_path, kind, _scaled_values(full, 20))
     assert kernel_recursive(kind, 45, loaded) == kernel_determinant(kind, 45)
     assert list(loaded.items()) == list(full.items())
 
 
 @pytest.mark.parametrize("kind", [B, E])
 def test_non_integral_cached_value_rejected(kind, tmp_path):
-    # K(3) with a denominator that no kernel value of index 3 can have: the
+    # K(3) = 1/7919 after a valid prefix: a line holds V, an integer, so the
     # load itself refuses the file, on that value's line, and loads nothing.
-    values = [Fraction(1)] + [kernel_determinant(kind, n) for n in (1, 2)] + [Fraction(1, 7919)]
+    source = KernelCache(kind)
+    kernel_recursive(kind, 2, source)
     path = tmp_path / "kernel.txt"
-    path.write_text("".join(f"{n} {format_rational(v)}\n" for n, v in enumerate(values)))
+    path.write_text(_cache_text(_scaled_values(source, 2)) + "3 1/7919\n")
     cache = KernelCache(kind)
-    with pytest.raises(ValueError, match="kernel.txt:4: .*not an integer"):
+    with pytest.raises(ValueError, match="kernel.txt:4: bad cache line .* in hex"):
         read_cache_file(path, cache)
     assert list(cache.items()) == [(0, 1)]
 
 
 def test_wrong_cached_value_caught_by_exact_division(tmp_path):
-    # A wrong K(5) (the true one is -73/3421440) that is still integral in
-    # scaled units; the division by 2m+1 = 15 at n=7 then leaves a remainder.
-    # Row 6 is rebuilt from the loaded values and passes; row 7 is stepped.
-    cache = _loaded_cache(tmp_path, B, [Fraction(1)] + KB_TABLE[:4] + [Fraction(-109, 5132160)])
+    # A wrong V(5) = -267050 (the true one is -268275, K(5) = -73/3421440);
+    # the division by 2m+1 = 15 at n=7 then leaves a remainder.  Row 6 is
+    # rebuilt from the loaded values and passes; row 7 is stepped.
+    source = KernelCache(B)
+    kernel_recursive(B, 4, source)
+    cache = _loaded_cache(tmp_path, B, _scaled_values(source, 4) + [-267050])
     _assert_fails_again(cache, 7, "not divisible by 15")
     assert len(cache) == 7
 
@@ -352,7 +364,7 @@ def test_takeover_across_odd_prime_powers(kind, tmp_path):
     # (2m+1 = 27): for kind b, P must already hold 25 and then grow by 3.
     fresh = KernelCache(kind)
     kernel_recursive(kind, 60, fresh)
-    loaded = _loaded_cache(tmp_path, kind, [value for n, value in fresh.items() if n <= 12])
+    loaded = _loaded_cache(tmp_path, kind, _scaled_values(fresh, 12))
     kernel_recursive(kind, 60, loaded)
     assert list(loaded.items()) == list(fresh.items())
 
@@ -416,18 +428,54 @@ def test_concurrent_fill_single_write():
     assert list(cache.items()) == list(single.items())
 
 
-def test_cache_file_round_trip(tmp_path):
-    cache = KernelCache(B)
-    kernel_recursive(B, 6, cache)
-    path = tmp_path / "kernel_b.txt"
+@pytest.mark.parametrize("n", [6, 300])
+@pytest.mark.parametrize("kind", [B, E])
+def test_cache_file_round_trip(tmp_path, kind, n):
+    cache = KernelCache(kind)
+    kernel_recursive(kind, n, cache)
+    path = tmp_path / f"kernel_{kind.value}.txt"
     write_cache_file(cache, path)
-    text = path.read_text()
-    assert text.splitlines()[0] == "0 1"
-    assert "6 1414477/653837184000" in text
-    reloaded = KernelCache(B)
+    lines = path.read_text().splitlines()
+    # V(1) = -1 for both kinds: K_b(1) = -1/(3 * 2!), K_e(1) = -1/2!.
+    assert lines[:2] == ["0 1", "1 -1"] and len(lines) == n + 1
+    reloaded = KernelCache(kind)
     read_cache_file(path, reloaded)
     assert list(reloaded.items()) == list(cache.items())
-    assert [reloaded.scaled(n) for n in range(7)] == [cache.scaled(n) for n in range(7)]
+    assert [reloaded.scaled(k) for k in range(n + 1)] == [cache.scaled(k) for k in range(n + 1)]
+
+
+def test_cache_file_bytes_are_pinned(tmp_path):
+    # sha256 of the kind-b file, then the kind-e file, each to n = 400: a
+    # change to the file format must leave every byte of it as it is.
+    digest = hashlib.sha256()
+    for kind in (B, E):
+        cache = KernelCache(kind)
+        kernel_recursive(kind, 400, cache)
+        path = tmp_path / f"kernel_{kind.value}.txt"
+        write_cache_file(cache, path)
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == "62542529ce3e414ed3f9eb8155948cc1dfa085ca39a74b901deec2c9a1f4f5d4"
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="this Python has no int <-> str limit"
+)
+def test_cache_file_needs_no_int_string_limit(tmp_path):
+    # V(800) of kind b has more decimal digits than 4300, Python's default
+    # limit on int <-> str conversion; hex is exempt from it.
+    cache = KernelCache(B)
+    kernel_recursive(B, 800, cache)
+    assert abs(cache.scaled(800)[0]).bit_length() > 4300 * math.log2(10)
+    path = tmp_path / "kernel_b.txt"
+    reloaded = KernelCache(B)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        write_cache_file(cache, path)
+        read_cache_file(path, reloaded)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert [reloaded.scaled(k) for k in range(801)] == [cache.scaled(k) for k in range(801)]
 
 
 def test_cache_file_rejects_garbage(tmp_path):
@@ -442,12 +490,12 @@ def test_cache_file_rejects_garbage(tmp_path):
 @pytest.mark.parametrize(
     "text, line",
     [
-        ("0 1\n2 7/360\n", 2),  # a gap
-        ("0 1\n1 -1/6\n1 -1/6\n", 3),  # a repeated index
-        ("0 1\n\n2 7/360\n1 -1/6\n", 3),  # out of order, after a blank line
-        ("0 2\n1 -1/6\n", 1),  # a K(0) other than 1
-        ("1 -1/6\n", 1),  # no line 0
-        ("0 1\n1 -1/6\n2 7/36\u00e9\n", 3),  # a byte outside ASCII
+        ("0 1\n2 7\n", 2),  # a gap
+        ("0 1\n1 -1\n1 -1\n", 3),  # a repeated index
+        ("0 1\n\n2 7\n1 -1\n", 3),  # out of order, after a blank line
+        ("0 2\n1 -1\n", 1),  # a K(0) other than 1
+        ("1 -1\n", 1),  # no line 0
+        ("0 1\n1 -1\n2 7\u00e9\n", 3),  # a byte outside ASCII
     ],
     ids=["gap", "repeat", "order", "line0", "no-line0", "non-ascii"],
 )
@@ -465,7 +513,7 @@ def test_cache_file_loads_only_into_a_fresh_cache(tmp_path):
     cache = KernelCache(B)
     kernel_recursive(B, 3, cache)
     path = tmp_path / "kernel_b.txt"
-    path.write_text("0 1\n1 -1/7\n")
+    path.write_text("0 1\n1 -7\n")
     with pytest.raises(ValueError, match="K\\(0\\) alone"):
         read_cache_file(path, cache)
     assert [value for _, value in cache.items()] == [1] + KB_TABLE[:3]
