@@ -1,0 +1,38 @@
+"""The growing exact tables, pinned byte for byte.
+
+The determinant's minors, the coefficient recursion's rows and the two
+oracles' rows are each kept between calls.  A change to how a table is
+stored must leave every value it returns as it was, so each table's
+``format_rational`` text is pinned by its sha256.  The digests were first
+checked against an independent route: ``kernel_recursive``, ``a_from_kb``,
+``sequences.bernoulli`` and ``sequences.euler``.
+"""
+
+import hashlib
+
+from bekernels.exactnum import format_rational
+from bekernels.kernels import KernelKind, kernel_determinant
+from bekernels.oracles import bernoulli_numbers, zigzag_numbers
+from bekernels.sequences import a_recursive
+
+
+def _digest(values) -> str:
+    text = "".join(f"{format_rational(value)}\n" for value in values)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_exact_tables_are_pinned():
+    digests = {
+        "determinant b": _digest(kernel_determinant(KernelKind.BERNOULLI, n) for n in range(1, 401)),
+        "determinant e": _digest(kernel_determinant(KernelKind.EULER, n) for n in range(1, 401)),
+        "a_recursive": _digest(a_recursive(n) for n in range(1, 201)),
+        "bernoulli_numbers": _digest(bernoulli_numbers(400)),
+        "zigzag_numbers": _digest(zigzag_numbers(400)),
+    }
+    assert digests == {
+        "determinant b": "11279f1963e1d89525bdf5d1d4c29f7e03028b1b2104cc117c4d45783cd778c1",
+        "determinant e": "bd219a6d5412207b61a374c67c0d884bee6312536e8c5873aa05f905f44f46f4",
+        "a_recursive": "dd5b0dafccc50fe7ee73e47d014ae3c2926a611db6c530b9ecea086752ec830a",
+        "bernoulli_numbers": "026cc494146091791823f5ce3b3eae4be13941d4118e469cfb816ead883235c0",
+        "zigzag_numbers": "1291dbd12b901ba39cc342e55267b0487412ae1d5f3af3ce7cef700d2029a636",
+    }
