@@ -42,15 +42,15 @@ with empty stdout.
 
 A module loads when a command first uses it.  Every command loads
 ``cli``, ``compositions``, ``exactnum`` and ``kernels``; ``bernoulli``,
-``euler`` and ``a-coeff`` add ``sequences`` and ``oracles``; ``verify``
-adds those and ``verify``; ``eval`` adds those and ``specfun`` with mpmath,
-and fills its few kernel values in the process, reading no ``kernels`` file.
+``euler`` and ``a-coeff`` add ``sequences``; ``verify`` adds ``sequences``,
+``oracles`` and ``verify``; ``eval`` adds ``sequences`` and ``specfun`` with
+mpmath, and fills its few kernel values in the process, reading no
+``kernels`` file.  ``json`` loads only for JSON output.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -173,6 +173,8 @@ def _print_rows(
 ) -> None:
     """Print (index, value) rows: a JSON list of ``as_json(index, text)``, csv or tab-separated."""
     if format == "json":
+        import json
+
         print(json.dumps([as_json(i, format_rational(v)) for i, v in rows], indent=2))
     else:
         separator = "," if format == "csv" else "\t"
@@ -250,6 +252,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "abs_error": _render_float(report.abs_error),
     }
     if args.format == "json":
+        import json
+
         print(json.dumps(payload, indent=2))
     else:
         for key, rendered in payload.items():

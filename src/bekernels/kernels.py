@@ -255,12 +255,12 @@ def kernel_compositions(kind: KernelKind, n: int) -> Fraction:
     return Fraction(walk(n, common, -1), common)
 
 
-# The weight-denominator ratios W(b) / W(b-1) for b = 1..k (W(0) = 1), the
-# scaled minors N_0..N_k and the minors d_0..d_k of each kind.  Only
+# The weight-denominator ratios W(b) / W(b-1) for b = 1..k (W(0) = 1) and
+# the scaled minors N_0..N_k = d_k (3k)! of each kind, all integers.  Only
 # kernel_determinant fills them, from exact weights, and the lock makes
 # them safe to grow from several threads.
 _det_lock = threading.Lock()
-_det_rows: Dict[KernelKind, Tuple[List[int], List[int], List[Fraction]]] = {}
+_det_rows: Dict[KernelKind, Tuple[List[int], List[int]]] = {}
 
 
 def kernel_determinant(kind: KernelKind, n: int) -> Fraction:
@@ -279,13 +279,13 @@ def kernel_determinant(kind: KernelKind, n: int) -> Fraction:
     (3j-3) + (2k-2j+3) <= 3k.  Going down from c(k, k+1) = 1, each
     multiplier comes from the one before it, exactly:
     c(k, j) = c(k, j+1) (3j)(3j-1)(3j-2) / (W(b) / W(b-1)) with b = k-j+1.
-    Each minor becomes a Fraction once.
+    Only the N_k are kept; each call makes one Fraction, (-1)^n N_n / (3n)!.
     """
     if n < 1:
         raise ValueError(f"determinant form requires n >= 1, got {n}")
     with _det_lock:
-        ratios, scaled, minors = _det_rows.setdefault(kind, ([], [1], [Fraction(1)]))
-        for k in range(len(minors), n + 1):
+        ratios, scaled = _det_rows.setdefault(kind, ([], [1]))
+        for k in range(len(scaled), n + 1):
             previous = kind.weight_denominator(k - 1) if k > 1 else 1
             ratios.append(kind.weight_denominator(k) // previous)
             acc, multiplier, sign = 0, 1, 1
@@ -294,8 +294,7 @@ def kernel_determinant(kind: KernelKind, n: int) -> Fraction:
                 acc += sign * multiplier * scaled[j - 1]
                 sign = -sign
             scaled.append(acc)
-            minors.append(Fraction(acc, factorial(3 * k)))
-        return minors[n] if n % 2 == 0 else -minors[n]
+        return Fraction(scaled[n] if n % 2 == 0 else -scaled[n], factorial(3 * n))
 
 
 def write_cache_file(cache: KernelCache, path: Union[str, Path]) -> None:

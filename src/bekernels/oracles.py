@@ -16,22 +16,24 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
+from itertools import accumulate
 from typing import List
 
 __all__ = ["bernoulli_even", "bernoulli_numbers", "euler_even", "zigzag_numbers"]
 
-# Both triangles extend row by row, so completed rows are kept between
-# calls and only the missing tail is computed.  The locks make the shared
-# state safe to grow from multiple threads.  _at_row holds the
-# Akiyama-Tanigawa row times _at_lcm = lcm(1..m+1), in integers.
+# Both triangles run in integers and extend row by row, so only the missing
+# tail is computed; the locks make the shared state safe to grow from
+# several threads.  _at_row holds the last Akiyama-Tanigawa row times
+# _at_lcm = lcm(1..m+1); its head is B_m only at row m, so _at_done keeps
+# each B_m.  _zz_row holds the last Seidel row, and _zz_done Z_0..Z_m.
 _at_lock = threading.Lock()
 _at_row: List[int] = []
 _at_lcm = 1
 _at_done: List[Fraction] = []
 
 _zz_lock = threading.Lock()
-_zz_row: List[int] = []
-_zz_done: List[int] = []
+_zz_row: List[int] = [1]
+_zz_done: List[int] = [1]
 
 
 def bernoulli_numbers(upto: int) -> List[Fraction]:
@@ -59,7 +61,7 @@ def bernoulli_numbers(upto: int) -> List[Fraction]:
             for j in range(m, 0, -1):
                 _at_row[j - 1] = j * (_at_row[j - 1] - _at_row[j])
             _at_done.append(Fraction(_at_row[0], _at_lcm))
-        return _at_done[: upto + 1].copy()
+        return _at_done[: upto + 1]
 
 
 def bernoulli_even(n: int) -> Fraction:
@@ -72,24 +74,17 @@ def bernoulli_even(n: int) -> Fraction:
 def zigzag_numbers(upto: int) -> List[int]:
     """Return the zigzag (Euler up/down) numbers Z_0..Z_upto: 1, 1, 1, 2, 5, 16, ...
 
-    Seidel's boustrophedon recurrence: each new row starts from 0 and
-    accumulates partial sums of the previous row read in reverse; the last
-    entry of row m is Z_m.
+    Seidel's boustrophedon recurrence: row m is the running sums, from 0, of
+    row m-1 read in reverse, made in one pass; its last entry is Z_m.
     """
+    global _zz_row
     if upto < 0:
         raise ValueError(f"zigzag_numbers requires upto >= 0, got {upto}")
     with _zz_lock:
-        if not _zz_done:
-            _zz_row.append(1)
-            _zz_done.append(1)
         while len(_zz_done) <= upto:
-            prev = _zz_row.copy()
-            _zz_row.clear()
-            _zz_row.append(0)
-            for k in range(len(prev)):
-                _zz_row.append(_zz_row[-1] + prev[len(prev) - 1 - k])
+            _zz_row = list(accumulate(reversed(_zz_row), initial=0))
             _zz_done.append(_zz_row[-1])
-        return _zz_done[: upto + 1].copy()
+        return _zz_done[: upto + 1]
 
 
 def euler_even(n: int) -> int:

@@ -22,7 +22,6 @@ from fractions import Fraction
 from math import comb, gcd
 from typing import List, Optional, Tuple
 
-from . import oracles
 from .exactnum import beta_even, factorial
 from .kernels import KernelCache, KernelKind, kernel_recursive, shared_cache
 
@@ -153,13 +152,12 @@ def a_from_kb(n: int, cache: Optional[KernelCache] = None) -> Fraction:
     return Fraction(-scaled, (2 * n << (2 * n)) * odd_lcm)
 
 
-# _a_table[m] = a_m for 1 <= m < len(_a_table); index 0 is unused.  The
-# recursion extends row by row, so computed rows are kept between calls and
-# only the missing tail is computed; the lock makes the shared table safe
-# to grow from several threads.  _a_scaled[m] = _a_unit * 4^m * a_m is
-# the same row in integers over the route's running common denominator.
+# _a_scaled[m] = _a_unit * 4^m * a_m for 1 <= m < len(_a_scaled), in
+# integers over the route's running common denominator; index 0 is unused.
+# The recursion extends row by row, so computed rows are kept between calls
+# and only the missing tail is computed.  The unit and every stored row grow
+# together under the lock, so the table is safe to grow from several threads.
 _a_lock = threading.Lock()
-_a_table: List[Fraction] = [Fraction(0)]
 _a_scaled: List[int] = [0]
 _a_unit = 1
 
@@ -176,14 +174,15 @@ def a_recursive(n: int) -> Fraction:
     route's own.  When 2m (2m+1) does not divide the right-hand side
     times L, L and every stored U grow by the missing factor.  Each
     binomial comes from the one before it in the sum, exactly:
-    C(2m, 2k+3) = C(2m, 2k+1) (2m-2k-1)(2m-2k-2) / ((2k+2)(2k+3)).  Each
-    new row becomes a Fraction once.
+    C(2m, 2k+3) = C(2m, 2k+1) (2m-2k-1)(2m-2k-2) / ((2k+2)(2k+3)).  Only
+    the U_m are kept, rescaled together with L, so U_n / (L 4^n) is a_n at
+    any time; each call makes one Fraction.
     """
     global _a_unit
     if n < 1:
         raise ValueError(f"a_recursive requires n >= 1, got {n}")
     with _a_lock:
-        for m in range(len(_a_table), n + 1):
+        for m in range(len(_a_scaled), n + 1):
             total, binomial = 0, comb(2 * m, 3)
             for k in range(1, m):
                 total += binomial * _a_scaled[m - k]
@@ -198,8 +197,7 @@ def a_recursive(n: int) -> Fraction:
                 total *= grow
                 _a_scaled[:] = [u * grow for u in _a_scaled]
             _a_scaled.append(total // divisor)
-            _a_table.append(Fraction(_a_scaled[m], _a_unit << (2 * m)))
-        return _a_table[n]
+        return Fraction(_a_scaled[n], _a_unit << (2 * n))
 
 
 def a_from_bernoulli(n: int) -> Fraction:
@@ -210,6 +208,8 @@ def a_from_bernoulli(n: int) -> Fraction:
     """
     if n < 1:
         raise ValueError(f"a_from_bernoulli requires n >= 1, got {n}")
+    from . import oracles
+
     b2n = oracles.bernoulli_even(n)
     return b2n * (1 - Fraction(1, 1 << (2 * n - 1))) / (2 * n)
 

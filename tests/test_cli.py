@@ -377,9 +377,8 @@ _EXACT_CORE = ["cli", "compositions", "exactnum", "kernels"]
     "argv, loaded",
     [
         (["table", "--kind", "b", "--upto", "3"], _EXACT_CORE),
-        (["bernoulli", "--upto", "3"], [*_EXACT_CORE, "oracles", "sequences"]),
-        (["eval", "gamma", "--x", "5", "--terms", "3"],
-         [*_EXACT_CORE, "oracles", "sequences", "specfun"]),
+        (["bernoulli", "--upto", "3"], [*_EXACT_CORE, "sequences"]),
+        (["eval", "gamma", "--x", "5", "--terms", "3"], [*_EXACT_CORE, "sequences", "specfun"]),
         (["verify", "--exact", "3", "--brute", "2"],
          [*_EXACT_CORE, "oracles", "sequences", "verify"]),
         (["compositions", "--n", "3"], _EXACT_CORE),
@@ -399,6 +398,23 @@ print(code, sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("beke
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == f"0 {sorted(loaded)}"
+
+
+@pytest.mark.parametrize("output, loads_json", [("plain", False), ("json", True)])
+def test_table_loads_json_only_for_json_output(output, loads_json):
+    # A fresh interpreter, so modules imported by other tests do not count.
+    script = """
+import sys
+from bekernels import cli
+code = cli.main(sys.argv[1:])
+print(code, "json" in sys.modules)
+"""
+    argv = ["table", "--kind", "b", "--upto", "3", "--format", output]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"0 {loads_json}"
 
 
 def test_compositions_names_the_function_after_its_module_loads():
@@ -481,6 +497,22 @@ def test_cache_dir_non_kernel_value_rejected_at_load(tmp_path, argv):
     assert (proc.returncode, proc.stdout) == (2, "")
     assert "kernel_b.txt:4: " in proc.stderr and "in hex" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: a wrong V in the file loads unchecked")
+def test_cache_dir_wrong_kernel_value_rejected(tmp_path):
+    # V(2) = 7 gives K(2) = 7/360; 46 = 70 in hex gives 7/36, a hex integer
+    # that is no kernel value.  Today B_4 prints as -1/3 with exit 0.
+    env = {"KERNEL_CACHE_DIR": str(tmp_path)}
+    assert _run_subprocess(["table", "--kind", "b", "--upto", "6"], env).returncode == 0
+    cache_file = tmp_path / "kernel_b.txt"
+    lines = cache_file.read_text().splitlines()
+    assert lines[2] == "2 7"
+    lines[2] = "2 46"
+    cache_file.write_text("\n".join(lines) + "\n")
+    proc = _run_subprocess(["bernoulli", "--upto", "3"], env)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "kernel_b.txt:3" in proc.stderr
 
 
 def test_cache_dir_garbage_rejected(tmp_path):

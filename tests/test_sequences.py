@@ -127,7 +127,6 @@ def test_a_recursive_keeps_its_rows(monkeypatch):
 @pytest.fixture
 def fresh_a_rows(monkeypatch):
     """a_recursive starting from a_1, with the process's rows restored afterwards."""
-    monkeypatch.setattr(sequences_module, "_a_table", [Fraction(0)])
     monkeypatch.setattr(sequences_module, "_a_scaled", [0])
     monkeypatch.setattr(sequences_module, "_a_unit", 1)
 
