@@ -271,7 +271,7 @@ def kernel_determinant(kind: KernelKind, n: int) -> Fraction:
     d_k = sum_{j=1..k} (-1)^(k-j) w(k - j + 1) d_{j-1} with d_0 = 1, so no
     matrix is ever materialized here; the explicit-matrix route lives in
     the test suite as an independent check.  The minors are kept between
-    calls, so a call at an index already reached is a lookup.
+    calls, so a call at an index already reached computes none.
 
     The recurrence runs in integers.  With W(b) the denominator of w(b),
     N_k = d_k (3k)! satisfies N_k = sum_j (-1)^(k-j) c(k, j) N_{j-1} with

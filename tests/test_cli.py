@@ -377,8 +377,8 @@ _EXACT_CORE = ["cli", "compositions", "exactnum", "kernels"]
     "argv, loaded",
     [
         (["table", "--kind", "b", "--upto", "3"], _EXACT_CORE),
-        (["bernoulli", "--upto", "3"], [*_EXACT_CORE, "sequences"]),
-        (["eval", "gamma", "--x", "5", "--terms", "3"], [*_EXACT_CORE, "sequences", "specfun"]),
+        (["bernoulli", "--upto", "3"], [*_EXACT_CORE, "json", "sequences"]),
+        (["eval", "gamma", "--x", "5", "--terms", "3"], [*_EXACT_CORE, "json", "sequences", "specfun"]),
         (["verify", "--exact", "3", "--brute", "2"],
          [*_EXACT_CORE, "oracles", "sequences", "verify"]),
         (["compositions", "--n", "3"], _EXACT_CORE),
@@ -387,34 +387,19 @@ _EXACT_CORE = ["cli", "compositions", "exactnum", "kernels"]
 )
 def test_command_loads_only_the_modules_it_uses(argv, loaded):
     # A fresh interpreter, so modules imported by other tests do not count.
+    # json counts too: only JSON output (the default of bernoulli and eval) loads it.
     script = """
 import sys
 from bekernels import cli
 code = cli.main(sys.argv[1:])
-print(code, sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("bekernels.")))
+names = [m for m in sys.modules if m.startswith("bekernels.") or m == "json"]
+print(code, sorted(m.removeprefix("bekernels.") for m in names))
 """
     proc = subprocess.run(
         [sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == f"0 {sorted(loaded)}"
-
-
-@pytest.mark.parametrize("output, loads_json", [("plain", False), ("json", True)])
-def test_table_loads_json_only_for_json_output(output, loads_json):
-    # A fresh interpreter, so modules imported by other tests do not count.
-    script = """
-import sys
-from bekernels import cli
-code = cli.main(sys.argv[1:])
-print(code, "json" in sys.modules)
-"""
-    argv = ["table", "--kind", "b", "--upto", "3", "--format", output]
-    proc = subprocess.run(
-        [sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == f"0 {loads_json}"
 
 
 def test_compositions_names_the_function_after_its_module_loads():
@@ -502,7 +487,8 @@ def test_cache_dir_non_kernel_value_rejected_at_load(tmp_path, argv):
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: a wrong V in the file loads unchecked")
 def test_cache_dir_wrong_kernel_value_rejected(tmp_path):
     # V(2) = 7 gives K(2) = 7/360; 46 = 70 in hex gives 7/36, a hex integer
-    # that is no kernel value.  Today B_4 prints as -1/3 with exit 0.
+    # that is no kernel value.  Until the load checks V, B_4 prints as -1/3
+    # with exit 0.
     env = {"KERNEL_CACHE_DIR": str(tmp_path)}
     assert _run_subprocess(["table", "--kind", "b", "--upto", "6"], env).returncode == 0
     cache_file = tmp_path / "kernel_b.txt"
