@@ -9,11 +9,11 @@ in ``kernels`` and ``sequences`` walk the composition tree themselves.
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from collections.abc import Iterator
 
 __all__ = ["Composition", "compositions"]
 
-Composition = Tuple[int, ...]
+Composition = tuple[int, ...]
 
 
 def compositions(n: int) -> Iterator[Composition]:

@@ -39,9 +39,9 @@ import math
 import os
 import threading
 import warnings
+from collections.abc import Iterator
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from .exactnum import factorial
 
@@ -100,19 +100,19 @@ class KernelCache:
 
     def __init__(self, kind: KernelKind):
         self.kind = kind
-        self._scaled: List[Tuple[int, int]] = [(1, 1)]
+        self._scaled: list[tuple[int, int]] = [(1, 1)]
         self._lock = threading.Lock()
-        self._terms: List[int] = []
-        self._divisors: List[int] = []
+        self._terms: list[int] = []
+        self._divisors: list[int] = []
 
-    def get(self, n: int) -> Optional[Fraction]:
+    def get(self, n: int) -> Fraction | None:
         """K(n) as a reduced Fraction, made on each call, or None when n is not cached."""
         if not 0 <= n < len(self._scaled):
             return None
         numerator, odd_lcm = self._scaled[n]
         return Fraction(numerator, odd_lcm * factorial(2 * n))
 
-    def scaled(self, n: int) -> Tuple[int, int]:
+    def scaled(self, n: int) -> tuple[int, int]:
         """(V, P) with K(n) = V / (P (2n)!), as the fill made them; P is 1 for kind e.
 
         No reduction takes place, so this is the cheap way to scale K(n) by
@@ -128,11 +128,11 @@ class KernelCache:
     def __len__(self) -> int:
         return len(self._scaled)
 
-    def items(self) -> Iterator[Tuple[int, Fraction]]:
+    def items(self) -> Iterator[tuple[int, Fraction]]:
         return enumerate([self.get(n) for n in range(len(self))])
 
 
-_shared: Dict[KernelKind, KernelCache] = {}
+_shared: dict[KernelKind, KernelCache] = {}
 _shared_lock = threading.Lock()
 
 
@@ -144,7 +144,7 @@ def shared_cache(kind: KernelKind) -> KernelCache:
         return _shared[kind]
 
 
-def kernel_recursive(kind: KernelKind, n: int, cache: Optional[KernelCache] = None) -> Fraction:
+def kernel_recursive(kind: KernelKind, n: int, cache: KernelCache | None = None) -> Fraction:
     """K(n) by the defining recursion, filling the cache up to n.
 
     Every value K(1)..K(n) not already cached is computed in ascending
@@ -260,7 +260,7 @@ def kernel_compositions(kind: KernelKind, n: int) -> Fraction:
 # kernel_determinant fills them, from exact weights, and the lock makes
 # them safe to grow from several threads.
 _det_lock = threading.Lock()
-_det_rows: Dict[KernelKind, Tuple[List[int], List[int]]] = {}
+_det_rows: dict[KernelKind, tuple[list[int], list[int]]] = {}
 
 
 def kernel_determinant(kind: KernelKind, n: int) -> Fraction:
@@ -297,7 +297,7 @@ def kernel_determinant(kind: KernelKind, n: int) -> Fraction:
         return Fraction(scaled[n] if n % 2 == 0 else -scaled[n], factorial(3 * n))
 
 
-def write_cache_file(cache: KernelCache, path: Union[str, Path]) -> None:
+def write_cache_file(cache: KernelCache, path: str | Path) -> None:
     """Persist a cache as sorted ``n V`` lines: V(n) of ``KernelCache.scaled`` in hex.
 
     Nothing is reduced, and hex needs no int-to-str digit limit.  The lines
@@ -317,7 +317,7 @@ def write_cache_file(cache: KernelCache, path: Union[str, Path]) -> None:
         raise
 
 
-def read_cache_file(path: Union[str, Path], cache: KernelCache) -> None:
+def read_cache_file(path: str | Path, cache: KernelCache) -> None:
     """Load a file's ``n V`` lines into a cache that holds K(0) alone.
 
     Each line holds an index and V(n) = P_n (2n)! K(n) in hex, as
@@ -330,7 +330,7 @@ def read_cache_file(path: Union[str, Path], cache: KernelCache) -> None:
     with cache._lock:
         if len(cache._scaled) != 1:
             raise ValueError(f"{path}: a file loads only into a cache holding K(0) alone")
-        rows: List[Tuple[int, int]] = []
+        rows: list[tuple[int, int]] = []
         odd_lcm = 1  # P_k of the line's index k
         bernoulli = cache.kind is KernelKind.BERNOULLI
         for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):

@@ -22,6 +22,7 @@ import mpmath
 from mpmath import mp
 
 from .exactnum import factorial
+from .kernels import KernelKind, kernel_recursive
 from .sequences import a_from_kb, f_of, g_closed
 
 __all__ = [
@@ -228,6 +229,9 @@ def eval_gamma(x: Real, params: TruncationParams) -> EvalReport:
         magnitude = int(mp.ceil(mp.log10(1 + abs(xm * mp.log(xm)))))
     with mp.workdps(wp + _GUARD_DIGITS + magnitude):
         xm = _mpf(x)
+        # One fill up front: on a cold table each a_from_kb below would fill
+        # its own row and reduce a K_b(n) to a Fraction that nothing reads.
+        kernel_recursive(KernelKind.BERNOULLI, params.terms + 1)
 
         def exponent_term(n: int) -> mpmath.mpf:
             return _mpf(a_from_kb(n)) / ((2 * n - 1) * xm ** (2 * n - 1))
@@ -253,6 +257,7 @@ def eval_digamma(x: Real, params: TruncationParams) -> EvalReport:
         if not xm > mp.mpf(-1) / 2:
             raise ValueError(f"eval_digamma requires x > -1/2, got {x}")
         base = xm + mp.mpf(1) / 2
+        kernel_recursive(KernelKind.BERNOULLI, params.terms + 1)  # one fill, as in eval_gamma
 
         def series_term(n: int) -> mpmath.mpf:
             return _mpf(a_from_kb(n)) * base ** (-2 * n)

@@ -1,5 +1,6 @@
 """Command-line surface: goldens, exit codes, formats, persistence."""
 
+import gc
 import json
 import os
 import re
@@ -349,6 +350,66 @@ def test_module_entry_point():
     proc = _run_subprocess(["kernel", "--kind", "b", "--n", "2"])
     assert proc.returncode == 0
     assert proc.stdout == "7/360\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["kernel", "--kind", "b", "--n", "30"], 0), (["kernel", "--kind", "b", "--n", "1801"], 2)],
+    ids=["ok", "out-of-range"],
+)
+def test_run_exits_with_the_code_of_main_after_atexit_handlers(capsys, argv, code):
+    # The handler also reports whether run() froze the collector before the exit.
+    script = """
+import atexit, gc, sys
+from bekernels import cli
+atexit.register(lambda: print("atexit: frozen", gc.get_freeze_count() > 0, file=sys.stderr))
+cli.run()
+"""
+    expected = run_cli(capsys, *argv)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=120
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        code, expected[1], expected[2] + "atexit: frozen True\n")
+
+
+def test_run_into_a_closed_pipe_exits_2():
+    # The table (well over a pipe buffer) blocks on the pipe until the reader
+    # has closed it, so the next write fails.
+    with subprocess.Popen(
+        [sys.executable, "-m", "bekernels", "table", "--kind", "b", "--upto", "400"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        try:
+            assert proc.stdout.readline() == b"1\t-1/6\n"
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+    assert (proc.returncode, err) == (2, b"error: [Errno 32] Broken pipe\n")
+
+
+def test_main_leaves_the_collector_unfrozen(capsys):
+    frozen = gc.get_freeze_count()
+    assert run_cli(capsys, "table", "--kind", "e", "--upto", "5")[0] == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_table_imports_no_typing():
+    # -S: a site hook may load typing before the package does.
+    script = """
+import sys
+from bekernels import cli
+code = cli.main(sys.argv[1:])
+print(code, "typing" in sys.modules)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script, "table", "--kind", "b", "--upto", "3"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 def test_exact_path_imports_no_mpmath():

@@ -339,3 +339,13 @@ def test_inputs_accept_strings_and_fractions():
     as_string = eval_digamma("9.5", tp(4))
     as_fraction = eval_digamma(Fraction(19, 2), tp(4))
     assert as_float.value == as_string.value == as_fraction.value
+
+
+@pytest.mark.parametrize("evaluator", [eval_gamma, eval_digamma], ids=["gamma", "digamma"])
+def test_eval_fills_the_cold_table_with_one_reduction(evaluator, monkeypatch, gcd_calls):
+    # One fill up front: a gcd per row for the growth of P, one per a_n read
+    # and one for the K_b it returns.  A fill per term would add a reduced
+    # K_b(n) for every n, 603 gcds in all.
+    monkeypatch.setattr(kernels, "_shared", {})
+    evaluator(5, tp(200))
+    assert gcd_calls[0] <= 2 * 201 + 1
