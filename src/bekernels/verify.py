@@ -110,7 +110,7 @@ CHECKS: Tuple[Check, ...] = (
     Check("recursion vs determinant (kind=e, n=1..{n})", "exact",
           partial(_recursion_vs_determinant, _E)),
     Check("coefficient route agreement (n=1..{n})", "exact", _coefficient_routes),
-    Check("Bernoulli numbers vs Akiyama-Tanigawa oracle (n=1..{n})", "exact", _bernoulli_oracle),
+    Check("Bernoulli numbers vs tangent-number oracle (n=1..{n})", "exact", _bernoulli_oracle),
     Check("Euler numbers vs Seidel oracle (n=1..{n})", "exact", _euler_oracle),
     Check("g closed form vs brute force (n=1..{n}, m0=1..5)", "brute", _g_brute_force),
     Check("beta-scaled g independent of m0 (n=1..{n})", "brute", _g_m0_independence),

@@ -74,8 +74,8 @@ def test_criterion_02_three_way_agreement():
 
 
 def test_criterion_03_bernoulli_oracle():
-    ok = _table_passes("Bernoulli numbers vs Akiyama-Tanigawa oracle", 30)
-    _verdict(3, "bernoulli(n) = Akiyama-Tanigawa oracle, n <= 30", ok)
+    ok = _table_passes("Bernoulli numbers vs tangent-number oracle", 30)
+    _verdict(3, "bernoulli(n) = tangent-number oracle, n <= 30", ok)
 
 
 def test_criterion_04_euler_oracle():

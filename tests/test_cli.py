@@ -95,7 +95,7 @@ def test_verify_passes(capsys):
     lines = out.splitlines()
     assert lines and all(line.startswith("PASS") for line in lines)
     assert any("three-way" in line for line in lines)
-    assert any("Akiyama" in line for line in lines)
+    assert any("tangent-number" in line for line in lines)
     assert any("Seidel" in line for line in lines)
     assert any("brute force" in line for line in lines)
 

@@ -161,6 +161,20 @@ def test_hurwitz_reproduces_direct_sum():
         assert report.abs_error < 1e-10
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the bound covers truncation, not rounding")
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda: eval_hurwitz_expansion(1, "1e400", tp(3)),  # error 1.0e-442, bound 3.3e-3602
+        lambda: eval_polygamma(1, 20, tp(60)),  # error 8.8e-47, bound 2.1e-201
+    ],
+    ids=["hurwitz-x1e400-terms3", "polygamma-y1-x20-terms60"],
+)
+def test_report_bound_covers_the_rounding_floor(evaluate):
+    report = evaluate()
+    assert report.abs_error <= 2 * report.first_omitted_term_bound
+
+
 def test_hurwitz_zero_terms_degenerates_to_p():
     report = eval_hurwitz_expansion(1, 0, tp(0))
     assert report.value == 2
