@@ -8,11 +8,14 @@ and a ``pairs(depth)`` generator of ``(where, lhs, rhs)`` triples.
 the two depths (``cli.EXACT_DEPTH_LIMIT``, ``cli.BRUTE_DEPTH_LIMIT``).
 
 Every entry builds its own ``KernelCache``, so values loaded from cache
-files cannot vouch for themselves.  The determinant, the oracles and
-``a_recursive`` keep their rows between calls, but only rows computed in
-this process: nothing loads into them.  Routes are called through their
-modules, never imported by name, so that whatever a module exposes under
-a route's name is what the table checks.
+files cannot vouch for themselves, and fills it to the depth in one
+``kernel_recursive`` call before its first pair: the entries then check
+the block step that ``table`` and the scalings run, and the tests cover
+the one-row step.  The determinant, the oracles and ``a_recursive`` keep
+their rows between calls, but only rows computed in this process: nothing
+loads into them.  Routes are called through their modules, never
+imported by name, so that whatever a module exposes under a route's name
+is what the table checks.
 """
 
 from __future__ import annotations
@@ -48,8 +51,15 @@ def first_difference(pairs: Iterable[Pair]) -> Optional[str]:
     return None
 
 
-def _three_way(kind: KernelKind, depth: int) -> Iterator[Pair]:
+def _filled(kind: KernelKind, depth: int) -> KernelCache:
+    """A fresh cache, filled to ``depth`` by one call of the recursion."""
     cache = KernelCache(kind)
+    kernels.kernel_recursive(kind, depth, cache)
+    return cache
+
+
+def _three_way(kind: KernelKind, depth: int) -> Iterator[Pair]:
+    cache = _filled(kind, depth)
     for n in range(1, depth + 1):
         recursive = kernels.kernel_recursive(kind, n, cache)
         yield f"n={n} (compositions)", recursive, kernels.kernel_compositions(kind, n)
@@ -57,14 +67,14 @@ def _three_way(kind: KernelKind, depth: int) -> Iterator[Pair]:
 
 
 def _recursion_vs_determinant(kind: KernelKind, depth: int) -> Iterator[Pair]:
-    cache = KernelCache(kind)
+    cache = _filled(kind, depth)
     for n in range(1, depth + 1):
         recursive = kernels.kernel_recursive(kind, n, cache)
         yield f"n={n}", recursive, kernels.kernel_determinant(kind, n)
 
 
 def _coefficient_routes(depth: int) -> Iterator[Pair]:
-    cache = KernelCache(KernelKind.BERNOULLI)
+    cache = _filled(KernelKind.BERNOULLI, depth)
     for n in range(1, depth + 1):
         from_kb = sequences.a_from_kb(n, cache)
         yield f"n={n} (recursion)", from_kb, sequences.a_recursive(n)
@@ -72,20 +82,20 @@ def _coefficient_routes(depth: int) -> Iterator[Pair]:
 
 
 def _bernoulli_oracle(depth: int) -> Iterator[Pair]:
-    cache = KernelCache(KernelKind.BERNOULLI)
+    cache = _filled(KernelKind.BERNOULLI, depth)
     for n in range(1, depth + 1):
         yield f"n={n}", sequences.bernoulli(n, cache), oracles.bernoulli_even(n)
 
 
 def _euler_oracle(depth: int) -> Iterator[Pair]:
     # Equality with the integer oracle also shows that E_2n is integral.
-    cache = KernelCache(KernelKind.EULER)
+    cache = _filled(KernelKind.EULER, depth)
     for n in range(1, depth + 1):
         yield f"n={n}", sequences.euler(n, cache), Fraction(oracles.euler_even(n))
 
 
 def _g_brute_force(depth: int) -> Iterator[Pair]:
-    cache = KernelCache(KernelKind.BERNOULLI)
+    cache = _filled(KernelKind.BERNOULLI, depth)
     for n in range(1, depth + 1):
         for m0 in range(1, 6):
             closed = sequences.g_closed(n, m0, cache)
@@ -93,7 +103,7 @@ def _g_brute_force(depth: int) -> Iterator[Pair]:
 
 
 def _g_m0_independence(depth: int) -> Iterator[Pair]:
-    cache = KernelCache(KernelKind.BERNOULLI)
+    cache = _filled(KernelKind.BERNOULLI, depth)
     for n in range(1, depth + 1):
         for m0 in range(1, 6):
             scaled = -exactnum.beta_even(n, m0) * sequences.g_closed(n, m0, cache)

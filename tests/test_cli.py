@@ -204,6 +204,17 @@ def test_eval_domain_error_exits_2(capsys):
             assert code == 2 and "finite" in err, (target, x)
 
 
+def test_eval_prints_no_digit_past_its_precision(capsys):
+    # 15 significant digits at --precision 15.  Thirty printed
+    # 0.394666666666666666666666668493: digits past those computed.
+    code, out, _ = run_cli(capsys, "eval", "hurwitz", "--x", "2", "--terms", "1",
+                           "--m0", "1", "--precision", "15")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["value"] == "0.394666666666667"
+    assert payload["reference"] == "0.394934066844334"
+
+
 def test_eval_precision_floor(capsys):
     code, _, _ = run_cli(capsys, "eval", "digamma", "--x", "10", "--terms", "5",
                          "--precision", "14")

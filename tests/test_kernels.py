@@ -358,6 +358,58 @@ def _assert_fails_again(cache, n, match):
     assert len(cache) == length
 
 
+_BLOCK = kernels_module._BLOCK
+
+
+def test_block_holds_at_least_16_rows():
+    assert _BLOCK >= 16
+
+
+@pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+@pytest.mark.parametrize("kind", [B, E])
+def test_fill_to_a_block_edge_matches_determinant(kind, n):
+    cache = KernelCache(kind)
+    kernel_recursive(kind, n, cache)
+    assert [cache.get(k) for k in range(1, n + 1)] == [
+        kernel_determinant(kind, k) for k in range(1, n + 1)
+    ]
+
+
+@pytest.mark.parametrize("kind", [B, E])
+def test_strided_extension_equals_single_fill(kind):
+    # Fills that stop short of, at and past a block's edge, so the blocks
+    # of later calls start part-way into those of a single fill.
+    strided = KernelCache(kind)
+    n = 0
+    for stride in (1, _BLOCK - 1, _BLOCK + 1, 3, 2 * _BLOCK):
+        n += stride
+        kernel_recursive(kind, n, strided)
+    single = KernelCache(kind)
+    kernel_recursive(kind, n, single)
+    assert _scaled_values(strided, n) == _scaled_values(single, n)
+    assert list(strided.items()) == list(single.items())
+
+
+@pytest.mark.parametrize("kind", [B, E])
+def test_loaded_prefix_ending_mid_block_extends(kind, tmp_path):
+    fresh = KernelCache(kind)
+    kernel_recursive(kind, 60, fresh)
+    loaded = _loaded_cache(tmp_path, kind, _scaled_values(fresh, _BLOCK // 2 + 3))
+    kernel_recursive(kind, 60, loaded)
+    assert _scaled_values(loaded, 60) == _scaled_values(fresh, 60)
+
+
+def test_wrong_cached_value_caught_inside_a_block(tmp_path):
+    # The wrong V(5) of the test above, now filled to n = 40: row 7 is the
+    # second row of the block that starts at row 6, and it fails there.  Row
+    # 6 stays cached, and a second call rebuilds the state and fails again.
+    source = KernelCache(B)
+    kernel_recursive(B, 4, source)
+    cache = _loaded_cache(tmp_path, B, _scaled_values(source, 4) + [-267050])
+    _assert_fails_again(cache, 40, "at n=7: the sum is not divisible by 15")
+    assert len(cache) == 7
+
+
 @pytest.mark.parametrize("kind", [B, E])
 def test_takeover_across_odd_prime_powers(kind, tmp_path):
     # The prefix ends at n = 12 (2m+1 = 25), so the rebuilt row is n = 13
