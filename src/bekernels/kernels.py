@@ -191,19 +191,21 @@ def kernel_recursive(kind: KernelKind, n: int, cache: KernelCache | None = None)
     term is grow V(m) C(r', r'-2m).
 
     The fill steps ``_BLOCK`` rows at a time; a fill's last block may be
-    shorter.  A term from before a block of s rows is multiplied by the
-    product of the block's s multipliers and divided once by the product of
-    its s divisors.  Each product holds 2s consecutive integers, so (2s)!
-    is first cancelled from both.  The division is exact for any integer
-    V(k): the quotient is C(r_1, 2k) V(k) P_1 / P_k, with r_1 and P_1 those
-    of the block's last row.  The sum of these terms at an earlier row of
-    the block comes back from the stepped terms: each is multiplied back by
-    its divisors of the later rows, which leaves that row's term times the
-    product of the later rows' multipliers, an integer, so the sum divides
-    by that product exactly.  This runs over ``_CHUNK`` terms at a time.
-    The block's own new terms, one per row, step one row at a time.  Each
-    new row appends its integers V(m) and P to the cache and makes no
-    Fraction; the one returned, K(n), is made by ``KernelCache.get``.
+    shorter.  With r_0, P_0 of the row before a block of s rows and r_1, P_1
+    of its last row, a term t_k = C(r_0, 2k) V(k) P_0 / P_k is multiplied by
+    the product of the s multipliers and divided by that of its s divisors.
+    Each product holds 2s consecutive integers, so (2s)! is first cancelled:
+    that leaves C(r_1, 2s) P_1 / P_0 and C(r_1 - 2k, 2s).  As
+    C(r_0, 2k) C(r_1, 2s) = C(r_1, 2k) C(r_1 - 2k, 2s), the division is
+    exact for any integer V(k), with quotient C(r_1, 2k) V(k) P_1 / P_k.
+    The sum of these terms at an earlier row of the block comes back from
+    the stepped terms: each is multiplied back by its divisors of the later
+    rows, which leaves that row's term times the product of the later rows'
+    multipliers, an integer, so the sum divides by that product exactly.
+    This runs over ``_CHUNK`` terms at a time.  The block's own new terms,
+    one per row, step one row at a time.  Each new row appends its integers
+    V(m) and P to the cache and makes no Fraction; the one returned, K(n),
+    is made by ``KernelCache.get``.
 
     Values already cached past the frontier (loaded from a file, which
     holds the same V(k)) are taken over once: the terms of the row before
@@ -254,9 +256,8 @@ def _fill_block(cache: KernelCache, terms: list[int], size: int, shift: int) -> 
     steps = []  # (r, grow, P, multiplier) of each row of the block
     product = 1  # of the block's multipliers r (r - 1) grow
     for m in range(first, first + size):
-        odd, r = 2 * m + 1, 2 * m + shift
-        grow = odd // math.gcd(odd_lcm, odd) if shift else 1
-        odd_lcm *= grow
+        r = 2 * m + shift
+        odd_lcm, grow = _odd_lcm_step(odd_lcm, m) if shift else (odd_lcm, 1)
         multiplier = r * (r - 1) * grow
         steps.append((r, grow, odd_lcm, multiplier))
         product *= multiplier
@@ -283,8 +284,7 @@ def _fill_block(cache: KernelCache, terms: list[int], size: int, shift: int) -> 
         for i, t in enumerate(fresh):
             fresh[i] = t * multiplier // divisors[i]
         fresh.insert(0, rows[-1][0] * (grow * math.comb(r, 2 + shift)))
-        # A big integer // 1 still walks every digit, so the last row skips it.
-        total = -((partial // product if product > 1 else partial) + sum(fresh))
+        total = -(partial // product + sum(fresh))
         m = len(rows)
         value, remainder = divmod(total, 2 * m + 1) if shift else (total, 0)
         if remainder:
@@ -294,6 +294,13 @@ def _fill_block(cache: KernelCache, terms: list[int], size: int, shift: int) -> 
             )
         rows.append((value, odd_lcm))
     terms[:0] = fresh
+
+
+def _odd_lcm_step(odd_lcm: int, m: int) -> tuple[int, int]:
+    """(P_m, grow) from P_(m-1); when grow is 1, P_m is P_(m-1) itself, so rows share it."""
+    odd = 2 * m + 1
+    grow = odd // math.gcd(odd_lcm, odd)
+    return (odd_lcm * grow if grow > 1 else odd_lcm), grow
 
 
 def _divisor_windows(cache: KernelCache, size: int, count: int) -> list[int]:
@@ -410,9 +417,9 @@ def read_cache_file(path: str | Path, cache: KernelCache) -> None:
     """Load a file's ``n V`` lines into a cache that holds K(0) alone.
 
     Each line holds an index and V(n) = P_n (2n)! K(n) in hex, as
-    ``write_cache_file`` writes them; P_n is recomputed by the fill's growth
-    rule.  Non-blank line i must hold index i and line 0 must be ``0 1``;
-    any other line raises ValueError naming ``path:line`` and loads nothing.
+    ``write_cache_file`` writes them; P_n comes from ``_odd_lcm_step``, as in the fill.
+    Non-blank line i must hold index i and line 0 must be ``0 1``; any
+    other line raises ValueError naming ``path:line`` and loads nothing.
     A line is not checked to hold a kernel value: a wrong V loads, and the
     fill's exact division by 2m+1 may catch it later.
     """
@@ -426,7 +433,7 @@ def read_cache_file(path: str | Path, cache: KernelCache) -> None:
             if not raw.strip():
                 continue
             try:
-                index_text, value_text = raw.decode("ascii").split()
+                index_text, value_text = raw.split()
                 index, value = int(index_text), int(value_text, 16)
             except ValueError as exc:
                 line = raw.decode("ascii", "backslashreplace")
@@ -438,7 +445,6 @@ def read_cache_file(path: str | Path, cache: KernelCache) -> None:
             if index != k or (k == 0 and value != 1):
                 raise ValueError(f"{path}:{lineno}: expected K({k}) of a prefix from K(0) = 1")
             if bernoulli:
-                odd = 2 * k + 1
-                odd_lcm *= odd // math.gcd(odd_lcm, odd)
+                odd_lcm = _odd_lcm_step(odd_lcm, k)[0]
             rows.append((value, odd_lcm))
         cache._scaled.extend(rows[1:])

@@ -20,7 +20,6 @@ import functools
 import threading
 from fractions import Fraction
 from math import comb, gcd
-from typing import List, Optional, Tuple
 
 from .exactnum import beta_even, factorial
 from .kernels import KernelCache, KernelKind, kernel_recursive, shared_cache
@@ -62,7 +61,7 @@ def j_of(a: int, b: int) -> Fraction:
     )
 
 
-def g_closed(n: int, m0: int, cache: Optional[KernelCache] = None) -> Fraction:
+def g_closed(n: int, m0: int, cache: KernelCache | None = None) -> Fraction:
     """g in closed form: (2n-1)! / (B(2n, 2m0) 2^{2n}) times K_b(n).
 
     Indexing note: some derivations label this quantity by the absolute
@@ -107,7 +106,7 @@ def g_bruteforce(n: int, m0: int) -> Fraction:
     return Fraction(walk(n, m0, common), common)
 
 
-def _scaled_kernel(kind: KernelKind, n: int, cache: Optional[KernelCache]) -> Tuple[int, int]:
+def _scaled_kernel(kind: KernelKind, n: int, cache: KernelCache | None) -> tuple[int, int]:
     """(V, P) with K(n) = V / (P (2n)!), filling the cache only when n is not in it.
 
     ``kernel_recursive`` gets ``cache`` as the caller passed it, None for
@@ -119,7 +118,7 @@ def _scaled_kernel(kind: KernelKind, n: int, cache: Optional[KernelCache]) -> Tu
     return table.scaled(n)
 
 
-def bernoulli(n: int, cache: Optional[KernelCache] = None) -> Fraction:
+def bernoulli(n: int, cache: KernelCache | None = None) -> Fraction:
     """B_{2n} = -(2n)! / (2^{2n} - 2) * K_b(n) for n >= 1.
 
     With K_b(n) = V / (P (2n)!) this is -V / ((2^{2n} - 2) P): one reduction.
@@ -130,7 +129,7 @@ def bernoulli(n: int, cache: Optional[KernelCache] = None) -> Fraction:
     return Fraction(-scaled, ((1 << (2 * n)) - 2) * odd_lcm)
 
 
-def euler(n: int, cache: Optional[KernelCache] = None) -> Fraction:
+def euler(n: int, cache: KernelCache | None = None) -> Fraction:
     """E_{2n} = (2n)! * K_e(n) for n >= 1; the result is always an integer.
 
     It is the fill's own integer E(n) = (2n)! K_e(n) (P is 1 for kind e).
@@ -141,7 +140,7 @@ def euler(n: int, cache: Optional[KernelCache] = None) -> Fraction:
     return Fraction(scaled)
 
 
-def a_from_kb(n: int, cache: Optional[KernelCache] = None) -> Fraction:
+def a_from_kb(n: int, cache: KernelCache | None = None) -> Fraction:
     """a_n = -(2n-1)! / 2^{2n} * K_b(n), the kernel route.
 
     With K_b(n) = V / (P (2n)!) this is -V / (2n 2^{2n} P): one reduction.
@@ -158,7 +157,7 @@ def a_from_kb(n: int, cache: Optional[KernelCache] = None) -> Fraction:
 # and only the missing tail is computed.  The unit and every stored row grow
 # together under the lock, so the table is safe to grow from several threads.
 _a_lock = threading.Lock()
-_a_scaled: List[int] = [0]
+_a_scaled: list[int] = [0]
 _a_unit = 1
 
 
@@ -214,7 +213,7 @@ def a_from_bernoulli(n: int) -> Fraction:
     return b2n * (1 - Fraction(1, 1 << (2 * n - 1))) / (2 * n)
 
 
-def faulhaber_check(n: int, r: int, cache: Optional[KernelCache] = None) -> bool:
+def faulhaber_check(n: int, r: int, cache: KernelCache | None = None) -> bool:
     """Check sum_{k=1}^{n-1} k^r against its Bernoulli-polynomial closed form.
 
     The closed form is sum_{k=0}^{r} B_k r! n^{r-k+1} / (k! (r-k+1)!) with

@@ -15,8 +15,8 @@ guard digits; exact rationals are converted at the last moment.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union
 
 import mpmath
 from mpmath import mp
@@ -37,7 +37,7 @@ __all__ = [
     "zeta_direct",
 ]
 
-Real = Union[int, float, str, Fraction, mpmath.mpf]
+Real = int | float | str | Fraction | mpmath.mpf
 
 # Extra digits carried internally so that rounding in the working context
 # never shows up at the reported precision.
@@ -48,7 +48,7 @@ _GUARD_DIGITS = 10
 _REFERENCE_MARGIN = 4
 
 
-class TruncationParams(NamedTuple("_Truncation", [("terms", int), ("working_precision", int)])):
+class TruncationParams(namedtuple("_Truncation", ["terms", "working_precision"])):
     """How deep to sum and at what precision.
 
     ``terms`` may be 0: the expansions all have a closed leading part, and
@@ -71,7 +71,8 @@ class TruncationParams(NamedTuple("_Truncation", [("terms", int), ("working_prec
         return cls(*iterable)
 
 
-class EvalReport(NamedTuple):
+class EvalReport(namedtuple("_EvalReport", ["value", "terms_used", "first_omitted_term_bound",
+                                            "reference", "abs_error"], defaults=(None, None))):
     """Outcome of one truncated evaluation.
 
     ``first_omitted_term_bound`` is the magnitude of the first term the
@@ -84,18 +85,14 @@ class EvalReport(NamedTuple):
     inputs, and ``abs_error`` is |value - reference| otherwise.
     """
 
-    value: mpmath.mpf
-    terms_used: int
-    first_omitted_term_bound: mpmath.mpf
-    reference: Optional[mpmath.mpf] = None
-    abs_error: Optional[mpmath.mpf] = None
+    __slots__ = ()
 
 
 def _report(
     value: mpmath.mpf,
     terms_used: int,
     bound: mpmath.mpf,
-    reference: Optional[mpmath.mpf],
+    reference: mpmath.mpf | None,
 ) -> EvalReport:
     error = abs(value - reference) if reference is not None else None
     return EvalReport(value, terms_used, bound, reference, error)

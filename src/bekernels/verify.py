@@ -20,27 +20,23 @@ is what the table checks.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterable, Iterator, Literal, NamedTuple, Optional, Tuple
 
 from . import exactnum, kernels, oracles, sequences
 from .kernels import KernelCache, KernelKind
 
 __all__ = ["CHECKS", "Check", "first_difference"]
 
-Pair = Tuple[str, Fraction, Fraction]
+Pair = tuple[str, Fraction, Fraction]
+
+Check = namedtuple("Check", ["title", "depth", "pairs"])
+Check.__doc__ = """One cross-route comparison; ``title`` holds ``{n}`` for the depth."""
 
 
-class Check(NamedTuple):
-    """One cross-route comparison; ``title`` holds ``{n}`` for the depth."""
-
-    title: str
-    depth: Literal["exact", "brute"]
-    pairs: Callable[[int], Iterable[Pair]]
-
-
-def first_difference(pairs: Iterable[Pair]) -> Optional[str]:
+def first_difference(pairs: Iterable[Pair]) -> str | None:
     """None when every pair agrees, else a description of the first that does not."""
     for where, lhs, rhs in pairs:
         if lhs != rhs:
@@ -112,7 +108,7 @@ def _g_m0_independence(depth: int) -> Iterator[Pair]:
 
 _B, _E = KernelKind.BERNOULLI, KernelKind.EULER
 
-CHECKS: Tuple[Check, ...] = (
+CHECKS: tuple[Check, ...] = (
     Check("three-way kernel agreement (kind=b, n=1..{n})", "brute", partial(_three_way, _B)),
     Check("recursion vs determinant (kind=b, n=1..{n})", "exact",
           partial(_recursion_vs_determinant, _B)),

@@ -407,7 +407,8 @@ def test_main_leaves_the_collector_unfrozen(capsys):
 
 
 def test_table_imports_no_typing():
-    # -S: a site hook may load typing before the package does.
+    # No exact command loads typing.  -S: a site hook may load typing before
+    # the package does.
     script = """
 import sys
 from bekernels import cli
@@ -415,12 +416,19 @@ code = cli.main(sys.argv[1:])
 print(code, "typing" in sys.modules)
 """
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", script, "table", "--kind", "b", "--upto", "3"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 False"
+    for argv in (
+        ["table", "--kind", "b", "--upto", "3"],
+        ["bernoulli", "--upto", "3"],
+        ["euler", "--upto", "3"],
+        ["a-coeff", "--upto", "3"],
+        ["verify", "--exact", "3", "--brute", "2"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", script, *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False", argv
 
 
 def test_exact_path_imports_no_mpmath():
@@ -553,6 +561,20 @@ def test_cache_dir_non_kernel_value_rejected_at_load(tmp_path, argv):
     proc = _run_subprocess(argv, {"KERNEL_CACHE_DIR": str(tmp_path)})
     assert (proc.returncode, proc.stdout) == (2, "")
     assert "kernel_b.txt:4: " in proc.stderr and "in hex" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("line", [b"2\x1c7", b"2 7\xc3\xa9"], ids=["field-separator", "non-ascii"])
+def test_cache_dir_line_outside_ascii_rejected(tmp_path, line):
+    # A line parses as bytes: only ASCII whitespace splits its fields, so
+    # \x1c (whitespace to str.split) is no separator, and a byte outside
+    # ASCII is no digit.
+    (tmp_path / "kernel_b.txt").write_bytes(b"0 1\n1 -1\n" + line + b"\n")
+    proc = _run_subprocess(
+        ["table", "--kind", "b", "--upto", "3"], {"KERNEL_CACHE_DIR": str(tmp_path)}
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "kernel_b.txt:3: bad cache line" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

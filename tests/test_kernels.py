@@ -375,6 +375,32 @@ def test_fill_to_a_block_edge_matches_determinant(kind, n):
     ]
 
 
+@pytest.mark.parametrize("size", [2, 7, _BLOCK])
+@pytest.mark.parametrize("kind", [B, E])
+def test_block_step_closed_forms(kind, size):
+    # Over (2s)!, the product of a term's s divisors is a binomial, and that
+    # of a block's s multipliers is C(r_1, 2s) times the block's grows; the
+    # kernel_recursive docstring's exactness argument rests on both.
+    shift = 1 if kind is B else 0
+    n = 3 * _BLOCK
+    cache = KernelCache(kind)
+    kernel_recursive(kind, n, cache)
+    count = n - size + 1
+    windows = kernels_module._divisor_windows(cache, size, count)[:count]
+    assert windows == [math.comb(2 * i + 2 * size + 2 + shift, 2 * size) for i in range(count)]
+    odd_lcm, grows = 1, [1]  # grows[m] = P_m / P_(m-1)
+    for m in range(1, n + 1):
+        odd_lcm, grow = kernels_module._odd_lcm_step(odd_lcm, m) if shift else (1, 1)
+        grows.append(grow)
+    for last in range(size, n + 1):
+        rows = range(last - size + 1, last + 1)
+        r_last = 2 * last + shift
+        product = math.prod((2 * m + shift) * (2 * m + shift - 1) * grows[m] for m in rows)
+        assert product == math.factorial(2 * size) * math.comb(r_last, 2 * size) * math.prod(
+            grows[m] for m in rows
+        )
+
+
 @pytest.mark.parametrize("kind", [B, E])
 def test_strided_extension_equals_single_fill(kind):
     # Fills that stop short of, at and past a block's edge, so the blocks
@@ -419,6 +445,20 @@ def test_takeover_across_odd_prime_powers(kind, tmp_path):
     loaded = _loaded_cache(tmp_path, kind, _scaled_values(fresh, 12))
     kernel_recursive(kind, 60, loaded)
     assert list(loaded.items()) == list(fresh.items())
+
+
+def test_rows_share_each_odd_lcm(tmp_path):
+    # P grows only where 2m+1 is an odd prime power, so P_0..P_900 take 299
+    # values; a fill and a load of its file each hold one object per value.
+    cache = KernelCache(B)
+    kernel_recursive(B, 900, cache)
+    path = tmp_path / "kernel_b.txt"
+    write_cache_file(cache, path)
+    loaded = KernelCache(B)
+    read_cache_file(path, loaded)
+    for source in (cache, loaded):
+        odd_lcms = [source.scaled(n)[1] for n in range(901)]
+        assert len({id(p) for p in odd_lcms}) == len(set(odd_lcms)) == 299
 
 
 def test_fill_output_is_pinned():
