@@ -30,8 +30,8 @@ _EXPORTS = {
             "ExactRational", "beta_even", "factorial", "format_rational", "parse_rational",
         ),
         "kernels": (
-            "BRUTE_FORCE_SOFT_LIMIT", "KernelCache", "KernelKind",
-            "kernel_compositions", "kernel_determinant", "kernel_recursive",
+            "KernelCache", "KernelKind", "kernel_compositions", "kernel_determinant",
+            "kernel_recursive",
         ),
         "sequences": (
             "a_from_bernoulli", "a_from_kb", "a_recursive", "bernoulli", "euler",

@@ -14,8 +14,9 @@ x86_64 vCPUs):
     verify --brute       19     verify --exact 19 --brute 19: 6.1 s
     compositions --n     22     a listing of 2**21 lines: about 12 s
 
-The block-stepped fill of ``kernel_recursive`` cut the first timing from
-15.1 s and the second to 9.5-10.6 s; both limits stay where they were.
+The block-stepped fill cut the first timing from 15.1 s; with it and the
+partition walk of ``kernel_compositions`` the second took 9.1 s and the
+third 3.4 s (median of 3).  Every limit stays where it was.
 
 ``--upto`` is the flag of ``table``, ``bernoulli``, ``euler`` and ``a-coeff``.
 
@@ -73,28 +74,23 @@ from pathlib import Path
 from . import __version__
 from .compositions import compositions
 from .exactnum import format_rational
-from .kernels import (
-    BRUTE_FORCE_SOFT_LIMIT,
-    KernelKind,
-    kernel_recursive,
-    read_cache_file,
-    shared_cache,
-    write_cache_file,
-)
+from .kernels import KernelKind, kernel_recursive, read_cache_file, shared_cache, write_cache_file
 
 _EVAL_DIGITS = 30  # significant digits printed for floats, at most --precision
 UPTO_LIMIT = 1800  # the ceiling of --upto and kernel --n, from the table above
+COMPOSITIONS_LIMIT = 22  # the ceiling of compositions --n: a listing of 2**21 lines
 # The deepest verify --exact.  The determinant and coefficient entries cost
 # about 9x per doubling of the depth: verify --exact N --brute 12 took 6.0 /
-# 8.7 / 12.3 / 15.2 s at N = 500 / 550 / 600 / 650 (median of 3 cold CLI
-# runs, 2 shared x86_64 vCPUs); 600 is the deepest of these inside 6-15 s.
+# 8.7 / 12.3 / 15.2 s at N = 500 / 550 / 600 / 650 when set, 600 the deepest
+# inside 6-15 s, and 9.1 / 10.9 s at 600 / 650 with the block-stepped fill
+# (median of 3 cold CLI runs, 2 shared x86_64 vCPUs).
 EXACT_DEPTH_LIMIT = 600
 # The deepest verify --brute.  The g brute-force entry walks 2**n - 1
 # composition prefixes for each n and m0, so verify --exact k --brute k took
-# 1.7 / 4.2 / 6.1 / 15.3 s at k = 17 / 18 / 19 / 20 (median of 3, 2 shared
-# x86_64 vCPUs); 19 is the deepest k no slower than k = 17 with a Fraction
-# per prefix (10.9 s).  The kernels' composition limit (22) is far past the
-# depths this walk can reach in bounded time.
+# 1.7 / 4.2 / 6.1 / 15.3 s at k = 17 / 18 / 19 / 20 when the limit was set,
+# and 1.1 / 2.1 / 3.4 / 10.9 s with the composition route walking
+# partitions (median of 3, 2 shared x86_64 vCPUs); 19 was the deepest k no
+# slower than k = 17 with a Fraction per prefix (10.9 s).
 BRUTE_DEPTH_LIMIT = 19
 # Commands that print a scaling of one kernel table: name -> (kind read, index
 # step, scaling called through ``sequences`` as ``verify`` calls routes, help).
@@ -114,7 +110,7 @@ _EVAL = {
 
 
 def int_in(low: int, high: int | None = None, why: str = "") -> Callable[[str], int]:
-    """An argparse type: an int in low..high (None: no ceiling); ``why`` explains the ceiling."""
+    """An argparse type: an int in low..high (None: no ceiling), kept as its ``low``, ``high``."""
 
     def integer(text: str) -> int:
         value = int(text)
@@ -125,6 +121,7 @@ def int_in(low: int, high: int | None = None, why: str = "") -> Callable[[str], 
             raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}{reason}")
         return value
 
+    integer.low, integer.high = low, high
     return integer
 
 
@@ -174,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_eval, kind=None)
 
     p = sub.add_parser("compositions", help="list the compositions of n")
-    listing = int_in(1, BRUTE_FORCE_SOFT_LIMIT, "the listing has 2**(n-1) lines")
+    listing = int_in(1, COMPOSITIONS_LIMIT, "the listing has 2**(n-1) lines")
     p.add_argument("--n", type=listing, required=True)
     p.set_defaults(handler=cmd_compositions, kind=None)
 

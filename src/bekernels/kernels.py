@@ -5,8 +5,8 @@ factorial weight w(b): 1/(2b+1)! for the Bernoulli-type kernel, 1/(2b)!
 for the Euler-type one.  Three independent routes compute the same values:
 
 * ``kernel_recursive``   -- K(n) = -sum_{n'<n} K(n') * w(n - n'),
-* ``kernel_compositions``-- sum over all compositions of n of
-  (-1)^(number of parts) * product of w(part),
+* ``kernel_compositions``-- sum over the partitions of n, each counted once
+  per ordering, of (-1)^(number of parts) * product of w(part),
 * ``kernel_determinant`` -- (-1)^n times the determinant of the n x n
   lower Hessenberg matrix with unit superdiagonal and w(i - j + 1) at and
   below the diagonal.
@@ -47,7 +47,6 @@ import math
 import operator
 import os
 import threading
-import warnings
 from collections.abc import Iterator
 from fractions import Fraction
 from pathlib import Path
@@ -55,7 +54,6 @@ from pathlib import Path
 from .exactnum import factorial
 
 __all__ = [
-    "BRUTE_FORCE_SOFT_LIMIT",
     "KernelCache",
     "KernelKind",
     "kernel_compositions",
@@ -65,11 +63,6 @@ __all__ = [
     "shared_cache",
     "write_cache_file",
 ]
-
-# Above this index a composition sum walks more than 2**22 tuples; library
-# callers get a warning rather than an error so that explicit overrides stay
-# easy.  The CLI's compositions listing rejects an n past it.
-BRUTE_FORCE_SOFT_LIMIT = 22
 
 # Rows that kernel_recursive's fill steps at once.  A term is divided once
 # per block, by the product of its divisors, where a one-row step divides it
@@ -319,36 +312,35 @@ def _divisor_windows(cache: KernelCache, size: int, count: int) -> list[int]:
 
 
 def kernel_compositions(kind: KernelKind, n: int) -> Fraction:
-    """K(n) as a signed sum over all 2**(n-1) compositions of n.
+    """K(n) as the signed sum over the compositions of n, grouped by partition.
 
-    A depth-first walk over the composition tree visits every composition
-    once.  It keeps the sum as one integer over D = (3n)!, which every
-    product of (2b+1)! (kind b) or (2b)! (kind e) over the parts divides,
-    and carries D // (the prefix's product) down the tree.  No suffix sum
-    is memoized: that would turn the route into the recursion.
-
-    Exponential in n by construction; beyond BRUTE_FORCE_SOFT_LIMIT a
-    warning is emitted and the walk proceeds anyway.  n = 0 is rejected:
-    the empty composition is the callers' base case, not an enumerated one.
+    A composition's term (-1)^l prod w(b_i) depends only on the multiset of
+    its l parts, so a depth-first walk visits each partition (parts
+    non-increasing) once and counts it l! / prod m_b! times, once per
+    ordering.  Appending a part b steps the count to count (l+1) / r, r the
+    run length of b at the end; that is the child's count, an integer, so
+    the division is exact.  The walk makes one weight per tree node, one per
+    partition of each k <= n.  The sum is one integer over D = (3n)!, which
+    every product of (2b+1)! (kind b) or (2b)! (kind e) over the parts
+    divides; D // (the prefix's product) goes down the tree.  No suffix sum
+    is memoized: that would turn the route into the recursion it checks.
+    n = 0 is rejected: the empty composition is the callers' base case.
     """
     if n < 1:
         raise ValueError(f"composition sum requires n >= 1, got {n}")
-    if n > BRUTE_FORCE_SOFT_LIMIT:
-        warnings.warn(
-            f"composition sum at n={n} enumerates 2**{n - 1} terms; "
-            f"expect a long wait past n={BRUTE_FORCE_SOFT_LIMIT}",
-            stacklevel=2,
-        )
 
-    def walk(remaining: int, quotient: int, sign: int) -> int:
+    def walk(remaining: int, last: int, run: int, quotient: int, count: int, length: int) -> int:
+        # count: (-1)^l times the orderings of the l parts so far; length: l + 1
         total = 0
-        for b in range(1, remaining + 1):
+        for b in range(1, min(last, remaining) + 1):
             q = quotient // kind.weight_denominator(b)
-            total += sign * q if b == remaining else walk(remaining - b, q, -sign)
+            r = run + 1 if b == last else 1
+            c = -count * length // r
+            total += c * q if b == remaining else walk(remaining - b, b, r, q, c, length + 1)
         return total
 
     common = factorial(3 * n)
-    return Fraction(walk(n, common, -1), common)
+    return Fraction(walk(n, n, 0, common, 1, 1), common)
 
 
 # The weight-denominator ratios W(b) / W(b-1) for b = 1..k (W(0) = 1) and

@@ -1,6 +1,9 @@
 """Command-line surface: goldens, exit codes, formats, persistence."""
 
+import argparse
+import contextlib
 import gc
+import io
 import json
 import os
 import re
@@ -9,10 +12,19 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bekernels import cli, kernels, oracles, verify
-from bekernels.cli import BRUTE_DEPTH_LIMIT, EXACT_DEPTH_LIMIT, UPTO_LIMIT, build_parser, main
-from bekernels.kernels import BRUTE_FORCE_SOFT_LIMIT, KernelKind
+from bekernels.cli import (
+    BRUTE_DEPTH_LIMIT,
+    COMPOSITIONS_LIMIT,
+    EXACT_DEPTH_LIMIT,
+    UPTO_LIMIT,
+    build_parser,
+    main,
+)
+from bekernels.kernels import KernelKind
 
 EULER_CSV_GOLDEN = "1,-1/2\n2,5/24\n3,-61/720\n"
 KB_TABLE_STRINGS = [
@@ -334,7 +346,7 @@ def test_upto_past_limit_exits_2(argv):
         (["kernel", "--kind", "e"], "--n", UPTO_LIMIT),
         (["verify", "--brute", "1"], "--exact", EXACT_DEPTH_LIMIT),
         (["verify", "--exact", "40"], "--brute", BRUTE_DEPTH_LIMIT),
-        (["compositions"], "--n", BRUTE_FORCE_SOFT_LIMIT),
+        (["compositions"], "--n", COMPOSITIONS_LIMIT),
     ],
     ids=["table", "bernoulli", "euler", "a-coeff", "kernel", "exact", "brute", "compositions"],
 )
@@ -345,6 +357,60 @@ def test_ceiling_accepts_the_limit_and_rejects_past_it(capsys, argv, flag, limit
     code, out, err = run_cli(capsys, *argv, flag, str(limit + 1))
     assert (code, out) == (2, "")
     assert f"argument {flag}: must be <= {limit}" in err
+
+
+def test_int_in_states_its_range():
+    assert (cli.int_in(1, 19).low, cli.int_in(1, 19).high) == (1, 19)
+    assert cli.int_in(15).high is None
+
+
+# The commands whose every flag is declared with a range or choices.  ``eval``
+# stays out while ROADMAP items 2 and 3 are open: ``eval gamma --x 1e-400
+# --terms 2`` prints an exponent of about 1000 digits, and an unbounded --x
+# can hang.
+_CONTRACT_COMMANDS = ["table", "kernel", "bernoulli", "euler", "a-coeff", "verify", "compositions"]
+# In-range values are drawn at most this far above a flag's floor, so an
+# example takes milliseconds; the ceilings themselves are tested above.
+_CONTRACT_SPAN = 12
+_SUBPARSERS = next(
+    action.choices for action in build_parser()._actions
+    if isinstance(action, argparse._SubParsersAction)
+)
+
+
+@st.composite
+def _declared_argv(draw):
+    """argv for one command: each flag's value from its declared range or choices, or past them."""
+    command = draw(st.sampled_from(_CONTRACT_COMMANDS))
+    argv = [command]
+    for action in _SUBPARSERS[command]._actions:
+        if not action.option_strings or isinstance(action, argparse._HelpAction):
+            continue
+        # A required flag is left out one time in eight, an optional one half the time.
+        if not draw(st.integers(0, 7) if action.required else st.booleans()):
+            continue
+        if action.choices:
+            value = draw(st.sampled_from([*action.choices, "z"]))
+        else:
+            low, high = action.type.low, action.type.high
+            top = low + _CONTRACT_SPAN if high is None else min(high, low + _CONTRACT_SPAN)
+            past = [low - 1] if high is None else [low - 1, high + 1]
+            value = draw(st.integers(low, top) | st.sampled_from(past))
+        argv += [action.option_strings[0], str(value)]
+    return argv
+
+
+@settings(max_examples=150, deadline=2000)
+@given(_declared_argv())
+def test_declared_flags_exit_0_1_or_2_with_one_error_line(argv):
+    assert "KERNEL_CACHE_DIR" not in os.environ
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert out.getvalue() == "", argv
+        assert sum("error:" in line for line in err.getvalue().splitlines()) == 1, argv
 
 
 def test_ceiling_checked_before_the_cache_is_read(capsys, monkeypatch, tmp_path):
@@ -672,12 +738,12 @@ def test_ceiling_tables_state_the_limits_in_force():
         "--upto, kernel --n": UPTO_LIMIT,
         "verify --exact": EXACT_DEPTH_LIMIT,
         "verify --brute": BRUTE_DEPTH_LIMIT,
-        "compositions --n": BRUTE_FORCE_SOFT_LIMIT,
+        "compositions --n": COMPOSITIONS_LIMIT,
     }
     assert _readme_limits() == {
         "`--upto` of `table`, `bernoulli`, `euler`, `a-coeff`": UPTO_LIMIT,
         "`kernel --n`": UPTO_LIMIT,
         "`verify --exact`": EXACT_DEPTH_LIMIT,
         "`verify --brute`": BRUTE_DEPTH_LIMIT,
-        "`compositions --n`": BRUTE_FORCE_SOFT_LIMIT,
+        "`compositions --n`": COMPOSITIONS_LIMIT,
     }

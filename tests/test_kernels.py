@@ -6,13 +6,11 @@ import math
 import os
 import sys
 import threading
-import warnings
 from fractions import Fraction
 
 import pytest
 
 from bekernels.kernels import (
-    BRUTE_FORCE_SOFT_LIMIT,
     KernelCache,
     KernelKind,
     kernel_compositions,
@@ -21,6 +19,7 @@ from bekernels.kernels import (
     read_cache_file,
     write_cache_file,
 )
+from bekernels.compositions import compositions
 from bekernels.exactnum import format_rational
 import bekernels.kernels as kernels_module
 
@@ -60,6 +59,7 @@ def test_compositions_known_values():
     assert kernel_compositions(B, 1) == Fraction(-1, 6)
     assert kernel_compositions(B, 3) == Fraction(-31, 15120)
     assert kernel_compositions(E, 3) == Fraction(-61, 720)
+    assert kernel_compositions(B, 6) == Fraction(1414477, 653837184000)
 
 
 def test_determinant_known_values():
@@ -70,9 +70,10 @@ def test_determinant_known_values():
 
 @pytest.mark.parametrize("kind", [B, E])
 def test_composition_sum_visits_each_prefix_once(monkeypatch, kind):
-    # One weight per composition prefix: 2**n - 1 of them for n.  A
-    # per-composition product makes (n+1) 2**(n-2); a memoized suffix sum
-    # O(n**2).
+    # One weight per tree node, that is per partition of each k <= n:
+    # p(1) + ... + p(10) = 138 of them for n = 10.  A product per partition
+    # of 10 makes 192, one per part; a suffix sum memoized by (what is
+    # left, largest part allowed) makes 66.
     calls = []
     right = KernelKind.weight_denominator
 
@@ -82,7 +83,7 @@ def test_composition_sum_visits_each_prefix_once(monkeypatch, kind):
 
     monkeypatch.setattr(KernelKind, "weight_denominator", counted)
     value = kernel_compositions(kind, 10)
-    assert len(calls) == 2**10 - 1
+    assert len(calls) == 138  # p(1) + ... + p(10)
     assert value == kernel_recursive(kind, 10, KernelCache(kind))
 
 
@@ -93,6 +94,24 @@ def test_three_way_agreement(kind):
         recursive = kernel_recursive(kind, n, cache)
         assert recursive == kernel_compositions(kind, n), n
         assert recursive == kernel_determinant(kind, n), n
+
+
+@pytest.mark.parametrize("kind", [B, E])
+def test_composition_sum_equals_the_literal_sum(kind):
+    # The grouping by partition, checked against one term per composition.
+    for n in range(1, 13):
+        literal = sum(
+            Fraction((-1) ** len(parts), math.prod(map(kind.weight_denominator, parts)))
+            for parts in compositions(n)
+        )
+        assert kernel_compositions(kind, n) == literal, n
+
+
+@pytest.mark.parametrize("kind", [B, E])
+def test_composition_sum_deep(kind):
+    cache = KernelCache(kind)
+    for n in range(1, 41):
+        assert kernel_compositions(kind, n) == kernel_recursive(kind, n, cache), n
 
 
 @pytest.mark.parametrize("kind", [B, E])
@@ -220,20 +239,6 @@ def test_domain_errors():
         kernel_compositions(B, 0)
     with pytest.raises(ValueError):
         kernel_determinant(E, 0)
-
-
-def test_brute_force_soft_limit_warns(monkeypatch):
-    monkeypatch.setattr(kernels_module, "BRUTE_FORCE_SOFT_LIMIT", 4)
-    with pytest.warns(UserWarning, match="2\\*\\*5"):
-        value = kernel_compositions(B, 6)
-    assert value == Fraction(1414477, 653837184000)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        kernel_compositions(B, 4)  # at the limit: no warning
-
-
-def test_real_soft_limit_is_22():
-    assert BRUTE_FORCE_SOFT_LIMIT == 22
 
 
 def _scaled_values(source, upto):

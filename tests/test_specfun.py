@@ -175,6 +175,16 @@ def test_report_bound_covers_the_rounding_floor(evaluate):
     assert report.abs_error <= 2 * report.first_omitted_term_bound
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: near x = -1/2 the terms shrink by only about 0.96 per step, "
+    "so the tail is about 26 first omitted terms, not one",
+)
+def test_report_bound_covers_a_slowly_shrinking_tail():
+    report = eval_polygamma(1, "-0.49", tp(60))  # error 8.84, bound 0.343
+    assert report.abs_error <= 2 * report.first_omitted_term_bound
+
+
 def test_hurwitz_zero_terms_degenerates_to_p():
     report = eval_hurwitz_expansion(1, 0, tp(0))
     assert report.value == 2
