@@ -9,14 +9,17 @@ is read.  Each ceiling sits near where a cold run takes 6-15 s (2 shared
 x86_64 vCPUs):
 
     flag                 limit  timing that set it
-    --upto, kernel --n   1800   table --kind b --upto 1800: 9.1-9.9 s
+    --upto, kernel --n   1800   table --kind b --upto 1800: about 15 s
     verify --exact       600    verify --exact 600 --brute 12: 12.3 s
     verify --brute       19     verify --exact 19 --brute 19: 6.1 s
     compositions --n     22     a listing of 2**21 lines: about 12 s
 
-The block-stepped fill cut the first timing from 15.1 s; with it and the
-partition walk of ``kernel_compositions`` the second took 9.1 s and the
-third 3.4 s (median of 3).  Every limit stays where it was.
+The block-stepped fill cut the first timing from 15.1 s to 9.1-9.9 s, and
+the lacunary fill to 9.5 s (median of 3 cold runs; 10.2 s for the
+block-stepped fill in the same runs), where ``--upto 2000`` takes 12.2 s.
+With the lacunary fill the second took 9.8 s (at 650: 13.3 s), and with
+the partition walk of ``kernel_compositions`` the third 3.4 s.  Every
+limit stays where it was.
 
 ``--upto`` is the flag of ``table``, ``bernoulli``, ``euler`` and ``a-coeff``.
 
@@ -82,8 +85,9 @@ COMPOSITIONS_LIMIT = 22  # the ceiling of compositions --n: a listing of 2**21 l
 # The deepest verify --exact.  The determinant and coefficient entries cost
 # about 9x per doubling of the depth: verify --exact N --brute 12 took 6.0 /
 # 8.7 / 12.3 / 15.2 s at N = 500 / 550 / 600 / 650 when set, 600 the deepest
-# inside 6-15 s, and 9.1 / 10.9 s at 600 / 650 with the block-stepped fill
-# (median of 3 cold CLI runs, 2 shared x86_64 vCPUs).
+# inside 6-15 s, 9.1 / 10.9 s at 600 / 650 with the block-stepped fill, and
+# 9.8 / 13.3 s with the lacunary fill, on a day when the block-stepped fill
+# took 10.3 s at 600 (median of 3 cold CLI runs, 2 shared x86_64 vCPUs).
 EXACT_DEPTH_LIMIT = 600
 # The deepest verify --brute.  The g brute-force entry walks 2**n - 1
 # composition prefixes for each n and m0, so verify --exact k --brute k took

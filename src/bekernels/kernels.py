@@ -4,7 +4,8 @@ Both sequences start from K(0) = 1 and are determined by a reciprocal
 factorial weight w(b): 1/(2b+1)! for the Bernoulli-type kernel, 1/(2b)!
 for the Euler-type one.  Three independent routes compute the same values:
 
-* ``kernel_recursive``   -- K(n) = -sum_{n'<n} K(n') * w(n - n'),
+* ``kernel_recursive``   -- K(n) = -sum_{n'<n} K(n') * w(n - n'), filled
+  through its lacunary form, in which K(n) reads only K(n-3), K(n-6), ...,
 * ``kernel_compositions``-- sum over the partitions of n, each counted once
   per ordering, of (-1)^(number of parts) * product of w(part),
 * ``kernel_determinant`` -- (-1)^n times the determinant of the n x n
@@ -14,21 +15,27 @@ for the Euler-type one.  Three independent routes compute the same values:
 The routes exist to check one another; none of them may be redefined in
 terms of the others.  They are not equally strong checks.  With
 d_k = (-1)^k K(k), the determinant's minor recurrence is the defining
-recurrence, so recursion-vs-determinant checks what ``kernel_recursive``
-adds to it: the integer scaling, the step of the terms with the odd-lcm
-growth folded into it, and the one-time rebuild that takes over cached
-values, not the paper's identities.  The composition sum (the paper's
-combinatorial formula) and the two oracles in ``oracles`` carry the
-mathematics, which is why ``verify`` runs its oracle checks at the same
-depth as the exact routes.
+recurrence.  ``kernel_recursive`` runs another one, the defining
+recurrence multiplied by W(omega x) W(omega^2 x) (W the weights' series,
+omega a primitive cube root of unity).  So recursion-vs-determinant checks
+that lacunary identity against the defining recurrence, together with what
+the fill adds to it: the integer scaling, the step of the terms with the
+odd-lcm growth folded into it, and the one-time rebuild that takes over
+cached values.  It does not check the paper's identities: the composition
+sum (the paper's combinatorial formula) and the two oracles in ``oracles``
+carry the mathematics, which is why ``verify`` runs its oracle checks at
+the same depth as the exact routes.
 
-The fill steps its terms ``_BLOCK`` rows at a time.  CPython takes about
-four times as long to divide a big integer by a one-digit divisor as to
-multiply it by one, so a term from before a block is divided once, by the
-product of its ``_BLOCK`` divisors, in place of once per row.  Every such
-division is exact, since each quotient is a term of the block's last row;
-``kernel_recursive`` gives the argument.  A fill of one row per call runs
-the same code with a block of one row.
+The lacunary form splits the fill into three chains, one per residue of n
+mod 3, each with a third of the terms per row.  The fill steps each chain
+``_BLOCK`` of its rows (class-rows) at a time, so a block covers 3 ``_BLOCK``
+rows.  CPython takes several times as long to divide a big integer by a
+small divisor as to multiply it by one, so a term from before a block is
+divided once, by the product of its ``_BLOCK`` divisors, in place of once
+per class-row.  Every such division is exact, since each quotient is a term
+of the chain's last row in the block; ``kernel_recursive`` gives the
+argument.  A fill of one row per call runs the same code with a block of
+one row, which steps one chain by one class-row.
 
 ``KernelCache`` holds the recursion's values as its integers, V(n) and P
 with K(n) = V(n) / (P (2n)!), and nothing else: ``get`` reduces K(n) to a
@@ -64,13 +71,13 @@ __all__ = [
     "write_cache_file",
 ]
 
-# Rows that kernel_recursive's fill steps at once.  A term is divided once
-# per block, by the product of its divisors, where a one-row step divides it
-# by each one.  A fill of kind e to n = 1600 took 3.2 s in blocks of 32, 3.8 s
-# in blocks of 16 and 6.7 s one row at a time; at n = 100-300, blocks of 16
-# to 64 were within 5 % of one another (2 shared x86_64 vCPUs, Python 3.11).
-# Keep it at 16 or more.
-_BLOCK = 32
+# Class-rows that kernel_recursive's fill steps at once in each chain, so a
+# block covers 3 _BLOCK rows.  A term is divided once per block, by the
+# product of its divisors, where a one-class-row step divides it by each one.
+# Over the fills at n = 100-300, 8 to 12 class-rows were within noise of one
+# another and 16 about 7 % slower (2 shared x86_64 vCPUs, Python 3.11).  Keep
+# a block at 16 rows or more.
+_BLOCK = 10
 # Terms a block steps and sums at a time, so that no second copy of a
 # whole row is held.
 _CHUNK = 64
@@ -105,19 +112,20 @@ class KernelCache:
     2k+1 (1 for kind e).  ``scaled`` returns them as they are; ``get`` makes
     the reduced Fraction anew on each call and keeps none.
 
-    The cache also holds the last row of ``kernel_recursive``'s integer
-    recurrence, so that extending the table by one value costs O(m)
-    integer operations by small factors: that row's terms C(r, 2k) V(k),
-    nearest-first, the divisors that step the terms to the next row, and
-    the products of ``_BLOCK`` consecutive divisors that step them across a
-    block.
+    The cache also holds the last row of each of ``kernel_recursive``'s
+    three chains, so that extending the table by one value costs O(m)
+    integer operations by small factors: that row's terms, nearest-first,
+    one list per residue of the row mod 3; the divisors that step a term to
+    its chain's next row; and the products of ``_BLOCK`` consecutive
+    divisors that step it across a block.  The chains share the divisors
+    and their products.
     """
 
     def __init__(self, kind: KernelKind):
         self.kind = kind
         self._scaled: list[tuple[int, int]] = [(1, 1)]
         self._lock = threading.Lock()
-        self._terms: list[int] = []
+        self._chains: list[list[int]] = [[], [], []]
         self._divisors: list[int] = []
         self._windows: list[int] = []
 
@@ -166,47 +174,63 @@ def kernel_recursive(kind: KernelKind, n: int, cache: KernelCache | None = None)
     Every value K(1)..K(n) not already cached is computed in ascending
     order, so a later call at a smaller or equal index is a lookup.
 
-    The recursion runs in integers.  Multiplying
-    sum_{k<=m} K(k) w(m-k) = 0 (with w(0) = 1) by (2m)! for kind e, or by
-    P (2m+1)! for kind b, gives
+    The fill runs the recursion's lacunary form, in integers.  With t = x^2,
+    the defining recursion says K W = 1 for the series K(x) = sum K(n) x^(2n)
+    and W(x) = sum w(b) x^(2b) (w(0) = 1): W is cosh x for kind e and
+    sinh(x) / x for kind b.  Multiplying both sides by W(omega x)
+    W(omega^2 x), omega a primitive cube root of unity, leaves on the left
+    W(x) W(omega x) W(omega^2 x), which holds only the powers x^(6j), and on
+    the right (cosh x + cos(sqrt(3) x)) / 2 for kind e and
+    (cosh x - cos(sqrt(3) x)) / (2 x^2) for kind b (Ramanujan, 1911;
+    D. H. Lehmer, Ann. of Math. 36, 1935).  So K(m) reads only K(m-3),
+    K(m-6), ...:
 
-    * kind e: E(m) = (2m)! K(m) and E(m) = -sum_{k<m} C(2m, 2k) E(k);
-    * kind b: V(m) = P (2m)! K(m) and
-      (2m+1) V(m) = -sum_{k<m} C(2m+1, 2k) V(k),
+    * kind e, E(m) = (2m)! K(m):
+      E(m) = (1 + (-3)^m) / 2 - 48 sum_{j>=1} 64^(j-1) C(2m, 6j) E(m-3j);
+    * kind b, V(m) = P_m (2m)! K(m), with P_m the lcm of the odd numbers up
+      to 2m+1, so that every V(k) is an integer:
+      (2m+1)(2m+2)(2m+3) V(m) = P_m (2m+3) (1 - (-3)^(m+1)) / 2
+      - 6 sum_{j>=1} 64^j C(2m+3, 6j+3) (P_m / P_(m-3j)) V(m-3j).
 
-    where P is the lcm of the odd numbers up to 2m+1, so every V(k) is an
-    integer.  With r = 2m+1 for kind b and r = 2m for kind e, row m sums
-    the terms t_k = C(r, 2k) V(k), and the cache keeps them from one row to
-    the next.  Row m+1 has r' = r+2, and when 2m+3 is a new odd prime power
-    p, P and every V(k) grow by p (grow = 1 otherwise).  So a term steps
-    one row by one small multiplier and one small divisor:
-    t'_k = t_k r'(r'-1) grow / ((r'-2k)(r'-2k-1)), and the row's one new
-    term is grow V(m) C(r', r'-2m).
+    Each residue of m mod 3 is its own chain.  With s = 3 for kind b and 0
+    for kind e, r = 2m + s and k = m - 3j, row m sums the terms
+    t_j = 64^(j-1) C(r, 2k) (P_m / P_k) V(k) for j >= 1 (P is 1 for kind
+    e), and the cache keeps each chain's terms, nearest-first, from one of
+    its rows (class-rows) to the next.  That is row m+3, with r' = r + 6, and
+    P grows by grow = P_(m+3) / P_m on the way.  So a term steps one
+    class-row by one common multiplier and one small divisor:
+    t_(j+1)' = t_j 64 (r+1)...(r+6) grow / D_j with
+    D_j = (6j+s+1)...(6j+s+6), and the row's one new term is
+    t_1' = C(r', 6+s) grow V(m).
 
-    The fill steps ``_BLOCK`` rows at a time; a fill's last block may be
-    shorter.  With r_0, P_0 of the row before a block of s rows and r_1, P_1
-    of its last row, a term t_k = C(r_0, 2k) V(k) P_0 / P_k is multiplied by
-    the product of the s multipliers and divided by that of its s divisors.
-    Each product holds 2s consecutive integers, so (2s)! is first cancelled:
-    that leaves C(r_1, 2s) P_1 / P_0 and C(r_1 - 2k, 2s).  As
-    C(r_0, 2k) C(r_1, 2s) = C(r_1, 2k) C(r_1 - 2k, 2s), the division is
-    exact for any integer V(k), with quotient C(r_1, 2k) V(k) P_1 / P_k.
-    The sum of these terms at an earlier row of the block comes back from
-    the stepped terms: each is multiplied back by its divisors of the later
-    rows, which leaves that row's term times the product of the later rows'
+    The fill steps ``_BLOCK`` class-rows of each chain at a time, a block
+    of 3 ``_BLOCK`` rows; a fill's last block may be shorter, and its
+    chains may then differ by one class-row.  With r_0, P_0 of a chain's
+    row before the block and r_1 = r_0 + 6c, P_1 of its last row in it (c
+    class-rows), a term t_j is multiplied by the product of the c
+    multipliers and divided by that of its c divisors.  Each product holds
+    6c consecutive integers, so (6c)! is first cancelled: that leaves
+    64^c C(r_1, 6c) P_1 / P_0 and C(6j+s+6c, 6c).  As
+    C(r_0, 2k) C(r_1, 6c) = C(r_1, 2k) C(r_1 - 2k, 6c) and
+    r_1 - 2k = 6j+s+6c, the division is exact for any integer V(k), with
+    quotient 64^(j+c-1) C(r_1, 2k) V(k) P_1 / P_k.  The sum of these terms
+    at an earlier class-row of the block comes back from the stepped terms:
+    each is multiplied back by its divisors of the later class-rows, which
+    leaves that row's term times the product of the later class-rows'
     multipliers, an integer, so the sum divides by that product exactly.
     This runs over ``_CHUNK`` terms at a time.  The block's own new terms,
-    one per row, step one row at a time.  Each new row appends its integers
-    V(m) and P to the cache and makes no Fraction; the one returned, K(n),
-    is made by ``KernelCache.get``.
+    one per class-row, step one class-row at a time.  The block's rows are
+    then made in index order, each from its chain's sum, and each appends
+    its integers V(m) and P to the cache and makes no Fraction; the one
+    returned, K(n), is made by ``KernelCache.get``.
 
-    Values already cached past the frontier (loaded from a file, which
-    holds the same V(k)) are taken over once: the terms of the row before
-    the first row that must be computed are rebuilt from the cached
-    integers with ``math.comb``.  A division by 2m+1 that leaves a
-    remainder raises ValueError.  The values of the rows before it stay
-    cached, and the row state falls back to that of row 0, so the next call
-    rebuilds the state and raises the same error.
+    Values already cached past the chains' rows (loaded from a file, which
+    holds the same V(k)) are taken over once: the terms of the last cached
+    row of each chain are rebuilt from the cached integers with
+    ``math.comb``.  For kind b, a division by (2m+1)(2m+2)(2m+3) that
+    leaves a remainder raises ValueError.  The values of the rows before it
+    stay cached, and the chains fall back to empty ones, so the next call
+    rebuilds them and raises the same error.
     """
     if n < 0:
         raise ValueError(f"kernel index must be >= 0, got {n}")
@@ -216,77 +240,109 @@ def kernel_recursive(kind: KernelKind, n: int, cache: KernelCache | None = None)
         raise ValueError(f"cache holds kind {cache.kind.value!r}, not {kind.value!r}")
     if n in cache:
         return cache.get(n)
-    shift = 1 if kind is KernelKind.BERNOULLI else 0  # r = 2m + shift
+    shift = 3 if kind is KernelKind.BERNOULLI else 0  # r = 2m + shift
     with cache._lock:
         rows, divisors = cache._scaled, cache._divisors
-        # The divisor (r' - 2k)(r' - 2k - 1) = (2j + shift)(2j + shift - 1) of
-        # the term j = m - k places from the front, for j = 2, 3, ...
-        for j in range(len(divisors) + 2, n + 2):
-            divisors.append((2 * j + shift) * (2 * j + shift - 1))
-        # The state leaves the cache while it is stepped, so a fill that stops
-        # for any reason leaves the state of row 0, and the next call rebuilds.
-        terms, cache._terms = cache._terms, []
+        # The divisor D_j = (6j + shift + 1)...(6j + shift + 6) of the term j
+        # class-rows from its row, for j = 1, 2, ...
+        for j in range(len(divisors) + 1, n // 3 + 2):
+            divisors.append(math.perm(6 * j + shift + 6, 6))
+        # The chains leave the cache while they are stepped, so a fill that
+        # stops for any reason leaves empty ones, and the next call rebuilds.
+        chains, cache._chains = cache._chains, [[], [], []]
+        # Chains are all kept or all empty, so the last row's tells.
         last = len(rows) - 1
-        if len(terms) != last:  # values past the state's row were loaded, or a fill stopped
-            r, odd_lcm = 2 * last + shift, rows[last][1]
-            terms = [math.comb(r, 2 * k) * rows[k][0] * (odd_lcm // rows[k][1])
-                     for k in range(last - 1, -1, -1)]
+        if len(chains[last % 3]) != last // 3:  # rows were loaded, or a fill stopped
+            chains = [_rebuilt_terms(rows, last - (last - c) % 3, shift) for c in range(3)]
         while len(rows) <= n:
-            _fill_block(cache, terms, min(_BLOCK, n + 1 - len(rows)), shift)
-        cache._terms = terms
+            _fill_block(cache, chains, min(3 * _BLOCK, n + 1 - len(rows)), shift)
+        cache._chains = chains
     return cache.get(n)
 
 
-def _fill_block(cache: KernelCache, terms: list[int], size: int, shift: int) -> None:
-    """Append the next ``size`` rows' V(m) and P to the cache and step ``terms`` past them.
+def _rebuilt_terms(rows: list[tuple[int, int]], head: int, shift: int) -> list[int]:
+    """The terms of row ``head`` from the cached integers, nearest-first; none for head < 3."""
+    r = 2 * head + shift
+    return [
+        math.comb(r, 2 * k) * rows[k][0] * (rows[head][1] // rows[k][1]) << 6 * j
+        for j, k in enumerate(range(head - 3, -1, -3))
+    ]
 
-    ``terms`` holds the state of the row before the block and ends holding
-    that of its last row.  The caller holds the cache's lock.
+
+def _fill_block(cache: KernelCache, chains: list[list[int]], size: int, shift: int) -> None:
+    """Append the next ``size`` rows' V(m) and P to the cache and step ``chains`` past them.
+
+    ``chains[c]`` holds the terms of the last row m = c (mod 3) before the
+    block and ends holding those of its last row in the block.  The caller
+    holds the cache's lock.
     """
     rows, divisors = cache._scaled, cache._divisors
     first = len(rows)
-    odd_lcm = rows[-1][1]
-    steps = []  # (r, grow, P, multiplier) of each row of the block
-    product = 1  # of the block's multipliers r (r - 1) grow
+    odd_lcms = [rows[m][1] if m >= 0 else 1 for m in range(first - 3, first)]
+    steps = []  # (r, P, grow, multiplier) of each row of the block
     for m in range(first, first + size):
         r = 2 * m + shift
-        odd_lcm, grow = _odd_lcm_step(odd_lcm, m) if shift else (odd_lcm, 1)
-        multiplier = r * (r - 1) * grow
-        steps.append((r, grow, odd_lcm, multiplier))
-        product *= multiplier
-    if size == 1:
-        scale, windows = product, divisors
-    else:  # each is a product of 2 size consecutive integers, so (2 size)! divides both
-        scale = product // math.factorial(2 * size)
-        windows = _divisor_windows(cache, size, len(terms))
-    for i, w in enumerate(windows[: len(terms)]):
-        terms[i] = terms[i] * scale // w
-    # sums[b]: the old terms' sum at row b of the block, times the product of
-    # the multipliers of the rows after it.
-    sums = [0] * size
-    sums[-1] = sum(terms)
-    if size > 1:  # multiply each chunk back, row by row, from the last row
-        for lo in range(0, len(terms), _CHUNK):
-            chunk = terms[lo : lo + _CHUNK]
-            for b in range(size - 1, 0, -1):
-                chunk = list(map(operator.mul, chunk, divisors[lo + b : lo + b + _CHUNK]))
-                sums[b - 1] += sum(chunk)
-    fresh: list[int] = []  # the block's own terms, nearest-first
-    for partial, (r, grow, odd_lcm, multiplier) in zip(sums, steps):
-        product //= multiplier  # now that of the rows after this one
-        for i, t in enumerate(fresh):
-            fresh[i] = t * multiplier // divisors[i]
-        fresh.insert(0, rows[-1][0] * (grow * math.comb(r, 2 + shift)))
-        total = -(partial // product + sum(fresh))
-        m = len(rows)
-        value, remainder = divmod(total, 2 * m + 1) if shift else (total, 0)
-        if remainder:
-            raise ValueError(
-                f"kernel recursion at n={m}: the sum is not divisible by {2 * m + 1}, "
-                f"so a cached value below n={m} is not a kernel value"
-            )
+        odd_lcm = _odd_lcm_step(odd_lcms[-1], m)[0] if shift else 1
+        grow = odd_lcm // odd_lcms[-3]  # P_m / P_(m-3)
+        # rows 1 and 2 start their chains and have no term to step
+        multiplier = 64 * math.perm(r, 6) * grow if m >= 3 else 1
+        odd_lcms.append(odd_lcm)
+        steps.append((r, odd_lcm, grow, multiplier))
+    # partials[b]: the old terms' sum at row first + b, times the product of
+    # the multipliers of its chain's rows after it; products[c]: that of
+    # all of chain c's multipliers in the block.
+    partials, products = [0] * size, [1, 1, 1]
+    windows_of = {1: divisors}  # by class-rows stepped at once
+    for c, terms in enumerate(chains):
+        offsets = range((c - first) % 3, size, 3)
+        k = len(offsets)
+        if not k:
+            continue
+        products[c] = product = math.prod(steps[b][3] for b in offsets)
+        if not terms:
+            continue
+        if k not in windows_of:
+            windows_of[k] = _divisor_windows(cache, k, max(map(len, chains)))
+        scale = product if k == 1 else product // math.factorial(6 * k)
+        for i, w in enumerate(windows_of[k][: len(terms)]):
+            terms[i] = terms[i] * scale // w
+        sums = [0] * k
+        sums[-1] = sum(terms)
+        if k > 1:  # multiply each chunk back, class-row by class-row, from the last
+            for lo in range(0, len(terms), _CHUNK):
+                chunk = terms[lo : lo + _CHUNK]
+                for b in range(k - 1, 0, -1):
+                    chunk = list(map(operator.mul, chunk, divisors[lo + b : lo + b + _CHUNK]))
+                    sums[b - 1] += sum(chunk)
+        for b, offset in enumerate(offsets):
+            partials[offset] = sums[b]
+    fresh: list[list[int]] = [[], [], []]  # each chain's terms of the block, nearest-first
+    power = (-3) ** first
+    for m, partial, step in zip(range(first, first + size), partials, steps):
+        r, odd_lcm, grow, multiplier = step
+        c = m % 3
+        products[c] //= multiplier  # now that of the chain's rows after this one
+        new = fresh[c]
+        for i, t in enumerate(new):
+            new[i] = t * multiplier // divisors[i]
+        if m >= 3:
+            new.insert(0, rows[m - 3][0] * (grow * math.comb(r, 6 + shift)))
+        total = partial // products[c] + sum(new)
+        # The identities of kernel_recursive's docstring, with 6 * 64^j = 384 * 64^(j-1)
+        if shift:
+            divisor = r * (r - 1) * (r - 2)
+            value, remainder = divmod(odd_lcm * r * (1 + 3 * power) // 2 - 384 * total, divisor)
+            if remainder:
+                raise ValueError(
+                    f"kernel recursion at n={m}: the sum is not divisible by {divisor}, "
+                    f"so a cached value below n={m} is not a kernel value"
+                )
+        else:
+            value = (1 + power) // 2 - 48 * total
         rows.append((value, odd_lcm))
-    terms[:0] = fresh
+        power *= -3
+    for terms, new in zip(chains, fresh):
+        terms[:0] = new
 
 
 def _odd_lcm_step(odd_lcm: int, m: int) -> tuple[int, int]:
@@ -297,7 +353,7 @@ def _odd_lcm_step(odd_lcm: int, m: int) -> tuple[int, int]:
 
 
 def _divisor_windows(cache: KernelCache, size: int, count: int) -> list[int]:
-    """Products of ``size`` consecutive divisors over (2 size)!, for the first ``count`` starts.
+    """Products of ``size`` consecutive divisors over (6 size)!, for the first ``count`` starts.
 
     Those of ``_BLOCK`` divisors are kept on the cache; each new one slides
     the window by one exact division.
@@ -305,7 +361,7 @@ def _divisor_windows(cache: KernelCache, size: int, count: int) -> list[int]:
     divisors = cache._divisors
     windows = cache._windows if size == _BLOCK else []
     if count and not windows:
-        windows.append(math.prod(divisors[:size]) // math.factorial(2 * size))
+        windows.append(math.prod(divisors[:size]) // math.factorial(6 * size))
     for i in range(len(windows), count):
         windows.append(windows[-1] * divisors[i + size - 1] // divisors[i - 1])
     return windows
@@ -412,8 +468,9 @@ def read_cache_file(path: str | Path, cache: KernelCache) -> None:
     ``write_cache_file`` writes them; P_n comes from ``_odd_lcm_step``, as in the fill.
     Non-blank line i must hold index i and line 0 must be ``0 1``; any
     other line raises ValueError naming ``path:line`` and loads nothing.
-    A line is not checked to hold a kernel value: a wrong V loads, and the
-    fill's exact division by 2m+1 may catch it later.
+    A line is not checked to hold a kernel value: a wrong V loads, and for
+    kind b the fill's exact division by (2m+1)(2m+2)(2m+3) may catch it
+    later, at a row of its chain.
     """
     with cache._lock:
         if len(cache._scaled) != 1:

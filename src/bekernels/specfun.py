@@ -198,6 +198,7 @@ def eval_hurwitz_expansion(m0: int, x: Real, params: TruncationParams) -> EvalRe
         xm = _mpf(x)
         value = p_term(m0, xm, wp)
         base = xm + mp.mpf(1) / 2
+        kernel_recursive(KernelKind.BERNOULLI, params.terms + 1)  # one fill, as in eval_gamma
 
         def z_term(z: int) -> mpmath.mpf:
             power = 2 * m0 + 2 * z - 1

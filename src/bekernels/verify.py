@@ -11,7 +11,11 @@ Every entry builds its own ``KernelCache``, so values loaded from cache
 files cannot vouch for themselves, and fills it to the depth in one
 ``kernel_recursive`` call before its first pair: the entries then check
 the block step that ``table`` and the scalings run, and the tests cover
-the one-row step.  The determinant, the oracles and ``a_recursive`` keep
+the one-row step.  ``kernel_recursive`` fills by the lacunary form of the
+defining recurrence, and the determinant's minors follow the defining
+recurrence itself, so the recursion-vs-determinant entries check that
+lacunary identity against the definition, not only the fill's integer
+machinery.  The determinant, the oracles and ``a_recursive`` keep
 their rows between calls, but only rows computed in this process: nothing
 loads into them.  Routes are called through their modules, never
 imported by name, so that whatever a module exposes under a route's name

@@ -9,7 +9,9 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -411,6 +413,49 @@ def test_declared_flags_exit_0_1_or_2_with_one_error_line(argv):
     if code == 2:
         assert out.getvalue() == "", argv
         assert sum("error:" in line for line in err.getvalue().splitlines()) == 1, argv
+
+
+# The commands that load and save the persisted table.  Their size flag is
+# drawn up to this far above its floor, past the fill's first block of
+# 3 kernels._BLOCK rows, so a loaded prefix ends at each residue mod 3.
+_CACHE_COMMANDS = ["table", "kernel", "bernoulli", "euler", "a-coeff"]
+_CACHE_SPAN = 40
+
+
+@st.composite
+def _cached_argvs(draw):
+    """Two in-range argv for one command, alike but for the size flag's value."""
+    command = draw(st.sampled_from(_CACHE_COMMANDS))
+    argv = [command]
+    for action in _SUBPARSERS[command]._actions:
+        if not action.option_strings or isinstance(action, argparse._HelpAction):
+            continue
+        if action.choices:
+            argv += [action.option_strings[0], draw(st.sampled_from(action.choices))]
+        else:
+            flag, low = action.option_strings[0], action.type.low
+    sizes = draw(st.lists(st.integers(low, low + _CACHE_SPAN), min_size=2, max_size=2))
+    return [[*argv, flag, str(size)] for size in sizes]
+
+
+def _main_with_cold_tables(argv, cache_dir=None):
+    """(exit code, stdout) of ``main(argv)`` with no kernel cached, and KERNEL_CACHE_DIR if given."""
+    env = {"KERNEL_CACHE_DIR": cache_dir} if cache_dir else {}
+    out = io.StringIO()
+    with mock.patch.object(kernels, "_shared", {}), mock.patch.dict(os.environ, env), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@settings(max_examples=40, deadline=2000)
+@given(_cached_argvs())
+def test_cache_dir_leaves_stdout_as_it_is(argvs):
+    # The first run writes the file; the second loads it and, when it asks
+    # for more rows, takes the loaded rows over and extends them.
+    with tempfile.TemporaryDirectory() as cache_dir:
+        for argv in argvs:
+            assert _main_with_cold_tables(argv, cache_dir) == _main_with_cold_tables(argv), argv
 
 
 def test_ceiling_checked_before_the_cache_is_read(capsys, monkeypatch, tmp_path):

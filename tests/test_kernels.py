@@ -342,14 +342,14 @@ def test_non_integral_cached_value_rejected(kind, tmp_path):
 
 
 def test_wrong_cached_value_caught_by_exact_division(tmp_path):
-    # A wrong V(5) = -267050 (the true one is -268275, K(5) = -73/3421440);
-    # the division by 2m+1 = 15 at n=7 then leaves a remainder.  Row 6 is
-    # rebuilt from the loaded values and passes; row 7 is stepped.
+    # A wrong V(5) = -267050 (the true one is -268275, K(5) = -73/3421440).
+    # Rows 6 and 7 read only rows 3, 0 and 4, 1 and pass; row 8, the next
+    # of V(5)'s chain, divides by 17 * 18 * 19 = 5814 and leaves 1938.
     source = KernelCache(B)
     kernel_recursive(B, 4, source)
     cache = _loaded_cache(tmp_path, B, _scaled_values(source, 4) + [-267050])
-    _assert_fails_again(cache, 7, "not divisible by 15")
-    assert len(cache) == 7
+    _assert_fails_again(cache, 8, "not divisible by 5814")
+    assert len(cache) == 8
 
 
 def _assert_fails_again(cache, n, match):
@@ -367,10 +367,15 @@ _BLOCK = kernels_module._BLOCK
 
 
 def test_block_holds_at_least_16_rows():
-    assert _BLOCK >= 16
+    # _BLOCK counts class-rows, and a block holds that many of each chain.
+    assert 3 * _BLOCK >= 16
 
 
-@pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+# The rows of the fill's first block are 1 .. 3 _BLOCK.
+_EDGE = 3 * _BLOCK
+
+
+@pytest.mark.parametrize("n", [_EDGE - 1, _EDGE, _EDGE + 1, 2 * _EDGE + 1])
 @pytest.mark.parametrize("kind", [B, E])
 def test_fill_to_a_block_edge_matches_determinant(kind, n):
     cache = KernelCache(kind)
@@ -383,27 +388,27 @@ def test_fill_to_a_block_edge_matches_determinant(kind, n):
 @pytest.mark.parametrize("size", [2, 7, _BLOCK])
 @pytest.mark.parametrize("kind", [B, E])
 def test_block_step_closed_forms(kind, size):
-    # Over (2s)!, the product of a term's s divisors is a binomial, and that
-    # of a block's s multipliers is C(r_1, 2s) times the block's grows; the
-    # kernel_recursive docstring's exactness argument rests on both.
-    shift = 1 if kind is B else 0
-    n = 3 * _BLOCK
+    # Over (6k)!, the product of a term's k class-row divisors
+    # D_j = (6j+s+1)...(6j+s+6) is C(6j+s+6k, 6k), and that of a chain's k
+    # multipliers 64 (r-5)...r grow is 64^k C(r_last, 6k) times the grows;
+    # the kernel_recursive docstring's exactness argument rests on both.
+    shift = 3 if kind is B else 0
+    n = 9 * _BLOCK
     cache = KernelCache(kind)
     kernel_recursive(kind, n, cache)
-    count = n - size + 1
+    count = n // 3 - size + 1
     windows = kernels_module._divisor_windows(cache, size, count)[:count]
-    assert windows == [math.comb(2 * i + 2 * size + 2 + shift, 2 * size) for i in range(count)]
-    odd_lcm, grows = 1, [1]  # grows[m] = P_m / P_(m-1)
+    assert windows == [math.comb(6 * j + shift + 6 * size, 6 * size) for j in range(1, count + 1)]
+    odd_lcms = [1]
     for m in range(1, n + 1):
-        odd_lcm, grow = kernels_module._odd_lcm_step(odd_lcm, m) if shift else (1, 1)
-        grows.append(grow)
-    for last in range(size, n + 1):
-        rows = range(last - size + 1, last + 1)
-        r_last = 2 * last + shift
-        product = math.prod((2 * m + shift) * (2 * m + shift - 1) * grows[m] for m in rows)
-        assert product == math.factorial(2 * size) * math.comb(r_last, 2 * size) * math.prod(
-            grows[m] for m in rows
-        )
+        odd_lcms.append(kernels_module._odd_lcm_step(odd_lcms[-1], m)[0] if shift else 1)
+    grows = {m: odd_lcms[m] // odd_lcms[m - 3] for m in range(3, n + 1)}  # P_m / P_(m-3)
+    for last in range(3 * size, n + 1):
+        rows = range(last - 3 * size + 3, last + 1, 3)  # a chain's k rows ending at last
+        product = math.prod(64 * math.perm(2 * m + shift, 6) * grows[m] for m in rows)
+        assert product == 64**size * math.factorial(6 * size) * math.comb(
+            2 * last + shift, 6 * size
+        ) * math.prod(grows[m] for m in rows)
 
 
 @pytest.mark.parametrize("kind", [B, E])
@@ -431,14 +436,85 @@ def test_loaded_prefix_ending_mid_block_extends(kind, tmp_path):
 
 
 def test_wrong_cached_value_caught_inside_a_block(tmp_path):
-    # The wrong V(5) of the test above, now filled to n = 40: row 7 is the
-    # second row of the block that starts at row 6, and it fails there.  Row
-    # 6 stays cached, and a second call rebuilds the state and fails again.
+    # The wrong V(5) of the test above, now filled to n = 40: row 8 is the
+    # third row of the block that starts at row 6, and it fails there.  Rows
+    # 6 and 7 stay cached, and a second call rebuilds the chains and fails
+    # again.
     source = KernelCache(B)
     kernel_recursive(B, 4, source)
     cache = _loaded_cache(tmp_path, B, _scaled_values(source, 4) + [-267050])
-    _assert_fails_again(cache, 40, "at n=7: the sum is not divisible by 15")
-    assert len(cache) == 7
+    _assert_fails_again(cache, 40, "at n=8: the sum is not divisible by 5814")
+    assert len(cache) == 8
+
+
+@pytest.mark.parametrize(
+    "end", [_EDGE - 3, _EDGE - 2, _EDGE - 1, _EDGE, _EDGE + 1, _EDGE + 2, _EDGE + 3]
+)
+@pytest.mark.parametrize("kind", [B, E])
+def test_loaded_prefix_at_each_residue_extends(kind, end, tmp_path):
+    # Prefixes ending at rows of each residue mod 3, and one class-row
+    # before, at and after the edge of a single fill's first block: the
+    # takeover rebuilds each chain from its own last row.
+    n = 3 * _EDGE + 5
+    fresh = KernelCache(kind)
+    kernel_recursive(kind, n, fresh)
+    loaded = _loaded_cache(tmp_path, kind, _scaled_values(fresh, end))
+    kernel_recursive(kind, n, loaded)
+    assert _scaled_values(loaded, n) == _scaled_values(fresh, n)
+
+
+@pytest.mark.parametrize("kind", [B, E])
+def test_one_row_calls_across_a_block_edge(kind):
+    # A fill to just short of a block's edge, then one row per call past
+    # it, then a fill that starts a block part-way into a chain's rows.
+    stepped = KernelCache(kind)
+    kernel_recursive(kind, _EDGE - 4, stepped)
+    for n in range(_EDGE - 3, _EDGE + 8):
+        kernel_recursive(kind, n, stepped)
+    kernel_recursive(kind, 3 * _EDGE, stepped)
+    single = KernelCache(kind)
+    kernel_recursive(kind, 3 * _EDGE, single)
+    assert _scaled_values(stepped, 3 * _EDGE) == _scaled_values(single, 3 * _EDGE)
+
+
+def _lacunary_values(kind, upto):
+    """E(n) or V(n) = P_n (2n)! K(n), n <= upto, from kernel_determinant, with the P_n."""
+    odd_lcms, values = [1], [1]
+    for n in range(1, upto + 1):
+        odd = 2 * n + 1
+        odd_lcms.append(odd_lcms[-1] * odd // math.gcd(odd_lcms[-1], odd) if kind is B else 1)
+        value = kernel_determinant(kind, n) * odd_lcms[n] * math.factorial(2 * n)
+        assert value.denominator == 1, n
+        values.append(value.numerator)
+    return values, odd_lcms
+
+
+def test_lacunary_identity_of_kind_e():
+    # E(n) = (1 + (-3)^n)/2 - 48 sum_{j>=1} 64^(j-1) C(2n, 6j) E(n-3j), on
+    # values from the minor recurrence, with no fill code.
+    values, _ = _lacunary_values(E, 60)
+    for n in range(61):
+        tail = sum(
+            64 ** (j - 1) * math.comb(2 * n, 6 * j) * values[n - 3 * j]
+            for j in range(1, n // 3 + 1)
+        )
+        assert values[n] == (1 + (-3) ** n) // 2 - 48 * tail, n
+
+
+def test_lacunary_identity_of_kind_b():
+    # (2n+1)(2n+2)(2n+3) V(n) = P_n (2n+3) (1 - (-3)^(n+1))/2
+    #     - 6 sum_{j>=1} 64^j C(2n+3, 6j+3) (P_n / P_(n-3j)) V(n-3j).
+    values, odd_lcms = _lacunary_values(B, 60)
+    for n in range(61):
+        tail = sum(
+            64**j
+            * math.comb(2 * n + 3, 6 * j + 3)
+            * (odd_lcms[n] // odd_lcms[n - 3 * j])
+            * values[n - 3 * j]
+            for j in range(1, n // 3 + 1)
+        )
+        left = (2 * n + 1) * (2 * n + 2) * (2 * n + 3) * values[n]
+        assert left == odd_lcms[n] * (2 * n + 3) * (1 - (-3) ** (n + 1)) // 2 - 6 * tail, n
 
 
 @pytest.mark.parametrize("kind", [B, E])

@@ -8,7 +8,7 @@ import mpmath
 import pytest
 from mpmath import mp
 
-from bekernels import kernels, oracles, sequences
+from bekernels import kernels, oracles, sequences, specfun
 from bekernels.specfun import (
     EvalReport,
     TruncationParams,
@@ -373,3 +373,24 @@ def test_eval_fills_the_cold_table_with_one_reduction(evaluator, monkeypatch, gc
     monkeypatch.setattr(kernels, "_shared", {})
     evaluator(5, tp(200))
     assert gcd_calls[0] <= 2 * 201 + 1
+
+
+def test_hurwitz_fills_the_cold_table_once(monkeypatch):
+    # g_closed reads K_b(z) for z = 1..N+1; on a cold table, one call per z
+    # would fill one row each, 201 fills in all.
+    monkeypatch.setattr(kernels, "_shared", {})
+    table = kernels.shared_cache(kernels.KernelKind.BERNOULLI)
+    right = kernels.kernel_recursive
+    growing = []
+
+    def counted(kind, n, cache=None):
+        before = len(table)
+        value = right(kind, n, cache)
+        if len(table) > before:
+            growing.append(n)
+        return value
+
+    monkeypatch.setattr(sequences, "kernel_recursive", counted)
+    monkeypatch.setattr(specfun, "kernel_recursive", counted)
+    eval_hurwitz_expansion(1, 5, tp(200))
+    assert growing == [201]
