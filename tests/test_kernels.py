@@ -375,7 +375,8 @@ def test_block_holds_at_least_16_rows():
 _EDGE = 3 * _BLOCK
 
 
-@pytest.mark.parametrize("n", [_EDGE - 1, _EDGE, _EDGE + 1, 2 * _EDGE + 1])
+# 33 stops a fill part-way into the second block.
+@pytest.mark.parametrize("n", [_EDGE - 1, _EDGE, _EDGE + 1, 33, 2 * _EDGE + 1])
 @pytest.mark.parametrize("kind", [B, E])
 def test_fill_to_a_block_edge_matches_determinant(kind, n):
     cache = KernelCache(kind)
