@@ -74,9 +74,11 @@ __all__ = [
 # Class-rows that kernel_recursive's fill steps at once in each chain, so a
 # block covers 3 _BLOCK rows.  A term is divided once per block, by the
 # product of its divisors, where a one-class-row step divides it by each one.
-# Over the fills at n = 100-300, 8 to 12 class-rows were within noise of one
-# another and 16 about 7 % slower (2 shared x86_64 vCPUs, Python 3.11).  Keep
-# a block at 16 rows or more.
+# Sixty cold fills at n = 100-300, both kinds, took 596-618 / 507-542 /
+# 525-528 / 491-572 ms in two runs with 8 / 10 / 12 / 16 class-rows (2 shared
+# x86_64 vCPUs, Python 3.11).  8 was slower; the runs of 10, 12 and 16
+# overlap, so no larger block was shown faster, and 10 stays.  Keep a block
+# at 16 rows or more.
 _BLOCK = 10
 # Terms a block steps and sums at a time, so that no second copy of a
 # whole row is held.
@@ -115,10 +117,8 @@ class KernelCache:
     The cache also holds the last row of each of ``kernel_recursive``'s
     three chains, so that extending the table by one value costs O(m)
     integer operations by small factors: that row's terms, nearest-first,
-    one list per residue of the row mod 3; the divisors that step a term to
-    its chain's next row; and the products of ``_BLOCK`` consecutive
-    divisors that step it across a block.  The chains share the divisors
-    and their products.
+    one list per residue of the row mod 3, and the divisors, which the
+    chains share, that step a term to its chain's next row.
     """
 
     def __init__(self, kind: KernelKind):
@@ -127,7 +127,6 @@ class KernelCache:
         self._lock = threading.Lock()
         self._chains: list[list[int]] = [[], [], []]
         self._divisors: list[int] = []
-        self._windows: list[int] = []
 
     def get(self, n: int) -> Fraction | None:
         """K(n) as a reduced Fraction, made on each call, or None when n is not cached."""
@@ -282,7 +281,7 @@ def _fill_block(cache: KernelCache, chains: list[list[int]], size: int, shift: i
     steps = []  # (r, P, grow, multiplier) of each row of the block
     for m in range(first, first + size):
         r = 2 * m + shift
-        odd_lcm = _odd_lcm_step(odd_lcms[-1], m)[0] if shift else 1
+        odd_lcm = _odd_lcm_step(odd_lcms[-1], m) if shift else 1
         grow = odd_lcm // odd_lcms[-3]  # P_m / P_(m-3)
         # rows 1 and 2 start their chains and have no term to step
         multiplier = 64 * math.perm(r, 6) * grow if m >= 3 else 1
@@ -292,7 +291,6 @@ def _fill_block(cache: KernelCache, chains: list[list[int]], size: int, shift: i
     # the multipliers of its chain's rows after it; products[c]: that of
     # all of chain c's multipliers in the block.
     partials, products = [0] * size, [1, 1, 1]
-    windows_of = {1: divisors}  # by class-rows stepped at once
     for c, terms in enumerate(chains):
         offsets = range((c - first) % 3, size, 3)
         k = len(offsets)
@@ -301,11 +299,13 @@ def _fill_block(cache: KernelCache, chains: list[list[int]], size: int, shift: i
         products[c] = product = math.prod(steps[b][3] for b in offsets)
         if not terms:
             continue
-        if k not in windows_of:
-            windows_of[k] = _divisor_windows(cache, k, max(map(len, chains)))
-        scale = product if k == 1 else product // math.factorial(6 * k)
-        for i, w in enumerate(windows_of[k][: len(terms)]):
-            terms[i] = terms[i] * scale // w
+        # Divide term i by its k divisors' product over (6k)!, the window
+        # C(6j+s+6k, 6k) with j = i + 1, slid one term on at each step.
+        cancel = math.factorial(6 * k)
+        scale, window = product // cancel, math.prod(divisors[:k]) // cancel
+        for i, t in enumerate(terms):
+            terms[i] = t * scale // window
+            window = window * divisors[i + k] // divisors[i]
         sums = [0] * k
         sums[-1] = sum(terms)
         if k > 1:  # multiply each chunk back, class-row by class-row, from the last
@@ -345,26 +345,11 @@ def _fill_block(cache: KernelCache, chains: list[list[int]], size: int, shift: i
         terms[:0] = new
 
 
-def _odd_lcm_step(odd_lcm: int, m: int) -> tuple[int, int]:
-    """(P_m, grow) from P_(m-1); when grow is 1, P_m is P_(m-1) itself, so rows share it."""
+def _odd_lcm_step(odd_lcm: int, m: int) -> int:
+    """P_m from P_(m-1); when P_m equals P_(m-1), it is that object, so rows share it."""
     odd = 2 * m + 1
     grow = odd // math.gcd(odd_lcm, odd)
-    return (odd_lcm * grow if grow > 1 else odd_lcm), grow
-
-
-def _divisor_windows(cache: KernelCache, size: int, count: int) -> list[int]:
-    """Products of ``size`` consecutive divisors over (6 size)!, for the first ``count`` starts.
-
-    Those of ``_BLOCK`` divisors are kept on the cache; each new one slides
-    the window by one exact division.
-    """
-    divisors = cache._divisors
-    windows = cache._windows if size == _BLOCK else []
-    if count and not windows:
-        windows.append(math.prod(divisors[:size]) // math.factorial(6 * size))
-    for i in range(len(windows), count):
-        windows.append(windows[-1] * divisors[i + size - 1] // divisors[i - 1])
-    return windows
+    return odd_lcm * grow if grow > 1 else odd_lcm
 
 
 def kernel_compositions(kind: KernelKind, n: int) -> Fraction:
@@ -494,6 +479,6 @@ def read_cache_file(path: str | Path, cache: KernelCache) -> None:
             if index != k or (k == 0 and value != 1):
                 raise ValueError(f"{path}:{lineno}: expected K({k}) of a prefix from K(0) = 1")
             if bernoulli:
-                odd_lcm = _odd_lcm_step(odd_lcm, k)[0]
+                odd_lcm = _odd_lcm_step(odd_lcm, k)
             rows.append((value, odd_lcm))
         cache._scaled.extend(rows[1:])

@@ -397,12 +397,13 @@ def test_block_step_closed_forms(kind, size):
     n = 9 * _BLOCK
     cache = KernelCache(kind)
     kernel_recursive(kind, n, cache)
-    count = n // 3 - size + 1
-    windows = kernels_module._divisor_windows(cache, size, count)[:count]
-    assert windows == [math.comb(6 * j + shift + 6 * size, 6 * size) for j in range(1, count + 1)]
+    divisors = cache._divisors
+    for j in range(1, len(divisors) - size + 2):
+        window = math.prod(divisors[j - 1 : j - 1 + size]) // math.factorial(6 * size)
+        assert window == math.comb(6 * j + shift + 6 * size, 6 * size)
     odd_lcms = [1]
     for m in range(1, n + 1):
-        odd_lcms.append(kernels_module._odd_lcm_step(odd_lcms[-1], m)[0] if shift else 1)
+        odd_lcms.append(kernels_module._odd_lcm_step(odd_lcms[-1], m) if shift else 1)
     grows = {m: odd_lcms[m] // odd_lcms[m - 3] for m in range(3, n + 1)}  # P_m / P_(m-3)
     for last in range(3 * size, n + 1):
         rows = range(last - 3 * size + 3, last + 1, 3)  # a chain's k rows ending at last
@@ -415,10 +416,12 @@ def test_block_step_closed_forms(kind, size):
 @pytest.mark.parametrize("kind", [B, E])
 def test_strided_extension_equals_single_fill(kind):
     # Fills that stop short of, at and past a block's edge, so the blocks
-    # of later calls start part-way into those of a single fill.
+    # of later calls start part-way into those of a single fill.  The calls
+    # add every count of rows from 1 to 3 _BLOCK + 1, so the chains are
+    # stepped by every count of class-rows from 0 to _BLOCK at once.
     strided = KernelCache(kind)
     n = 0
-    for stride in (1, _BLOCK - 1, _BLOCK + 1, 3, 2 * _BLOCK):
+    for stride in range(1, 3 * _BLOCK + 2):
         n += stride
         kernel_recursive(kind, n, strided)
     single = KernelCache(kind)
