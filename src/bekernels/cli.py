@@ -14,12 +14,9 @@ x86_64 vCPUs):
     verify --brute       19     verify --exact 19 --brute 19: 6.1 s
     compositions --n     22     a listing of 2**21 lines: about 12 s
 
-The block-stepped fill cut the first timing from 15.1 s to 9.1-9.9 s, and
-the lacunary fill to 9.5 s (median of 3 cold runs; 10.2 s for the
-block-stepped fill in the same runs), where ``--upto 2000`` takes 12.2 s.
-With the lacunary fill the second took 9.8 s (at 650: 13.3 s), and with
-the partition walk of ``kernel_compositions`` the third 3.4 s.  Every
-limit stays where it was.
+The first three now take 9.5, 9.8 and 3.4 s (median of 3 cold runs;
+``--upto 2000`` 12.2 s, ``--exact 650`` 13.3 s).  Every limit stays where
+it was until a change of its own moves it.
 
 ``--upto`` is the flag of ``table``, ``bernoulli``, ``euler`` and ``a-coeff``.
 
@@ -85,16 +82,14 @@ COMPOSITIONS_LIMIT = 22  # the ceiling of compositions --n: a listing of 2**21 l
 # The deepest verify --exact.  The determinant and coefficient entries cost
 # about 9x per doubling of the depth: verify --exact N --brute 12 took 6.0 /
 # 8.7 / 12.3 / 15.2 s at N = 500 / 550 / 600 / 650 when set, 600 the deepest
-# inside 6-15 s, 9.1 / 10.9 s at 600 / 650 with the block-stepped fill, and
-# 9.8 / 13.3 s with the lacunary fill, on a day when the block-stepped fill
-# took 10.3 s at 600 (median of 3 cold CLI runs, 2 shared x86_64 vCPUs).
+# inside 6-15 s, and now takes 9.8 / 13.3 s at 600 / 650 (median of 3 cold
+# CLI runs, 2 shared x86_64 vCPUs).
 EXACT_DEPTH_LIMIT = 600
 # The deepest verify --brute.  The g brute-force entry walks 2**n - 1
 # composition prefixes for each n and m0, so verify --exact k --brute k took
 # 1.7 / 4.2 / 6.1 / 15.3 s at k = 17 / 18 / 19 / 20 when the limit was set,
-# and 1.1 / 2.1 / 3.4 / 10.9 s with the composition route walking
-# partitions (median of 3, 2 shared x86_64 vCPUs); 19 was the deepest k no
-# slower than k = 17 with a Fraction per prefix (10.9 s).
+# 19 the deepest inside 6-15 s, and now takes 1.1 / 2.1 / 3.4 / 10.9 s
+# (median of 3, 2 shared x86_64 vCPUs).
 BRUTE_DEPTH_LIMIT = 19
 # Commands that print a scaling of one kernel table: name -> (kind read, index
 # step, scaling called through ``sequences`` as ``verify`` calls routes, help).

@@ -21,7 +21,7 @@ import threading
 from fractions import Fraction
 from math import comb, gcd
 
-from .exactnum import beta_even, factorial
+from .exactnum import factorial
 from .kernels import KernelCache, KernelKind, kernel_recursive, shared_cache
 
 __all__ = [
@@ -68,12 +68,14 @@ def g_closed(n: int, m0: int, cache: KernelCache | None = None) -> Fraction:
     row n + m0; both arguments here are taken directly, n being the offset
     above the baseline row m0, to keep an off-by-one out of the API.  The
     value depends on m0 only through the beta factor; ``g_bruteforce``
-    must reproduce it for every m0 >= 1.
+    must reproduce it for every m0 >= 1.  With K_b(n) = V / (P (2n)!) this
+    is (2n+2m0-1)! V / ((2m0-1)! (2n)! P 4^n): one reduction.
     """
     if n < 1 or m0 < 1:
         raise ValueError(f"g_closed requires n >= 1 and m0 >= 1, got n={n}, m0={m0}")
-    scale = Fraction(factorial(2 * n - 1)) / (beta_even(n, m0) * (1 << (2 * n)))
-    return scale * kernel_recursive(KernelKind.BERNOULLI, n, cache)
+    scaled, odd_lcm = _scaled_kernel(KernelKind.BERNOULLI, n, cache)
+    denominator = (factorial(2 * m0 - 1) * factorial(2 * n) * odd_lcm) << (2 * n)
+    return Fraction(factorial(2 * n + 2 * m0 - 1) * scaled, denominator)
 
 
 def g_bruteforce(n: int, m0: int) -> Fraction:

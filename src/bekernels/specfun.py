@@ -6,7 +6,8 @@ factorially, so the Gamma and digamma series are asymptotic: they are
 never summed "to convergence".  Every evaluator cuts off after a
 caller-chosen number of terms and reports the magnitude of the first
 omitted term as the error estimate, alongside an independently computed
-reference value where one is available.
+reference value where one is available; ``_truncated`` is the one place
+a series stops and its bound is taken.
 
 All floating arithmetic is mpmath at the caller's working precision plus
 guard digits; exact rationals are converted at the last moment.
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
+from collections.abc import Callable
 from fractions import Fraction
 
 import mpmath
@@ -109,6 +111,11 @@ def _mpf(x: Real) -> mpmath.mpf:
     return value
 
 
+def _truncated(term: Callable[[int], mpmath.mpf], terms: int) -> tuple[mpmath.mpf, mpmath.mpf]:
+    """The sum of term(1..terms) and |term(terms + 1)|, the first omitted term."""
+    return mp.fsum(term(n) for n in range(1, terms + 1)), abs(term(terms + 1))
+
+
 def p_term(m: int, x: Real, working_precision: int = 34) -> mpmath.mpf:
     """Leading expansion term 1 / ((2m-1) (x+1/2)^(2m-1)).
 
@@ -132,12 +139,15 @@ def zeta_direct(s: Real, q: Real, tol: Real) -> mpmath.mpf:
     Euler-Maclaurin terms B_2k/(2k)! s(s+1)...(s+2k-2) (N+q)^(1-s-2k).
     tol may be any real (float, str, Fraction or mpf); its decimal
     exponent sets the digits D, and the sum is carried at D plus the
-    digits of its own size above 1.  N puts the edge N+q near D, where the
-    corrections shrink geometrically, and they are added until the next
-    one is <= tol; should they stop shrinking first, N grows and the
-    corrections start again.  Since t -> (q+t)^(-s) is completely
-    monotone, the true remainder is bounded by that first omitted
-    correction.
+    digits of its own size above 1.  N puts the edge N+q at or past D, and
+    the corrections are added until the next one is <= tol; since
+    t -> (q+t)^(-s) is completely monotone, that first omitted correction
+    bounds the true remainder.  One pass suffices: the corrections shrink
+    until 2k is about 2 pi edge - s, and the smallest is at most about
+    100 e^(-2 pi edge) <= 10^(2 - 2.7 D), below tol = 10^(10 - D); when
+    s > 2 pi edge - 1, the first, about s edge^(-s-1) / 12, is already
+    below tol.  A correction that stops shrinking above tol thus means a
+    broken premise, such as a wrong B_2k, and raises ArithmeticError.
 
     B_2k comes from ``mpmath.bernoulli`` at the working precision: this sum
     is the reference the kernel-derived expansions are judged against, so
@@ -163,26 +173,22 @@ def zeta_direct(s: Real, q: Real, tol: Real) -> mpmath.mpf:
         # An edge near the digits tol asks for makes the corrections shrink geometrically.
         n_terms = int(mp.ceil(digits - qm)) if qm < digits else 0
         total = mp.fsum((qm + n) ** -sm for n in range(n_terms))
-        while True:
-            edge = qm + n_terms
-            corrections = [edge ** (1 - sm) / (sm - 1), edge**-sm / 2]
-            # s(s+1)...(s+2k-2) / (2k)! * edge^(1-s-2k), advanced one k at a time
-            weight = sm / 2 * edge ** (-sm - 1)
-            edge_sq = edge**2
-            previous = mp.inf
-            for k in itertools.count(1):
-                term = mpmath.bernoulli(2 * k) * weight
-                if abs(term) <= tol_m:
-                    return total + mp.fsum(corrections)
-                if abs(term) >= previous:
-                    break
-                corrections.append(term)
-                previous = abs(term)
-                weight *= (sm + 2 * k - 1) * (sm + 2 * k) / ((2 * k + 1) * (2 * k + 2) * edge_sq)
-            # Past the smallest correction and still above tol: double the edge.
-            grown = n_terms + int(mp.ceil(edge))
-            total += mp.fsum((qm + n) ** -sm for n in range(n_terms, grown))
-            n_terms = grown
+        edge = qm + n_terms
+        corrections = [edge ** (1 - sm) / (sm - 1), edge**-sm / 2]
+        # s(s+1)...(s+2k-2) / (2k)! * edge^(1-s-2k), advanced one k at a time
+        weight = sm / 2 * edge ** (-sm - 1)
+        edge_sq = edge**2
+        previous = mp.inf
+        for k in itertools.count(1):
+            term = mpmath.bernoulli(2 * k) * weight
+            if abs(term) <= tol_m:
+                return total + mp.fsum(corrections)
+            if abs(term) >= previous:
+                raise ArithmeticError(
+                    f"zeta_direct(s={s}, q={q}, tol={tol}): corrections stop shrinking above tol")
+            corrections.append(term)
+            previous = abs(term)
+            weight *= (sm + 2 * k - 1) * (sm + 2 * k) / ((2 * k + 1) * (2 * k + 2) * edge_sq)
 
 
 def eval_hurwitz_expansion(m0: int, x: Real, params: TruncationParams) -> EvalReport:
@@ -196,7 +202,7 @@ def eval_hurwitz_expansion(m0: int, x: Real, params: TruncationParams) -> EvalRe
     wp = params.working_precision
     with mp.workdps(wp + _GUARD_DIGITS):
         xm = _mpf(x)
-        value = p_term(m0, xm, wp)
+        leading = p_term(m0, xm, wp)  # rejects x <= -1/2 before any term divides by x + 1/2
         base = xm + mp.mpf(1) / 2
         kernel_recursive(KernelKind.BERNOULLI, params.terms + 1)  # one fill, as in eval_gamma
 
@@ -204,9 +210,8 @@ def eval_hurwitz_expansion(m0: int, x: Real, params: TruncationParams) -> EvalRe
             power = 2 * m0 + 2 * z - 1
             return _mpf(g_closed(z, m0)) / (power * base**power)
 
-        for z in range(1, params.terms + 1):
-            value += z_term(z)
-        bound = abs(z_term(params.terms + 1))
+        series, bound = _truncated(z_term, params.terms)
+        value = leading + series
         reference = zeta_direct(2 * m0, xm + 1, mp.mpf(10) ** -(wp - _REFERENCE_MARGIN))
         return _report(value, params.terms, bound, reference)
 
@@ -234,9 +239,8 @@ def eval_gamma(x: Real, params: TruncationParams) -> EvalReport:
         def exponent_term(n: int) -> mpmath.mpf:
             return _mpf(a_from_kb(n)) / ((2 * n - 1) * xm ** (2 * n - 1))
 
-        exponent = mp.fsum(exponent_term(n) for n in range(1, params.terms + 1))
+        exponent, bound = _truncated(exponent_term, params.terms)
         value = mp.exp(xm * mp.log(xm) - xm - exponent) * mp.sqrt(2 * mp.pi)
-        bound = abs(exponent_term(params.terms + 1))
         reference = mpmath.gamma(xm + mp.mpf(1) / 2)
         return _report(value, params.terms, bound, reference)
 
@@ -260,8 +264,8 @@ def eval_digamma(x: Real, params: TruncationParams) -> EvalReport:
         def series_term(n: int) -> mpmath.mpf:
             return _mpf(a_from_kb(n)) * base ** (-2 * n)
 
-        value = mp.log(base) + mp.fsum(series_term(n) for n in range(1, params.terms + 1))
-        bound = abs(series_term(params.terms + 1))
+        series, bound = _truncated(series_term, params.terms)
+        value = mp.log(base) + series
         reference = None
         if mp.isint(xm) and xm >= 0:
             reference = mp.harmonic(xm) - mp.euler
@@ -302,9 +306,8 @@ def eval_polygamma(y: int, x: Real, params: TruncationParams) -> EvalReport:
         def series_term(n: int) -> mpmath.mpf:
             return weight(n) * zeta_direct(2 * n + y + 1, xm + 1, inner_tol)
 
-        series = mp.fsum(series_term(n) for n in range(1, params.terms + 1))
+        series, bound = _truncated(series_term, params.terms)
         value = sign * (leading - series)
-        bound = abs(series_term(params.terms + 1))
         reference = sign * factorial(y) * mpmath.zeta(y + 1, xm + 1)
         return _report(value, params.terms, bound, reference)
 
@@ -324,8 +327,7 @@ def check_ln_pi_over_e(terms: int, working_precision: int = 34) -> EvalReport:
         def series_term(j: int) -> mpmath.mpf:
             return zeta_direct(2 * j, 1, inner_tol) * _mpf(f_of(j))
 
-        value = mp.fsum(series_term(j) for j in range(1, terms + 1))
-        bound = series_term(terms + 1)
+        value, bound = _truncated(series_term, terms)
         reference = (mp.log(mp.pi) - 1) / 2
         return _report(value, terms, bound, reference)
 

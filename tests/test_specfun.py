@@ -3,6 +3,7 @@
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 
 import mpmath
 import pytest
@@ -88,11 +89,16 @@ def test_zeta_direct_against_independent_library():
 
 
 @pytest.mark.parametrize("tol", [1e-12, 1e-56, 1e-100])
-@pytest.mark.parametrize("s", [2, 2.5, 4, 31, 122])
+@pytest.mark.parametrize("s", [2, 2.5, 4, 31, 122, 1 + 2**-40, 4000])
 def test_zeta_direct_meets_tolerance(s, tol):
     # q = 1e400 is past the float range; q = 0.75 with s = 122 puts the sum
     # near 2e15, so an absolute tol needs digits above the decimal point.
-    for q in (0.75, 1, 20.74, 1e6, "1e400"):
+    # s = 1 + 2**-40 is exact in binary and puts the tail near 1e12; at
+    # s = 4000 the first correction is already below tol.  The check keeps
+    # tol only while the sum, near q^-s + q^(1-s)/(s-1), fits its digits:
+    # so q = 1e-9 only near s = 1, and no q below 1 at s = 4000.
+    qs = {1 + 2**-40: (0.75, 1, 20.74, 1e6, "1e400", "1e-9"), 4000: (1, 20.74, 1e6, "1e400")}
+    for q in qs.get(s, (0.75, 1, 20.74, 1e6, "1e400")):
         value = zeta_direct(s, q, tol)
         with mp.workdps(int(-mp.log10(tol)) + 20):
             assert abs(value - mpmath.zeta(s, mp.mpf(q))) <= tol, q
@@ -129,6 +135,14 @@ def test_zeta_direct_takes_bernoulli_from_mpmath(monkeypatch):
     )
     with mp.workdps(40):
         assert abs(zeta_direct(4, 1, 1e-30) - mpmath.pi**4 / 90) > 1e-30
+
+
+def test_zeta_direct_raises_when_the_corrections_stop_shrinking(monkeypatch):
+    # With B_2k = 10^(8k) the corrections grow from the first.  An edge moved
+    # out until the first is below tol would return 1.6469..., not zeta(2).
+    monkeypatch.setattr(mpmath, "bernoulli", lambda n: mp.mpf(10) ** (4 * n))
+    with pytest.raises(ArithmeticError, match=r"s=2, q=1, tol=1e-30"):
+        zeta_direct(2, 1, 1e-30)
 
 
 def test_zeta_direct_domain():
@@ -365,11 +379,15 @@ def test_inputs_accept_strings_and_fractions():
     assert as_float.value == as_string.value == as_fraction.value
 
 
-@pytest.mark.parametrize("evaluator", [eval_gamma, eval_digamma], ids=["gamma", "digamma"])
+@pytest.mark.parametrize(
+    "evaluator",
+    [eval_gamma, eval_digamma, partial(eval_hurwitz_expansion, 1)],
+    ids=["gamma", "digamma", "hurwitz"],
+)
 def test_eval_fills_the_cold_table_with_one_reduction(evaluator, monkeypatch, gcd_calls):
-    # One fill up front: a gcd per row for the growth of P, one per a_n read
-    # and one for the K_b it returns.  A fill per term would add a reduced
-    # K_b(n) for every n, 603 gcds in all.
+    # One fill up front: a gcd per row for the growth of P, one per a_n or
+    # g read and one for the K_b it returns.  A fill per term would add a
+    # reduced K_b(n) for every n, 603 gcds in all.
     monkeypatch.setattr(kernels, "_shared", {})
     evaluator(5, tp(200))
     assert gcd_calls[0] <= 2 * 201 + 1
