@@ -49,16 +49,13 @@ def f_of(n: int) -> Fraction:
 def j_of(a: int, b: int) -> Fraction:
     """j(a, b) = -(2a+2b-1)! / (2^{2b} (2b+1)! (2a-1)!) for a, b >= 1.
 
+    The factorial ratio is one binomial: j = -C(2a+2b-1, 2b) / ((2b+1) 4^b).
     Always negative, which is what makes the sign of a product of j
-    factors depend only on the number of factors.  Memoized on (a, b),
-    as ``exactnum.factorial`` is on m.
+    factors depend only on the number of factors.  Memoized on (a, b).
     """
     if a < 1 or b < 1:
         raise ValueError(f"j_of requires a >= 1 and b >= 1, got a={a}, b={b}")
-    return -Fraction(
-        factorial(2 * a + 2 * b - 1),
-        (1 << (2 * b)) * factorial(2 * b + 1) * factorial(2 * a - 1),
-    )
+    return Fraction(-comb(2 * a + 2 * b - 1, 2 * b), (2 * b + 1) << (2 * b))
 
 
 def g_closed(n: int, m0: int, cache: KernelCache | None = None) -> Fraction:
@@ -69,13 +66,12 @@ def g_closed(n: int, m0: int, cache: KernelCache | None = None) -> Fraction:
     above the baseline row m0, to keep an off-by-one out of the API.  The
     value depends on m0 only through the beta factor; ``g_bruteforce``
     must reproduce it for every m0 >= 1.  With K_b(n) = V / (P (2n)!) this
-    is (2n+2m0-1)! V / ((2m0-1)! (2n)! P 4^n): one reduction.
+    is C(2n+2m0-1, 2n) V / (P 4^n): one reduction.
     """
     if n < 1 or m0 < 1:
         raise ValueError(f"g_closed requires n >= 1 and m0 >= 1, got n={n}, m0={m0}")
     scaled, odd_lcm = _scaled_kernel(KernelKind.BERNOULLI, n, cache)
-    denominator = (factorial(2 * m0 - 1) * factorial(2 * n) * odd_lcm) << (2 * n)
-    return Fraction(factorial(2 * n + 2 * m0 - 1) * scaled, denominator)
+    return Fraction(comb(2 * n + 2 * m0 - 1, 2 * n) * scaled, odd_lcm << (2 * n))
 
 
 def g_bruteforce(n: int, m0: int) -> Fraction:
@@ -205,27 +201,27 @@ def a_from_bernoulli(n: int) -> Fraction:
     """a_n = B_{2n} (1 - 2^{1-2n}) / (2n), with B_{2n} taken from the oracle.
 
     Deliberately reads ``oracles.bernoulli_even`` rather than this module's
-    own ``bernoulli`` so the route stays independent of the kernels.
+    own ``bernoulli`` so the route stays independent of the kernels.  As
+    B_{2n} (4^n - 2) / (2n 4^n) it is one reduction.
     """
     if n < 1:
         raise ValueError(f"a_from_bernoulli requires n >= 1, got {n}")
     from . import oracles
 
     b2n = oracles.bernoulli_even(n)
-    return b2n * (1 - Fraction(1, 1 << (2 * n - 1))) / (2 * n)
+    return Fraction(b2n.numerator * ((1 << (2 * n)) - 2), (b2n.denominator * 2 * n) << (2 * n))
 
 
 def faulhaber_check(n: int, r: int, cache: KernelCache | None = None) -> bool:
     """Check sum_{k=1}^{n-1} k^r against its Bernoulli-polynomial closed form.
 
-    The closed form is sum_{k=0}^{r} B_k r! n^{r-k+1} / (k! (r-k+1)!) with
+    The closed form is sum_{k=0}^{r} B_k C(r+1, k) n^{r-k+1} / (r+1) with
     B_1 = -1/2; even-index B come from this module's kernel route, so a
     passing check exercises the whole pipeline end to end.
     """
     if n < 2 or r < 1:
         raise ValueError(f"faulhaber_check requires n >= 2 and r >= 1, got n={n}, r={r}")
     direct = sum(k**r for k in range(1, n))
-    r_factorial = factorial(r)
     closed = Fraction(0)
     for k in range(r + 1):
         if k == 0:
@@ -236,5 +232,5 @@ def faulhaber_check(n: int, r: int, cache: KernelCache | None = None) -> bool:
             continue
         else:
             b_k = bernoulli(k // 2, cache)
-        closed += b_k * Fraction(r_factorial * n ** (r - k + 1), factorial(k) * factorial(r - k + 1))
+        closed += b_k * Fraction(comb(r + 1, k) * n ** (r - k + 1), r + 1)
     return closed == direct

@@ -23,7 +23,6 @@ from fractions import Fraction
 import mpmath
 from mpmath import mp
 
-from .exactnum import factorial
 from .kernels import KernelKind, kernel_recursive
 from .sequences import a_from_kb, f_of, g_closed
 
@@ -277,7 +276,9 @@ def eval_polygamma(y: int, x: Real, params: TruncationParams) -> EvalReport:
 
     value = (-1)^(y-1) [ (y-1)!/(x+1/2)^y
                          - sum_{n=1}^{N} f(n) (2n+y)!/(2n-1)! zeta(2n+y+1, x+1) ],
-    with the inner zeta values from zeta_direct.  The identity
+    with the inner zeta values from zeta_direct.  The factorial factors,
+    (2n+y)!/(2n-1)! as the rising factorial (2n)_(y+1), are taken at the
+    working precision.  The identity
     psi^(y)(x+1) = (-1)^(y-1) y! zeta(y+1, x+1), with mpmath's Hurwitz
     zeta at working precision, supplies the reference.
     Requires y >= 1 and x > -1/2.
@@ -293,14 +294,14 @@ def eval_polygamma(y: int, x: Real, params: TruncationParams) -> EvalReport:
         sign = 1 if y % 2 else -1
 
         def weight(n: int) -> mpmath.mpf:
-            return _mpf(f_of(n)) * (factorial(2 * n + y) // factorial(2 * n - 1))
+            return _mpf(f_of(n)) * mp.rf(2 * n, y + 1)
 
         # The first omitted term is at least w_{N+1} (x+1)^-(2N+y+3); the
         # inner sums stay 100x below that, so their errors stay out of the
         # bound, but need not go below the rounding of the leading part.
         omitted = params.terms + 1
         least_omitted = weight(omitted) * (xm + 1) ** -(2 * omitted + y + 1)
-        leading = factorial(y - 1) / base**y
+        leading = mp.factorial(y - 1) / base**y
         inner_tol = min(mp.mpf(10) ** -(wp + 2), max(least_omitted, leading * mp.eps) / 100)
 
         def series_term(n: int) -> mpmath.mpf:
@@ -308,7 +309,7 @@ def eval_polygamma(y: int, x: Real, params: TruncationParams) -> EvalReport:
 
         series, bound = _truncated(series_term, params.terms)
         value = sign * (leading - series)
-        reference = sign * factorial(y) * mpmath.zeta(y + 1, xm + 1)
+        reference = sign * mp.factorial(y) * mpmath.zeta(y + 1, xm + 1)
         return _report(value, params.terms, bound, reference)
 
 

@@ -296,6 +296,22 @@ def test_eval_huge_finite_x_returns(argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["polygamma", "--y", "1000000", "--x", "1"],
+        ["polygamma", "--y", "1000000", "--x", "0"],
+        ["hurwitz", "--m0", "1000000", "--x", "1"],
+        ["hurwitz", "--m0", "1000000", "--x", "0"],
+    ],
+)
+def test_eval_huge_order_returns(argv):
+    # Factorial factors of the order are rounded at the working precision,
+    # never built exactly, so a large --y or --m0 returns in bounded time.
+    proc = _run_subprocess(["eval", *argv, "--terms", "3"], timeout=10)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
     "argv, deadline",
     [
         (["hurwitz", "--precision", "100", "--m0", "1", "--x", "24.06", "--terms", "4"], 10),

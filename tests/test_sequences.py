@@ -1,6 +1,7 @@
 """Derived sequences: f, j, g (two routes), a (three routes), B, E, Faulhaber."""
 
 import hashlib
+import math
 import sys
 import threading
 from fractions import Fraction
@@ -56,6 +57,27 @@ def test_g_closed_values():
         g_closed(0, 1)
     with pytest.raises(ValueError):
         g_closed(1, 0)
+
+
+def test_j_of_is_the_factorial_ratio():
+    for a in range(1, 31):
+        for b in range(1, 31):
+            expected = -Fraction(
+                math.factorial(2 * a + 2 * b - 1),
+                4**b * math.factorial(2 * b + 1) * math.factorial(2 * a - 1),
+            )
+            assert j_of(a, b) == expected, (a, b)
+
+
+def test_g_closed_is_the_factorial_definition():
+    # g = (2n-1)! / (B(2n, 2m0) 4^n) K_b(n), read from a filled cache.
+    cache = KernelCache(KernelKind.BERNOULLI)
+    kernel_recursive(KernelKind.BERNOULLI, 30, cache)
+    for n in range(1, 31):
+        kernel = cache.get(n)
+        for m0 in range(1, 41):
+            expected = math.factorial(2 * n - 1) / (beta_even(n, m0) * 4**n) * kernel
+            assert g_closed(n, m0, cache) == expected, (n, m0)
 
 
 def test_g_bruteforce_values():
@@ -159,6 +181,16 @@ def test_concurrent_a_recursive(fresh_a_rows):
     assert sorted(outcomes) == [(n, a_from_kb(n, cache)) for n in range(33, 41)]
 
 
+def test_a_from_bernoulli_reduces_once(gcd_calls):
+    # The oracle makes one Fraction per value, the scaling one more.
+    bernoulli_even(200)
+    gcd_calls[0] = 0
+    values = [a_from_bernoulli(n) for n in range(1, 201)]
+    assert gcd_calls[0] <= 2 * 200
+    cache = KernelCache(KernelKind.BERNOULLI)
+    assert values == [a_from_kb(n, cache) for n in range(1, 201)]
+
+
 def test_a_triple_consistency():
     for n in range(1, 26):
         from_kb = a_from_kb(n)
@@ -254,3 +286,12 @@ def test_faulhaber_full_grid():
     assert all(
         faulhaber_check(n, r, cache) for n in range(2, 21) for r in range(1, 13)
     )
+
+
+def test_faulhaber_terms_for_every_r_to_20():
+    # Both sides are polynomials in n of degree r + 1, so agreeing at the
+    # r + 2 points n = 2..r+3 pins every term B_k C(r+1, k) n^(r-k+1) / (r+1)
+    # to the factorial form B_k r! n^(r-k+1) / (k! (r-k+1)!).
+    cache = KernelCache(KernelKind.BERNOULLI)
+    for r in range(1, 21):
+        assert all(faulhaber_check(n, r, cache) for n in range(2, r + 4)), r
