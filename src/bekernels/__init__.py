@@ -25,10 +25,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in {
-        "compositions": ("Composition", "compositions"),
-        "exactnum": (
-            "ExactRational", "beta_even", "factorial", "format_rational", "parse_rational",
-        ),
+        "compositions": ("compositions",),
+        "exactnum": ("beta_even", "factorial", "format_rational", "parse_rational"),
         "kernels": (
             "KernelCache", "KernelKind", "kernel_compositions", "kernel_determinant",
             "kernel_recursive",

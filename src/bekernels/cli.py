@@ -67,8 +67,9 @@ import argparse
 import gc
 import os
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 from . import __version__
@@ -178,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _print_rows(
-    rows: list[tuple[int, Fraction]], format: str, as_json: Callable[[int, str], dict]
+    rows: Iterable[tuple[int, Fraction]], format: str, as_json: Callable[[int, str], dict]
 ) -> None:
     """Print (index, value) rows: a JSON list of ``as_json(index, text)``, csv or tab-separated."""
     if format == "json":
@@ -193,8 +194,8 @@ def _print_rows(
 
 def cmd_table(args: argparse.Namespace) -> int:
     kind = KernelKind(args.kind)
-    kernel_recursive(kind, args.upto)  # one fill; the rows are lookups
-    rows = [(n, kernel_recursive(kind, n)) for n in range(1, args.upto + 1)]
+    kernel_recursive(kind, args.upto)  # one fill, then one pass with (2n)! stepped along the rows
+    rows = islice(shared_cache(kind).items(), 1, args.upto + 1)
     _print_rows(rows, args.format, lambda n, text: {
         "n": n, "value": text, "method": "recursion", "kind": kind.value})
     return 0

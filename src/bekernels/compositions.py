@@ -11,12 +11,10 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-__all__ = ["Composition", "compositions"]
-
-Composition = tuple[int, ...]
+__all__ = ["compositions"]
 
 
-def compositions(n: int) -> Iterator[Composition]:
+def compositions(n: int) -> Iterator[tuple[int, ...]]:
     """Yield every composition of n in lexicographic order.
 
     n must be a positive integer; exactly 2**(n-1) tuples are produced and
@@ -27,7 +25,7 @@ def compositions(n: int) -> Iterator[Composition]:
     return _generate(n)
 
 
-def _generate(n: int) -> Iterator[Composition]:
+def _generate(n: int) -> Iterator[tuple[int, ...]]:
     # Successor rule: after (..., x, y) comes (..., x + 1) and y - 1 ones.
     parts = [1] * n
     while True:

@@ -5,39 +5,23 @@ the kernel fill and its cache hold their values as integers and make a
 Fraction only when one is read.  The class already guarantees the
 invariants the rest of the code relies on: results are reduced to lowest
 terms, the denominator is positive, and zero is represented as 0/1.
-``ExactRational`` is the name the public API uses for that type.
+``factorial`` is ``math.factorial``, which raises ValueError for negative m.
 """
 
 from __future__ import annotations
 
-import functools
-import math
 import re
 from fractions import Fraction
+from math import factorial
 
 __all__ = [
-    "ExactRational",
     "beta_even",
     "factorial",
     "format_rational",
     "parse_rational",
 ]
 
-ExactRational = Fraction
-
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
-
-
-@functools.lru_cache(maxsize=None)
-def factorial(m: int) -> int:
-    """Return m! as an exact integer.
-
-    Memoized on the argument; the cache only ever grows, so concurrent
-    readers are safe.  Raises ValueError for negative m.
-    """
-    if m < 0:
-        raise ValueError(f"factorial is undefined for negative m, got {m}")
-    return math.factorial(m)
 
 
 def beta_even(n: int, m: int) -> Fraction:

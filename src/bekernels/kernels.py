@@ -38,13 +38,14 @@ argument.  A fill of one row per call runs the same code with a block of
 one row, which steps one chain by one class-row.
 
 ``KernelCache`` holds the recursion's values as its integers, V(n) and P
-with K(n) = V(n) / (P (2n)!), and nothing else: ``get`` reduces K(n) to a
-Fraction on each call.  The persisted file holds the same integers, one
-``n V`` line per value with V in hex, so a save reduces nothing and a load
-makes no Fraction.  The scalings in ``sequences`` read the integers
-through ``KernelCache.scaled``, so ``verify`` checks both forms: the
-recursion-vs-determinant entries the Fractions, the oracle and coefficient
-entries the integers.
+with K(n) = V(n) / (P (2n)!), and nothing else: ``get`` reduces one K(n)
+to a Fraction on each call, and ``items`` reads the rows in order, with
+(2n)! stepped from row to row.  The persisted file holds the same
+integers, one ``n V`` line per value with V in hex, so a save reduces
+nothing and a load makes no Fraction.  The scalings in ``sequences`` read
+the integers through ``KernelCache.scaled``, so ``verify`` checks both
+forms: the recursion-vs-determinant entries the Fractions, the oracle and
+coefficient entries the integers.
 """
 
 from __future__ import annotations
@@ -97,9 +98,6 @@ class KernelKind(enum.Enum):
             raise ValueError(f"weight index must be >= 1, got {b}")
         return factorial(2 * b + 1) if self is KernelKind.BERNOULLI else factorial(2 * b)
 
-    def weight(self, b: int) -> Fraction:
-        return Fraction(1, self.weight_denominator(b))
-
 
 class KernelCache:
     """Memo table of kernel values for a single kind.
@@ -112,7 +110,8 @@ class KernelCache:
     Each K(k) is held only as the fill's integers: V(k) and P_k, with
     K(k) = V(k) / (P_k (2k)!) and P_k the lcm of the odd numbers up to
     2k+1 (1 for kind e).  ``scaled`` returns them as they are; ``get`` makes
-    the reduced Fraction anew on each call and keeps none.
+    one reduced Fraction anew on each call and keeps none, and ``items``
+    makes them for every row in order, stepping (2k)! along the rows.
 
     The cache also holds the last row of each of ``kernel_recursive``'s
     three chains, so that extending the table by one value costs O(m)
@@ -152,7 +151,11 @@ class KernelCache:
         return len(self._scaled)
 
     def items(self) -> Iterator[tuple[int, Fraction]]:
-        return enumerate([self.get(n) for n in range(len(self))])
+        """(n, K(n)) for the rows cached when iteration starts, in order, each reduced anew."""
+        unit = 1  # (2n)!
+        for n, (numerator, odd_lcm) in enumerate(self._scaled[:]):
+            yield n, Fraction(numerator, odd_lcm * unit)
+            unit *= (2 * n + 1) * (2 * n + 2)
 
 
 _shared: dict[KernelKind, KernelCache] = {}

@@ -5,10 +5,15 @@ oracles' rows are each kept between calls.  A change to how a table is
 stored must leave every value it returns as it was, so each table's
 ``format_rational`` text is pinned by its sha256.  The digests were first
 checked against an independent route: ``kernel_recursive``, ``a_from_kb``,
-``sequences.bernoulli`` and ``sequences.euler``.
+``sequences.bernoulli`` and ``sequences.euler``.  The recursion's table as
+``bekernels table`` prints it, in each format, is pinned the same way.
 """
 
 import hashlib
+
+import pytest
+
+from bekernels.cli import main
 
 from bekernels.exactnum import format_rational
 from bekernels.kernels import KernelKind, kernel_determinant
@@ -36,3 +41,19 @@ def test_exact_tables_are_pinned():
         "bernoulli_numbers": "026cc494146091791823f5ce3b3eae4be13941d4118e469cfb816ead883235c0",
         "zigzag_numbers": "1291dbd12b901ba39cc342e55267b0487412ae1d5f3af3ce7cef700d2029a636",
     }
+
+
+@pytest.mark.parametrize(
+    "kind, format, digest",
+    [
+        ("b", "plain", "4b435ce1749365cba8a4483a3ec62ed03690e4eecc39e10af038501d39ae3118"),
+        ("b", "csv", "6eadb7aa59e2ce5bef4d6b7563cd09dee3271d962cfa1fccd07ec468c7e46248"),
+        ("b", "json", "83e3a665441a689b7df53e7f2d138177cb7ab3b5703e61968d6690483018f1a9"),
+        ("e", "plain", "d0c61e58fe2e17ddbfed416aefea18f6948c959d84c93725da46b83585e4d38f"),
+        ("e", "csv", "f9e1db134c2aa20ad90f0fd547ab8b1bb9088fbd11fe1b9fc59f7e38be99649e"),
+        ("e", "json", "4230094fb9ec0c6638a615df175487f3efce094b0c0944bb56d374dcf105f35d"),
+    ],
+)
+def test_printed_table_is_pinned(kind, format, digest, capsys):
+    assert main(["table", "--kind", kind, "--upto", "400", "--format", format]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

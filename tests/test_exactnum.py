@@ -1,4 +1,4 @@
-"""Exact rational layer: factorial memo, beta at even arguments, p/q text."""
+"""Exact rational layer: factorial, beta at even arguments, p/q text."""
 
 from fractions import Fraction
 
@@ -6,13 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bekernels.exactnum import (
-    ExactRational,
-    beta_even,
-    factorial,
-    format_rational,
-    parse_rational,
-)
+from bekernels.exactnum import beta_even, factorial, format_rational, parse_rational
 
 
 def test_factorial_known_values():
@@ -54,7 +48,7 @@ def test_beta_even_symmetry():
 
 @given(st.integers(-10**6, 10**6), st.integers(1, 10**6))
 def test_canonical_form(p, q):
-    value = ExactRational(p, q)
+    value = Fraction(p, q)
     assert value.denominator >= 1
     import math
 

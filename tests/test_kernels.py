@@ -40,8 +40,8 @@ KB_TABLE = [
 def test_weight_denominators():
     assert B.weight_denominator(1) == 6
     assert E.weight_denominator(1) == 2
-    assert B.weight(2) == Fraction(1, 120)
-    assert E.weight(2) == Fraction(1, 24)
+    assert Fraction(1, B.weight_denominator(2)) == Fraction(1, 120)
+    assert Fraction(1, E.weight_denominator(2)) == Fraction(1, 24)
     with pytest.raises(ValueError):
         B.weight_denominator(0)
 
@@ -151,7 +151,7 @@ def _hessenberg_matrix(kind, n):
     # unit superdiagonal, weight(i - j + 1) at and below the diagonal.
     return [
         [
-            kind.weight(i - j + 1)
+            Fraction(1, kind.weight_denominator(i - j + 1))
             if j <= i
             else (Fraction(1) if j == i + 1 else Fraction(0))
             for j in range(1, n + 1)
@@ -307,6 +307,24 @@ def test_ascending_and_single_fill_agree(kind):
     single = KernelCache(kind)
     kernel_recursive(kind, 60, single)
     assert list(ascending.items()) == list(single.items())
+
+
+@pytest.mark.parametrize("kind", [B, E])
+def test_items_step_matches_get(kind, tmp_path):
+    # items() steps (2n)! along the rows, get(n) computes it afresh: the two
+    # must agree on a cache filled at once, one row per call, and from a file.
+    at_once = KernelCache(kind)
+    kernel_recursive(kind, 200, at_once)
+    row_by_row = KernelCache(kind)
+    for n in range(1, 201):
+        kernel_recursive(kind, n, row_by_row)
+    path = tmp_path / "kernel.txt"
+    write_cache_file(at_once, path)
+    loaded = KernelCache(kind)
+    read_cache_file(path, loaded)
+    for cache in (at_once, row_by_row, loaded):
+        assert len(cache) == 201
+        assert list(cache.items()) == [(n, cache.get(n)) for n in range(len(cache))]
 
 
 def test_bernoulli_kind_where_odd_lcm_grows():
