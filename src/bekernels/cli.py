@@ -83,8 +83,9 @@ COMPOSITIONS_LIMIT = 22  # the ceiling of compositions --n: a listing of 2**21 l
 # The deepest verify --exact.  The determinant and coefficient entries cost
 # about 9x per doubling of the depth: verify --exact N --brute 12 took 6.0 /
 # 8.7 / 12.3 / 15.2 s at N = 500 / 550 / 600 / 650 when set, 600 the deepest
-# inside 6-15 s, and now takes 9.8 / 13.3 s at 600 / 650 (median of 3 cold
-# CLI runs, 2 shared x86_64 vCPUs).
+# inside 6-15 s.  With the determinant's terms stepped it takes 3.3 / 4.7 s
+# at 600 / 650, where the rebuilt multipliers took 7.5 s at 600 on the same
+# machine (median of 3 cold CLI runs, 2 shared x86_64 vCPUs).
 EXACT_DEPTH_LIMIT = 600
 # The deepest verify --brute.  The g brute-force entry walks 2**n - 1
 # composition prefixes for each n and m0, so verify --exact k --brute k took

@@ -387,10 +387,11 @@ def kernel_compositions(kind: KernelKind, n: int) -> Fraction:
     return Fraction(walk(n, n, 0, common, 1, 1), common)
 
 
-# The weight-denominator ratios W(b) / W(b-1) for b = 1..k (W(0) = 1) and
-# the scaled minors N_0..N_k = d_k (3k)! of each kind, all integers.  Only
-# kernel_determinant fills them, from exact weights, and the lock makes
-# them safe to grow from several threads.
+# Per kind, the terms of kernel_determinant's last row, tau(k, j) for
+# j = 1..k, and the scaled minors N_0..N_k = d_k (3k)!, all integers.  Only
+# kernel_determinant fills them, under the lock, and each row replaces the
+# kind's pair in one assignment, so a call stopped anywhere leaves the
+# pair of the last row it finished.
 _det_lock = threading.Lock()
 _det_rows: dict[KernelKind, tuple[list[int], list[int]]] = {}
 
@@ -406,27 +407,30 @@ def kernel_determinant(kind: KernelKind, n: int) -> Fraction:
     calls, so a call at an index already reached computes none.
 
     The recurrence runs in integers.  With W(b) the denominator of w(b),
-    N_k = d_k (3k)! satisfies N_k = sum_j (-1)^(k-j) c(k, j) N_{j-1} with
-    c(k, j) = (3k)! / ((3j-3)! W(k-j+1)), an integer because
-    (3j-3) + (2k-2j+3) <= 3k.  Going down from c(k, k+1) = 1, each
-    multiplier comes from the one before it, exactly:
-    c(k, j) = c(k, j+1) (3j)(3j-1)(3j-2) / (W(b) / W(b-1)) with b = k-j+1.
-    Only the N_k are kept; each call makes one Fraction, (-1)^n N_n / (3n)!.
+    N_k = d_k (3k)! satisfies N_k = sum_j (-1)^(k-j) tau(k, j) with the
+    terms tau(k, j) = c(k, j) N_{j-1} and c(k, j) = (3k)! / ((3j-3)! W(b)),
+    b = k-j+1, an integer because (3j-3) + (2b+1) <= 3k.  A term steps
+    from row to row by a small multiplier and a small divisor:
+    tau(k, j) = tau(k-1, j) (3k)(3k-1)(3k-2) / ((2b+s-1)(2b+s)), with
+    s = 1 for kind b and 0 for kind e, since W(b) / W(b-1) is
+    (2b+s-1)(2b+s).  The quotient is the integer tau(k, j), so each
+    division is exact.  The row's new term is the step of
+    tau(k-1, k) = N_{k-1} (c(k-1, k) = 1, the superdiagonal) with b = 1.
+    The minors and the last row's terms are kept; each call makes one
+    Fraction, (-1)^n N_n / (3n)!.
     """
     if n < 1:
         raise ValueError(f"determinant form requires n >= 1, got {n}")
+    s = 1 if kind is KernelKind.BERNOULLI else 0
     with _det_lock:
-        ratios, scaled = _det_rows.setdefault(kind, ([], [1]))
-        for k in range(len(scaled), n + 1):
-            previous = kind.weight_denominator(k - 1) if k > 1 else 1
-            ratios.append(kind.weight_denominator(k) // previous)
-            acc, multiplier, sign = 0, 1, 1
-            for j in range(k, 0, -1):
-                multiplier = multiplier * (3 * j) * (3 * j - 1) * (3 * j - 2) // ratios[k - j]
-                acc += sign * multiplier * scaled[j - 1]
-                sign = -sign
-            scaled.append(acc)
-        return Fraction(scaled[n] if n % 2 == 0 else -scaled[n], factorial(3 * n))
+        terms, minors = _det_rows.get(kind, ([], [1]))
+        for k in range(len(minors), n + 1):
+            cube = (3 * k) * (3 * k - 1) * (3 * k - 2)
+            pairs = zip(range(2 * k + s, s, -2), [*terms, minors[-1]])  # (2b+s, tau(k-1, j))
+            terms = [t * cube // (top * (top - 1)) for top, t in pairs]
+            minors = [*minors, sum(terms[-1::-2]) - sum(terms[-2::-2])]
+            _det_rows[kind] = (terms, minors)
+        return Fraction(minors[n] if n % 2 == 0 else -minors[n], factorial(3 * n))
 
 
 def write_cache_file(cache: KernelCache, path: str | Path) -> None:

@@ -24,7 +24,9 @@ __all__ = ["bernoulli_even", "bernoulli_numbers", "euler_even", "zigzag_numbers"
 # missing tail is computed; the locks make the shared state safe to grow
 # from several threads.  _tn_column holds the last tangent column (see
 # bernoulli_even) and _tn_done T_1..T_j.  _zz_row holds the last Seidel
-# row, and _zz_done Z_0..Z_m.
+# row, and _zz_done Z_0..Z_m.  Each step makes its row and the longer list
+# of values first and rebinds both names in one statement, so a call
+# stopped anywhere leaves a row and a list that match.
 _tn_lock = threading.Lock()
 _tn_column: list[int] = [1]
 _tn_done: list[int] = [1]
@@ -50,7 +52,7 @@ def bernoulli_even(n: int) -> Fraction:
     (j-k+2) T_j for every j >= k.  Column j keeps T_j after passes 1..j, so
     column j+1 follows from column j alone; pass j+1 doubles its last entry.
     """
-    global _tn_column
+    global _tn_column, _tn_done
     if n < 0:
         raise ValueError(f"bernoulli_even requires n >= 0, got {n}")
     if n == 0:
@@ -62,8 +64,7 @@ def bernoulli_even(n: int) -> Fraction:
             for k in range(2, j + 1):
                 new.append((j + 1 - k) * col[k - 1] + (j + 3 - k) * new[-1])
             new.append(2 * new[-1])
-            _tn_column = new
-            _tn_done.append(new[-1])
+            _tn_column, _tn_done = new, [*_tn_done, new[-1]]
         tangent = _tn_done[n - 1]
     four_n = 4**n
     return Fraction((1 if n % 2 else -1) * 2 * n * tangent, four_n * (four_n - 1))
@@ -75,13 +76,13 @@ def zigzag_numbers(upto: int) -> list[int]:
     Seidel's boustrophedon recurrence: row m is the running sums, from 0, of
     row m-1 read in reverse, made in one pass; its last entry is Z_m.
     """
-    global _zz_row
+    global _zz_row, _zz_done
     if upto < 0:
         raise ValueError(f"zigzag_numbers requires upto >= 0, got {upto}")
     with _zz_lock:
         while len(_zz_done) <= upto:
-            _zz_row = list(accumulate(reversed(_zz_row), initial=0))
-            _zz_done.append(_zz_row[-1])
+            row = list(accumulate(reversed(_zz_row), initial=0))
+            _zz_row, _zz_done = row, [*_zz_done, row[-1]]
         return _zz_done[: upto + 1]
 
 

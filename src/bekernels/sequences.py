@@ -154,6 +154,9 @@ def a_from_kb(n: int, cache: KernelCache | None = None) -> Fraction:
 # The recursion extends row by row, so computed rows are kept between calls
 # and only the missing tail is computed.  The unit and every stored row grow
 # together under the lock, so the table is safe to grow from several threads.
+# A growth rescales the rows into a new list, rebound in the same statement
+# as the unit, and each new row is one append, so a call stopped anywhere
+# leaves rows that match the unit.
 _a_lock = threading.Lock()
 _a_scaled: list[int] = [0]
 _a_unit = 1
@@ -175,7 +178,7 @@ def a_recursive(n: int) -> Fraction:
     the U_m are kept, rescaled together with L, so U_n / (L 4^n) is a_n at
     any time; each call makes one Fraction.
     """
-    global _a_unit
+    global _a_scaled, _a_unit
     if n < 1:
         raise ValueError(f"a_recursive requires n >= 1, got {n}")
     with _a_lock:
@@ -190,9 +193,8 @@ def a_recursive(n: int) -> Fraction:
             divisor = 2 * m * (2 * m + 1)
             grow = divisor // gcd(total, divisor)
             if grow > 1:
-                _a_unit *= grow
+                _a_unit, _a_scaled = _a_unit * grow, [u * grow for u in _a_scaled]
                 total *= grow
-                _a_scaled[:] = [u * grow for u in _a_scaled]
             _a_scaled.append(total // divisor)
         return Fraction(_a_scaled[n], _a_unit << (2 * n))
 

@@ -232,6 +232,36 @@ def test_concurrent_determinant(monkeypatch):
     assert sorted(outcomes) == sorted(kernel_recursive(B, 33 + i, cache) for i in range(8))
 
 
+@pytest.mark.parametrize("kind", [B, E])
+def test_stopped_determinant_leaves_its_rows_consistent(kind, monkeypatch, stop_sweep):
+    expected = [kernel_recursive(kind, n, KernelCache(kind)) for n in range(1, 16)]
+
+    def reset():
+        monkeypatch.setattr(kernels_module, "_det_rows", {})
+        kernel_determinant(kind, 3)
+
+    def check():
+        assert [kernel_determinant(kind, n) for n in range(1, 16)] == expected
+
+    assert stop_sweep(kernels_module, reset, lambda: kernel_determinant(kind, 12), check)
+
+
+@pytest.mark.parametrize("kind", [B, E])
+def test_stopped_fill_leaves_its_cache_consistent(kind, stop_sweep):
+    # The chains leave the cache while they are stepped, so this already held.
+    expected = [kernel_determinant(kind, n) for n in range(1, 16)]
+    cache = [KernelCache(kind)]
+
+    def reset():
+        cache[0] = KernelCache(kind)
+        kernel_recursive(kind, 3, cache[0])
+
+    def check():
+        assert [kernel_recursive(kind, n, cache[0]) for n in range(1, 16)] == expected
+
+    assert stop_sweep(kernels_module, reset, lambda: kernel_recursive(kind, 12, cache[0]), check)
+
+
 def test_domain_errors():
     with pytest.raises(ValueError):
         kernel_recursive(B, -1)

@@ -41,6 +41,36 @@ def test_bernoulli_table_reduces_once_per_value(monkeypatch, gcd_calls):
     assert oracles_module._tn_done[:8] == tangents
 
 
+def test_stopped_tangent_loop_leaves_its_column_consistent(monkeypatch, stop_sweep):
+    def reset():
+        monkeypatch.setattr(oracles_module, "_tn_column", [1])
+        monkeypatch.setattr(oracles_module, "_tn_done", [1])
+        bernoulli_even(3)
+
+    reset()
+    expected = [bernoulli_even(n) for n in range(1, 16)]
+
+    def check():
+        assert [bernoulli_even(n) for n in range(1, 16)] == expected
+
+    assert stop_sweep(oracles_module, reset, lambda: bernoulli_even(12), check)
+
+
+def test_stopped_seidel_triangle_leaves_its_row_consistent(monkeypatch, stop_sweep):
+    def reset():
+        monkeypatch.setattr(oracles_module, "_zz_row", [1])
+        monkeypatch.setattr(oracles_module, "_zz_done", [1])
+        zigzag_numbers(3)
+
+    reset()
+    expected = zigzag_numbers(15)
+
+    def check():
+        assert zigzag_numbers(15) == expected
+
+    assert stop_sweep(oracles_module, reset, lambda: zigzag_numbers(12), check)
+
+
 def _module_names(tree):
     names = set()
     for node in tree.body:

@@ -159,6 +159,23 @@ def test_a_recursive_reduces_once_per_row(fresh_a_rows, gcd_calls):
     assert value == a_from_kb(40, KernelCache(KernelKind.BERNOULLI))
 
 
+def test_stopped_a_recursive_leaves_its_rows_consistent(monkeypatch, stop_sweep):
+    # A stop between the unit's growth and the rows' rescaling would leave
+    # every later a_n off by the growth.
+    cache = KernelCache(KernelKind.BERNOULLI)
+    expected = [a_from_kb(n, cache) for n in range(1, 16)]
+
+    def reset():
+        monkeypatch.setattr(sequences_module, "_a_scaled", [0])
+        monkeypatch.setattr(sequences_module, "_a_unit", 1)
+        a_recursive(3)
+
+    def check():
+        assert [a_recursive(n) for n in range(1, 16)] == expected
+
+    assert stop_sweep(sequences_module, reset, lambda: a_recursive(12), check)
+
+
 def test_concurrent_a_recursive(fresh_a_rows):
     # The rows and their common denominator grow together under one lock.
     outcomes = []
