@@ -10,13 +10,14 @@ x86_64 vCPUs):
 
     flag                 limit  timing that set it
     --upto, kernel --n   1800   table --kind b --upto 1800: about 15 s
-    verify --exact       600    verify --exact 600 --brute 12: 12.3 s
+    verify --exact       1000   verify --exact 1000 --brute 12: 13.6 s
     verify --brute       19     verify --exact 19 --brute 19: 6.1 s
     compositions --n     22     a listing of 2**21 lines: about 12 s
 
-The first three now take 9.5, 9.8 and 3.4 s (median of 3 cold runs;
-``--upto 2000`` 12.2 s, ``--exact 650`` 13.3 s).  Every limit stays where
-it was until a change of its own moves it.
+``--upto`` and ``--brute`` now take 9.5 and 3.4 s (median of 3 cold
+runs; ``--upto 2000`` 12.2 s).  ``--exact`` was re-set once the
+coefficient recursion stepped its terms (``--exact 1050``: 15.3 s).
+Every limit stays where it was until a change of its own moves it.
 
 ``--upto`` is the flag of ``table``, ``bernoulli``, ``euler`` and ``a-coeff``.
 
@@ -80,13 +81,12 @@ from .kernels import KernelKind, kernel_recursive, read_cache_file, shared_cache
 _EVAL_DIGITS = 30  # significant digits printed for floats, at most --precision
 UPTO_LIMIT = 1800  # the ceiling of --upto and kernel --n, from the table above
 COMPOSITIONS_LIMIT = 22  # the ceiling of compositions --n: a listing of 2**21 lines
-# The deepest verify --exact.  The determinant and coefficient entries cost
-# about 9x per doubling of the depth: verify --exact N --brute 12 took 6.0 /
-# 8.7 / 12.3 / 15.2 s at N = 500 / 550 / 600 / 650 when set, 600 the deepest
-# inside 6-15 s.  With the determinant's terms stepped it takes 3.3 / 4.7 s
-# at 600 / 650, where the rebuilt multipliers took 7.5 s at 600 on the same
-# machine (median of 3 cold CLI runs, 2 shared x86_64 vCPUs).
-EXACT_DEPTH_LIMIT = 600
+# The deepest verify --exact.  With the determinant's and the coefficient
+# recursion's terms stepped, verify --exact N --brute 12 took 13.6 / 15.3 s
+# at N = 1000 / 1050 (median of 10 cold CLI runs each, 2 shared x86_64
+# vCPUs), 1000 the deepest multiple of 50 inside 6-15 s, with a peak RSS of
+# 50 MB.  Before either step it took 12.3 s at 600, the limit's earlier value.
+EXACT_DEPTH_LIMIT = 1000
 # The deepest verify --brute.  The g brute-force entry walks 2**n - 1
 # composition prefixes for each n and m0, so verify --exact k --brute k took
 # 1.7 / 4.2 / 6.1 / 15.3 s at k = 17 / 18 / 19 / 20 when the limit was set,
@@ -182,11 +182,21 @@ def build_parser() -> argparse.ArgumentParser:
 def _print_rows(
     rows: Iterable[tuple[int, Fraction]], format: str, as_json: Callable[[int, str], dict]
 ) -> None:
-    """Print (index, value) rows: a JSON list of ``as_json(index, text)``, csv or tab-separated."""
+    """Print (index, value) rows: a JSON list of ``as_json(index, text)``, csv or tab-separated.
+
+    The JSON list is printed one item at a time, as the bytes of
+    ``json.dumps(items, indent=2)`` for a non-empty list, so no row's text
+    is held twice.
+    """
     if format == "json":
         import json
 
-        print(json.dumps([as_json(i, format_rational(v)) for i, v in rows], indent=2))
+        lead = "[\n  "
+        for i, v in rows:
+            item = json.dumps(as_json(i, format_rational(v)), indent=2)
+            print(lead + item.replace("\n", "\n  "), end="")
+            lead = ",\n  "
+        print("\n]")
     else:
         separator = "," if format == "csv" else "\t"
         for i, v in rows:
@@ -230,7 +240,7 @@ def cmd_scaled(args: argparse.Namespace) -> int:
 
     scale = getattr(sequences, args.scaling)
     kernel_recursive(KernelKind(args.kind), args.upto)  # one fill; the rows read its integers
-    rows = [(args.step * n, scale(n)) for n in range(1, args.upto + 1)]
+    rows = ((args.step * n, scale(n)) for n in range(1, args.upto + 1))
     _print_rows(rows, args.format, lambda i, text: {"index": i, "value": text})
     return 0
 

@@ -151,15 +151,18 @@ def a_from_kb(n: int, cache: KernelCache | None = None) -> Fraction:
 
 # _a_scaled[m] = _a_unit * 4^m * a_m for 1 <= m < len(_a_scaled), in
 # integers over the route's running common denominator; index 0 is unused.
-# The recursion extends row by row, so computed rows are kept between calls
-# and only the missing tail is computed.  The unit and every stored row grow
-# together under the lock, so the table is safe to grow from several threads.
-# A growth rescales the rows into a new list, rebound in the same statement
-# as the unit, and each new row is one append, so a call stopped anywhere
-# leaves rows that match the unit.
+# _a_terms holds the last row's terms, tau(m, k) = C(2m, 2k+1) _a_scaled[m-k]
+# for k = 1..m-1, from which the next row's terms step.  The recursion
+# extends row by row, so computed rows are kept between calls and only the
+# missing tail is computed.  The unit, the rows and the terms grow together
+# under the lock, so the table is safe to grow from several threads.  Each
+# row builds new lists and publishes the unit, the rows and the terms in one
+# assignment, so a call stopped anywhere leaves the three of the last row it
+# finished.
 _a_lock = threading.Lock()
 _a_scaled: list[int] = [0]
 _a_unit = 1
+_a_terms: list[int] = []
 
 
 def a_recursive(n: int) -> Fraction:
@@ -172,31 +175,34 @@ def a_recursive(n: int) -> Fraction:
     2m (2m+1) u_m = 1 - (2m+1) sum_{k=1}^{m-1} C(2m, 2k+1) u_{m-k}, and
     every u_m is held as U_m = L u_m over a common denominator L of the
     route's own.  When 2m (2m+1) does not divide the right-hand side
-    times L, L and every stored U grow by the missing factor.  Each
-    binomial comes from the one before it in the sum, exactly:
-    C(2m, 2k+3) = C(2m, 2k+1) (2m-2k-1)(2m-2k-2) / ((2k+2)(2k+3)).  Only
-    the U_m are kept, rescaled together with L, so U_n / (L 4^n) is a_n at
-    any time; each call makes one Fraction.
+    times L, L, every stored U and every kept term grow by the missing
+    factor.  The terms tau(m, k) = C(2m, 2k+1) U_{m-k} step from row to row
+    by small integers: tau(m, k) = tau(m-1, k-1) (2m)(2m-1) / ((2k)(2k+1)),
+    since C(2m, 2k+1) = C(2m-2, 2k-1) (2m)(2m-1) / ((2k)(2k+1)).  The
+    quotient is the integer tau(m, k), so each division is exact.  The
+    row's new term tau(m, 1) = C(2m, 3) U_{m-1} is the same step of
+    tau(m-1, 0) = C(2m-2, 1) U_{m-1}.  The U_m and the last row's terms are
+    kept, rescaled together with L, so U_n / (L 4^n) is a_n at any time;
+    each call makes one Fraction.
     """
-    global _a_scaled, _a_unit
+    global _a_scaled, _a_unit, _a_terms
     if n < 1:
         raise ValueError(f"a_recursive requires n >= 1, got {n}")
     with _a_lock:
-        for m in range(len(_a_scaled), n + 1):
-            total, binomial = 0, comb(2 * m, 3)
-            for k in range(1, m):
-                total += binomial * _a_scaled[m - k]
-                binomial = binomial * (2 * m - 2 * k - 1) * (2 * m - 2 * k - 2) // (
-                    (2 * k + 2) * (2 * k + 3)
-                )
-            total = _a_unit - (2 * m + 1) * total
+        unit, rows, terms = _a_unit, _a_scaled, _a_terms
+        for m in range(len(rows), n + 1):
+            step = 2 * m * (2 * m - 1)
+            pairs = zip(range(2, 2 * m, 2), [(2 * m - 2) * rows[-1], *terms])  # (2k, tau(m-1, k-1))
+            terms = [t * step // (even * (even + 1)) for even, t in pairs]
+            total = unit - (2 * m + 1) * sum(terms)
             divisor = 2 * m * (2 * m + 1)
             grow = divisor // gcd(total, divisor)
             if grow > 1:
-                _a_unit, _a_scaled = _a_unit * grow, [u * grow for u in _a_scaled]
+                unit, rows, terms = unit * grow, [u * grow for u in rows], [t * grow for t in terms]
                 total *= grow
-            _a_scaled.append(total // divisor)
-        return Fraction(_a_scaled[n], _a_unit << (2 * n))
+            rows = [*rows, total // divisor]
+            _a_unit, _a_scaled, _a_terms = unit, rows, terms
+        return Fraction(rows[n], unit << (2 * n))
 
 
 def a_from_bernoulli(n: int) -> Fraction:

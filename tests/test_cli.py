@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from bekernels import cli, kernels, oracles, verify
+from bekernels import cli, kernels, oracles, sequences, verify
 from bekernels.cli import (
     BRUTE_DEPTH_LIMIT,
     COMPOSITIONS_LIMIT,
@@ -26,6 +26,7 @@ from bekernels.cli import (
     build_parser,
     main,
 )
+from bekernels.exactnum import format_rational
 from bekernels.kernels import KernelKind
 
 EULER_CSV_GOLDEN = "1,-1/2\n2,5/24\n3,-61/720\n"
@@ -167,6 +168,25 @@ def test_a_coeff_json(capsys):
         {"index": 2, "value": "-7/960"},
         {"index": 3, "value": "31/8064"},
     ]
+
+
+def _json_rows(command, upto):
+    if command == "table":
+        return [{"n": n, "value": format_rational(kernels.kernel_recursive(KernelKind.BERNOULLI, n)),
+                 "method": "recursion", "kind": "b"} for n in range(1, upto + 1)]
+    scaling, step = {"bernoulli": (sequences.bernoulli, 2), "euler": (sequences.euler, 2),
+                     "a-coeff": (sequences.a_from_kb, 1)}[command]
+    return [{"index": step * n, "value": format_rational(scaling(n))} for n in range(1, upto + 1)]
+
+
+@pytest.mark.parametrize("upto", [1, 2, 37])
+@pytest.mark.parametrize("argv", [["bernoulli"], ["euler"], ["a-coeff"],
+                                  ["table", "--kind", "b", "--format", "json"]])
+def test_json_output_is_the_dumps_of_its_rows(capsys, argv, upto):
+    # Rows are printed one at a time, byte for byte as one json.dumps of the list.
+    code, out, _ = run_cli(capsys, *argv, "--upto", str(upto))
+    assert code == 0
+    assert out == json.dumps(_json_rows(argv[0], upto), indent=2) + "\n"
 
 
 def test_eval_json_keys_and_accuracy(capsys):

@@ -151,6 +151,7 @@ def fresh_a_rows(monkeypatch):
     """a_recursive starting from a_1, with the process's rows restored afterwards."""
     monkeypatch.setattr(sequences_module, "_a_scaled", [0])
     monkeypatch.setattr(sequences_module, "_a_unit", 1)
+    monkeypatch.setattr(sequences_module, "_a_terms", [])
 
 
 def test_a_recursive_reduces_once_per_row(fresh_a_rows, gcd_calls):
@@ -168,12 +169,34 @@ def test_stopped_a_recursive_leaves_its_rows_consistent(monkeypatch, stop_sweep)
     def reset():
         monkeypatch.setattr(sequences_module, "_a_scaled", [0])
         monkeypatch.setattr(sequences_module, "_a_unit", 1)
+        monkeypatch.setattr(sequences_module, "_a_terms", [])
         a_recursive(3)
 
     def check():
         assert [a_recursive(n) for n in range(1, 16)] == expected
 
     assert stop_sweep(sequences_module, reset, lambda: a_recursive(12), check)
+
+
+def test_a_recursive_grown_in_uneven_steps(monkeypatch, fresh_a_rows):
+    # One row per call to 20, then one call to 120: the unit grows several
+    # times on each stretch, and every kept term must grow with it, or the
+    # rows after the growth come out wrong.
+    units = []
+    for n in range(1, 21):
+        a_recursive(n)
+        units.append(sequences_module._a_unit)
+    a_recursive(120)
+    units.append(sequences_module._a_unit)
+    assert len(set(units[:20])) >= 5 and units[-1] != units[-2]
+    stepped = [a_recursive(n) for n in range(1, 121)]
+    monkeypatch.setattr(sequences_module, "_a_scaled", [0])
+    monkeypatch.setattr(sequences_module, "_a_unit", 1)
+    monkeypatch.setattr(sequences_module, "_a_terms", [])
+    a_recursive(120)
+    assert stepped == [a_recursive(n) for n in range(1, 121)]
+    cache = KernelCache(KernelKind.BERNOULLI)
+    assert stepped == [a_from_kb(n, cache) for n in range(1, 121)]
 
 
 def test_concurrent_a_recursive(fresh_a_rows):
