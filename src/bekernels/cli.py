@@ -11,13 +11,17 @@ x86_64 vCPUs):
     flag                 limit  timing that set it
     --upto, kernel --n   1800   table --kind b --upto 1800: about 15 s
     verify --exact       1000   verify --exact 1000 --brute 12: 13.6 s
-    verify --brute       19     verify --exact 19 --brute 19: 6.1 s
+    verify --brute       21     verify --exact 21 --brute 21: 10.1 s
     compositions --n     22     a listing of 2**21 lines: about 12 s
 
-``--upto`` and ``--brute`` now take 9.5 and 3.4 s (median of 3 cold
-runs; ``--upto 2000`` 12.2 s).  ``--exact`` was re-set once the
-coefficient recursion stepped its terms (``--exact 1050``: 15.3 s).
-Every limit stays where it was until a change of its own moves it.
+``--upto`` now takes 9.5 s (median of 3 cold runs; ``--upto 2000``
+12.2 s).  ``--exact`` was re-set once the coefficient recursion stepped
+its terms (``--exact 1050``: 15.3 s), and ``--brute`` once the g walk read
+its j factors from a per-call table (``--brute 22``: 20.8 s).  Every limit
+stays where it was until a change of its own moves it.
+
+``verify --brute`` may not exceed ``--exact`` (exit 2).  When it is
+omitted it is 12, or ``--exact`` if that is smaller.
 
 ``--upto`` is the flag of ``table``, ``bernoulli``, ``euler`` and ``a-coeff``.
 
@@ -88,11 +92,12 @@ COMPOSITIONS_LIMIT = 22  # the ceiling of compositions --n: a listing of 2**21 l
 # 50 MB.  Before either step it took 12.3 s at 600, the limit's earlier value.
 EXACT_DEPTH_LIMIT = 1000
 # The deepest verify --brute.  The g brute-force entry walks 2**n - 1
-# composition prefixes for each n and m0, so verify --exact k --brute k took
-# 1.7 / 4.2 / 6.1 / 15.3 s at k = 17 / 18 / 19 / 20 when the limit was set,
-# 19 the deepest inside 6-15 s, and now takes 1.1 / 2.1 / 3.4 / 10.9 s
-# (median of 3, 2 shared x86_64 vCPUs).
-BRUTE_DEPTH_LIMIT = 19
+# composition prefixes for each n and m0, so its time doubles with k.  Once
+# the walk read its j factors from a table made per call, verify --exact k
+# --brute k took 4.1 / 10.1 / 20.8 s at k = 20 / 21 / 22 (median of 3 cold
+# runs, 2 shared x86_64 vCPUs), 21 the deepest inside 6-15 s, with a peak
+# RSS of 16 MB.
+BRUTE_DEPTH_LIMIT = 21
 # Commands that print a scaling of one kernel table: name -> (kind read, index
 # step, scaling called through ``sequences`` as ``verify`` calls routes, help).
 _SCALED = {
@@ -151,8 +156,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the cross-method and oracle checks")
     p.add_argument("--exact", type=int_in(1, EXACT_DEPTH_LIMIT), default=40,
                    help="depth for O(n^2) routes")
-    p.add_argument("--brute", type=int_in(1, BRUTE_DEPTH_LIMIT), default=12,
-                   help="depth for brute-force routes")
+    p.add_argument("--brute", type=int_in(1, BRUTE_DEPTH_LIMIT),
+                   help="depth for brute-force routes, at most --exact (default: 12, "
+                   "or --exact if that is smaller)")
     p.set_defaults(handler=cmd_verify, kind=None)
 
     for name, (kind, step, scaling, help_text) in _SCALED.items():
@@ -218,13 +224,14 @@ def cmd_kernel(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.brute > args.exact:
-        raise ValueError(f"--brute ({args.brute}) must not exceed --exact ({args.exact})")
+    brute = min(12, args.exact) if args.brute is None else args.brute
+    if brute > args.exact:
+        raise ValueError(f"--brute ({brute}) must not exceed --exact ({args.exact})")
     from . import verify
 
     failed = False
     for check in verify.CHECKS:
-        depth = args.exact if check.depth == "exact" else args.brute
+        depth = args.exact if check.depth == "exact" else brute
         name = check.title.format(n=depth)
         problem = verify.first_difference(check.pairs(depth))
         if problem is None:

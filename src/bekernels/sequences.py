@@ -16,7 +16,6 @@ E_2 = -1, and a_1 = 1/24.
 
 from __future__ import annotations
 
-import functools
 import threading
 from fractions import Fraction
 from math import comb, gcd
@@ -45,13 +44,12 @@ def f_of(n: int) -> Fraction:
     return Fraction(1, (1 << (2 * n)) * (2 * n) * (2 * n + 1))
 
 
-@functools.lru_cache(maxsize=None)
 def j_of(a: int, b: int) -> Fraction:
     """j(a, b) = -(2a+2b-1)! / (2^{2b} (2b+1)! (2a-1)!) for a, b >= 1.
 
     The factorial ratio is one binomial: j = -C(2a+2b-1, 2b) / ((2b+1) 4^b).
     Always negative, which is what makes the sign of a product of j
-    factors depend only on the number of factors.  Memoized on (a, b).
+    factors depend only on the number of factors.
     """
     if a < 1 or b < 1:
         raise ValueError(f"j_of requires a >= 1 and b >= 1, got a={a}, b={b}")
@@ -84,24 +82,26 @@ def g_bruteforce(n: int, m0: int) -> Fraction:
 
     The walk runs in integers.  Every prefix product has a denominator
     dividing D = (2m0-1)! 4^n (3n)!, so it carries q = D * product and
-    steps q -> q * j.numerator / j.denominator, an exact division (a
+    steps q -> q * s / t, s / t = j(a, b) from ``j``, a table of ``j_of``
+    made per call for a >= m0, a + b <= m0 + n: an exact division (a
     remainder raises ArithmeticError).  The sum is Fraction(sum of q, D).
     """
     if n < 1 or m0 < 1:
         raise ValueError(f"g_bruteforce requires n >= 1 and m0 >= 1, got n={n}, m0={m0}")
+    top = m0 + n
+    j = {a: [j_of(a, b).as_integer_ratio() for b in range(1, top - a + 1)] for a in range(m0, top)}
 
-    def walk(remaining: int, a: int, quotient: int) -> int:
+    def walk(a: int, quotient: int) -> int:
         total = 0
-        for b in range(1, remaining + 1):
-            j = j_of(a, b)
-            q, remainder = divmod(quotient * j.numerator, j.denominator)
+        for b, (numerator, denominator) in enumerate(j[a], 1):
+            q, remainder = divmod(quotient * numerator, denominator)
             if remainder:
                 raise ArithmeticError(f"g_bruteforce: j({a}, {b}) does not step D exactly")
-            total += q if b == remaining else walk(remaining - b, a + b, q)
+            total += q if a + b == top else walk(a + b, q)
         return total
 
     common = factorial(2 * m0 - 1) * (1 << (2 * n)) * factorial(3 * n)
-    return Fraction(walk(n, m0, common), common)
+    return Fraction(walk(m0, common), common)
 
 
 def _scaled_kernel(kind: KernelKind, n: int, cache: KernelCache | None) -> tuple[int, int]:

@@ -14,8 +14,10 @@ module's kept tables give after each stop.
 import itertools
 import linecache
 import math
+import signal
 import sys
-from typing import Callable, List
+import threading
+from typing import Callable, List, Optional
 
 import pytest
 
@@ -45,13 +47,13 @@ class Stop(BaseException):
     """Raised part-way through a call, the way KeyboardInterrupt may be."""
 
 
-def stopped_at(module, k: int, call: Callable[[], object]) -> bool:
+def stopped_at(module, k: int, call: Callable[[], object]) -> Optional[int]:
     """Run ``call()`` and raise ``Stop`` at its k-th line event in ``module``'s frames.
 
     A ``with`` statement's line is passed over: it is also reported on the
     way out of the block, before the lock's release, where no signal can
-    stop a call.  Return whether the call was stopped; the previous tracer
-    comes back either way.
+    stop a call.  Return the line number the call was stopped at, or None
+    if it ran past k line events; the previous tracer comes back either way.
     """
     filename, seen = module.__file__, 0
 
@@ -61,7 +63,7 @@ def stopped_at(module, k: int, call: Callable[[], object]) -> bool:
         if event == "line" and not line.lstrip().startswith("with "):
             seen += 1
             if seen == k:
-                raise Stop
+                raise Stop(frame.f_lineno)
         return local
 
     def tracer(frame, event, arg):
@@ -71,15 +73,19 @@ def stopped_at(module, k: int, call: Callable[[], object]) -> bool:
     sys.settrace(tracer)
     try:
         call()
-    except Stop:
-        return True
+    except Stop as stop:
+        return stop.args[0]
     finally:
         sys.settrace(previous)
-    return False
+    return None
+
+
+# Seconds one stop of a sweep may take, from its reset to the end of its check.
+STOP_DEADLINE_S = 10
 
 
 @pytest.fixture
-def stop_sweep():
+def stop_sweep(monkeypatch):
     """Stop a call at each of its line events in turn, checking after each stop.
 
     ``sweep(module, reset, call, check)`` runs, for k = 1, 2, ...:
@@ -87,15 +93,42 @@ def stop_sweep():
     ``module`` (see ``stopped_at``), then ``check()``, which asserts that
     the kept tables still give right values.  It ends after the first k
     that the call runs past, and returns the number of stops.
+
+    A stop that leaves a lock held makes the next call wait forever: on
+    Python 3.12 and 3.13 a ``Stop`` raised by the tracer inside an inlined
+    comprehension skips the enclosing ``with`` block's exit.  So each stop
+    has a deadline of STOP_DEADLINE_S, past which the sweep fails naming k
+    and the line it stopped at, and the sweep runs on fresh copies of the
+    module's locks, so the module's own locks stay free for later tests.
     """
 
     def sweep(module, reset, call, check) -> int:
-        for k in itertools.count(1):
-            reset()
-            stopped = stopped_at(module, k, call)
-            check()
-            if not stopped:
-                return k - 1
+        for name, value in list(vars(module).items()):
+            if isinstance(value, type(threading.Lock())):
+                monkeypatch.setattr(module, name, threading.Lock())
+        k, line = 0, None
+
+        def expired(signum, frame):
+            where = "before the stop" if line is None else (
+                f"after the stop at {module.__name__} line {line}: "
+                f"{linecache.getline(module.__file__, line).strip()}")
+            pytest.fail(f"stop {k} of {module.__name__} ran past {STOP_DEADLINE_S} s, "
+                        f"blocked {where}", pytrace=False)
+
+        previous = signal.signal(signal.SIGALRM, expired)
+        try:
+            for k in itertools.count(1):
+                line = None
+                signal.setitimer(signal.ITIMER_REAL, STOP_DEADLINE_S)
+                reset()
+                line = stopped_at(module, k, call)
+                check()
+                signal.setitimer(signal.ITIMER_REAL, 0)
+                if line is None:
+                    return k - 1
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
 
     return sweep
 

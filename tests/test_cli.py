@@ -144,6 +144,18 @@ def test_verify_precondition_exits_2(capsys, monkeypatch, argv):
     assert "--brute" in err
 
 
+def test_verify_omitted_brute_follows_a_shallow_exact(capsys):
+    # An omitted --brute is min(12, --exact), so a shallow --exact runs alone.
+    code, out, _ = run_cli(capsys, "verify", "--exact", "5")
+    assert code == 0
+    lines = out.splitlines()
+    brute = [check.title.format(n=5) for check in verify.CHECKS if check.depth != "exact"]
+    assert brute and all(f"PASS {title}" in lines for title in brute)
+    assert all("n=1..5" in title for title in brute)
+    # With no flags, verify runs as it always has: --exact 40 --brute 12.
+    assert run_cli(capsys, "verify") == run_cli(capsys, "verify", "--exact", "40", "--brute", "12")
+
+
 def test_bernoulli_json(capsys):
     code, out, _ = run_cli(capsys, "bernoulli", "--upto", "3")
     assert code == 0

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from bekernels.compositions import compositions
 from bekernels.exactnum import beta_even, format_rational
 from bekernels.kernels import KernelCache, KernelKind, kernel_recursive
 from bekernels.oracles import bernoulli_even, euler_even
@@ -94,28 +95,41 @@ def test_g_routes_agree():
 
 
 def test_g_bruteforce_visits_each_prefix_once(monkeypatch):
-    # One j factor per composition prefix: 2**n - 1 of them for n.  A
+    # One exact step per composition prefix: 2**n - 1 of them for n.  A
     # per-composition product makes (n+1) 2**(n-2); a memoized suffix sum
     # O(n**2).
-    calls = []
-    right = sequences_module.j_of
+    steps = [0]
 
-    def counted(a, b):
-        calls.append((a, b))
-        return right(a, b)
+    def counted(x, y):
+        steps[0] += 1
+        return divmod(x, y)
 
-    monkeypatch.setattr(sequences_module, "j_of", counted)
+    monkeypatch.setattr(sequences_module, "divmod", counted, raising=False)
     assert g_bruteforce(10, 3) == g_closed(10, 3)
-    assert len(calls) == 2**10 - 1
+    assert steps[0] == 2**10 - 1
 
 
 def test_g_bruteforce_reduces_once(gcd_calls):
-    # The walk keeps the product as an integer over a common denominator;
-    # with j memoized, a repeat call reduces only its sum.
-    first = g_bruteforce(10, 3)
-    gcd_calls[0] = 0
-    assert g_bruteforce(10, 3) == first
-    assert gcd_calls[0] <= 4
+    # The walk keeps the product as an integer over a common denominator:
+    # one reduction per j of its table (10 * 11 / 2 for n = 10) and one for
+    # the sum, none per prefix.
+    value = g_bruteforce(10, 3)
+    assert gcd_calls[0] == 10 * 11 // 2 + 1
+    assert value == g_closed(10, 3)
+
+
+def test_g_bruteforce_is_the_literal_sum():
+    # The walk, checked against one product of j factors per composition.
+    for n in range(1, 11):
+        for m0 in range(1, 4):
+            literal = Fraction(0)
+            for parts in compositions(n):
+                a, product = m0, Fraction(1)
+                for b in parts:
+                    product *= j_of(a, b)
+                    a += b
+                literal += product
+            assert g_bruteforce(n, m0) == literal, (n, m0)
 
 
 def test_g_bruteforce_rejects_an_inexact_step(monkeypatch):
