@@ -5,20 +5,8 @@ compositions.  Exit codes: 0 success, 1 verification mismatch, 2 invalid
 flags or values, or a persisted table or output that cannot be read or
 written.  The parser declares every range (``int_in``), so a value out of
 range exits 2, naming the flag and its limit, before any persisted table
-is read.  Each ceiling sits near where a cold run takes 6-15 s (2 shared
-x86_64 vCPUs):
-
-    flag                 limit  timing that set it
-    --upto, kernel --n   1800   table --kind b --upto 1800: about 15 s
-    verify --exact       1000   verify --exact 1000 --brute 12: 13.6 s
-    verify --brute       21     verify --exact 21 --brute 21: 10.1 s
-    compositions --n     22     a listing of 2**21 lines: about 12 s
-
-``--upto`` now takes 9.5 s (median of 3 cold runs; ``--upto 2000``
-12.2 s).  ``--exact`` was re-set once the coefficient recursion stepped
-its terms (``--exact 1050``: 15.3 s), and ``--brute`` once the g walk read
-its j factors from a per-call table (``--brute 22``: 20.8 s).  Every limit
-stays where it was until a change of its own moves it.
+is read.  README's table of ceilings gives each limit and the timing that
+set it.
 
 ``verify --brute`` may not exceed ``--exact`` (exit 2).  When it is
 omitted it is 12, or ``--exact`` if that is smaller.
@@ -83,21 +71,12 @@ from .exactnum import format_rational
 from .kernels import KernelKind, kernel_recursive, read_cache_file, shared_cache, write_cache_file
 
 _EVAL_DIGITS = 30  # significant digits printed for floats, at most --precision
-UPTO_LIMIT = 1800  # the ceiling of --upto and kernel --n, from the table above
-COMPOSITIONS_LIMIT = 22  # the ceiling of compositions --n: a listing of 2**21 lines
-# The deepest verify --exact.  With the determinant's and the coefficient
-# recursion's terms stepped, verify --exact N --brute 12 took 13.6 / 15.3 s
-# at N = 1000 / 1050 (median of 10 cold CLI runs each, 2 shared x86_64
-# vCPUs), 1000 the deepest multiple of 50 inside 6-15 s, with a peak RSS of
-# 50 MB.  Before either step it took 12.3 s at 600, the limit's earlier value.
-EXACT_DEPTH_LIMIT = 1000
-# The deepest verify --brute.  The g brute-force entry walks 2**n - 1
-# composition prefixes for each n and m0, so its time doubles with k.  Once
-# the walk read its j factors from a table made per call, verify --exact k
-# --brute k took 4.1 / 10.1 / 20.8 s at k = 20 / 21 / 22 (median of 3 cold
-# runs, 2 shared x86_64 vCPUs), 21 the deepest inside 6-15 s, with a peak
-# RSS of 16 MB.
-BRUTE_DEPTH_LIMIT = 21
+# Each ceiling sits near where a cold run takes 6-15 s; README's table of
+# ceilings gives the timing that set it.
+UPTO_LIMIT = 1800  # --upto and kernel --n: a kind-b table to 1800
+COMPOSITIONS_LIMIT = 22  # compositions --n: a listing of 2**21 lines
+EXACT_DEPTH_LIMIT = 1000  # verify --exact: the deepest multiple of 50 inside the band
+BRUTE_DEPTH_LIMIT = 21  # verify --brute: the g walk's time doubles with each n
 # Commands that print a scaling of one kernel table: name -> (kind read, index
 # step, scaling called through ``sequences`` as ``verify`` calls routes, help).
 _SCALED = {

@@ -36,10 +36,8 @@ def beta_even(n: int, m: int) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Render an exact rational as ``p/q`` in lowest terms, or ``p`` when q is 1."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """``str(value)``: ``p/q`` in lowest terms, or ``p`` when q is 1."""
+    return str(value)
 
 
 def parse_rational(text: str) -> Fraction:

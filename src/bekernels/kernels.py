@@ -44,8 +44,8 @@ to a Fraction on each call, and ``items`` reads the rows in order, with
 integers, one ``n V`` line per value with V in hex, so a save reduces
 nothing and a load makes no Fraction.  The scalings in ``sequences`` read
 the integers through ``KernelCache.scaled``, so ``verify`` checks both
-forms: the recursion-vs-determinant entries the Fractions, the oracle and
-coefficient entries the integers.
+forms: the recursion entries the Fractions of ``items``, as ``table`` reads
+them, and the oracle and coefficient entries the integers.
 """
 
 from __future__ import annotations
@@ -158,16 +158,12 @@ class KernelCache:
             unit *= (2 * n + 1) * (2 * n + 2)
 
 
-_shared: dict[KernelKind, KernelCache] = {}
-_shared_lock = threading.Lock()
+_shared = {kind: KernelCache(kind) for kind in KernelKind}
 
 
 def shared_cache(kind: KernelKind) -> KernelCache:
-    """Process-wide cache used when callers do not supply their own."""
-    with _shared_lock:
-        if kind not in _shared:
-            _shared[kind] = KernelCache(kind)
-        return _shared[kind]
+    """The process-wide cache of ``kind``, made at import, used when callers supply none."""
+    return _shared[kind]
 
 
 def kernel_recursive(kind: KernelKind, n: int, cache: KernelCache | None = None) -> Fraction:

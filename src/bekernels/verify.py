@@ -19,7 +19,8 @@ machinery.  The determinant, the oracles and ``a_recursive`` keep
 their rows between calls, but only rows computed in this process: nothing
 loads into them.  Routes are called through their modules, never
 imported by name, so that whatever a module exposes under a route's name
-is what the table checks.
+is what the table checks.  The recursion entries read the rows through
+``KernelCache.items``, the reader ``table`` prints with.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import partial
+from itertools import islice
 
 from . import exactnum, kernels, oracles, sequences
 from .kernels import KernelCache, KernelKind
@@ -59,17 +61,13 @@ def _filled(kind: KernelKind, depth: int) -> KernelCache:
 
 
 def _three_way(kind: KernelKind, depth: int) -> Iterator[Pair]:
-    cache = _filled(kind, depth)
-    for n in range(1, depth + 1):
-        recursive = kernels.kernel_recursive(kind, n, cache)
+    for n, recursive in islice(_filled(kind, depth).items(), 1, depth + 1):
         yield f"n={n} (compositions)", recursive, kernels.kernel_compositions(kind, n)
         yield f"n={n} (determinant)", recursive, kernels.kernel_determinant(kind, n)
 
 
 def _recursion_vs_determinant(kind: KernelKind, depth: int) -> Iterator[Pair]:
-    cache = _filled(kind, depth)
-    for n in range(1, depth + 1):
-        recursive = kernels.kernel_recursive(kind, n, cache)
+    for n, recursive in islice(_filled(kind, depth).items(), 1, depth + 1):
         yield f"n={n}", recursive, kernels.kernel_determinant(kind, n)
 
 

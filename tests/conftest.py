@@ -52,22 +52,32 @@ def stopped_at(module, k: int, call: Callable[[], object]) -> Optional[int]:
 
     A ``with`` statement's line is passed over: it is also reported on the
     way out of the block, before the lock's release, where no signal can
-    stop a call.  Return the line number the call was stopped at, or None
-    if it ran past k line events; the previous tracer comes back either way.
+    stop a call.  So is a line event that repeats its frame's previous
+    line, as each pass of a one-line loop or comprehension does: from
+    Python 3.12 a comprehension runs in its enclosing frame (PEP 709), and
+    a ``Stop`` raised there by the tracer can leave an enclosing ``with``
+    block's lock held, which no signal does.  Return the line number the
+    call was stopped at, or None if it ran past k line events; the previous
+    tracer comes back either way.
     """
     filename, seen = module.__file__, 0
 
-    def local(frame, event, arg):
-        nonlocal seen
-        line = linecache.getline(filename, frame.f_lineno)
-        if event == "line" and not line.lstrip().startswith("with "):
-            seen += 1
-            if seen == k:
-                raise Stop(frame.f_lineno)
-        return local
-
     def tracer(frame, event, arg):
-        return local if frame.f_code.co_filename == filename else None
+        if frame.f_code.co_filename != filename:
+            return None
+        last = None  # this frame's previous line
+
+        def local(frame, event, arg):
+            nonlocal seen, last
+            if event == "line" and frame.f_lineno != last:
+                last = frame.f_lineno
+                if not linecache.getline(filename, last).lstrip().startswith("with "):
+                    seen += 1
+                    if seen == k:
+                        raise Stop(last)
+            return local
+
+        return local
 
     previous = sys.gettrace()
     sys.settrace(tracer)
@@ -94,12 +104,11 @@ def stop_sweep(monkeypatch):
     the kept tables still give right values.  It ends after the first k
     that the call runs past, and returns the number of stops.
 
-    A stop that leaves a lock held makes the next call wait forever: on
-    Python 3.12 and 3.13 a ``Stop`` raised by the tracer inside an inlined
-    comprehension skips the enclosing ``with`` block's exit.  So each stop
-    has a deadline of STOP_DEADLINE_S, past which the sweep fails naming k
-    and the line it stopped at, and the sweep runs on fresh copies of the
-    module's locks, so the module's own locks stay free for later tests.
+    A stop that leaves a lock held makes the next call wait forever (see
+    ``stopped_at`` for the case that did).  So each stop has a deadline of
+    STOP_DEADLINE_S, past which the sweep fails naming k and the line it
+    stopped at, and the sweep runs on fresh copies of the module's locks,
+    so the module's own locks stay free for later tests.
     """
 
     def sweep(module, reset, call, check) -> int:

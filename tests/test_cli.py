@@ -127,6 +127,27 @@ def test_verify_reports_a_wrong_oracle(capsys, monkeypatch):
     assert all(line.startswith("PASS") for line in out.splitlines() if line not in fails)
 
 
+@pytest.mark.parametrize("kind", ["b", "e"])
+def test_verify_reads_the_rows_table_prints(capsys, monkeypatch, kind):
+    # The recursion entries read KernelCache.items, the reader table prints
+    # with, so a wrong row there is a first difference in both of them.
+    right = kernels.KernelCache.items
+
+    def planted(self):
+        for n, value in right(self):
+            yield n, value + 1 if (self.kind.value, n) == (kind, 7) else value
+
+    monkeypatch.setattr(kernels.KernelCache, "items", planted)
+    code, out, _ = run_cli(capsys, "verify", "--exact", "8", "--brute", "8")
+    assert code == 1
+    fails = [line.split(": ")[:2] for line in out.splitlines() if line.startswith("FAIL")]
+    assert fails == [
+        [f"FAIL three-way kernel agreement (kind={kind}, n=1..8)",
+         "first difference at n=7 (compositions)"],
+        [f"FAIL recursion vs determinant (kind={kind}, n=1..8)", "first difference at n=7"],
+    ]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -486,6 +507,11 @@ def _cached_argvs(draw):
     return [[*argv, flag, str(size)] for size in sizes]
 
 
+def _fresh_shared():
+    """A new pair of empty process-wide caches, to stand in for ``kernels._shared``."""
+    return {kind: kernels.KernelCache(kind) for kind in KernelKind}
+
+
 def _main_with_cold_tables(argv, cache_dir=None, err=None):
     """(exit code, stdout) of ``main(argv)`` with no kernel cached, and KERNEL_CACHE_DIR if given.
 
@@ -493,8 +519,9 @@ def _main_with_cold_tables(argv, cache_dir=None, err=None):
     """
     env = {"KERNEL_CACHE_DIR": cache_dir} if cache_dir else {}
     out = io.StringIO()
-    with mock.patch.object(kernels, "_shared", {}), mock.patch.dict(os.environ, env), \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err or io.StringIO()):
+    with mock.patch.object(kernels, "_shared", _fresh_shared()), \
+            mock.patch.dict(os.environ, env), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err or io.StringIO()):
         code = main(argv)
     return code, out.getvalue()
 
@@ -844,7 +871,7 @@ def test_cache_dir_reads_only_the_kind_used(tmp_path, argv):
 
 def test_error_inside_a_command_exits_2_and_writes_no_table(capsys, monkeypatch, tmp_path):
     # A fresh process-wide table, so the command surely extends it.
-    monkeypatch.setattr(kernels, "_shared", {})
+    monkeypatch.setattr(kernels, "_shared", _fresh_shared())
 
     def broken_pipe(args):
         kernels.kernel_recursive(KernelKind(args.kind), args.n)
@@ -870,12 +897,6 @@ def test_cache_dir_naming_a_file_exits_2_and_leaves_it(tmp_path):
     assert plain.read_bytes() == b"not a directory\n"
 
 
-def _docstring_limits():
-    table = cli.__doc__.split("timing that set it\n", 1)[1].split("\n\n", 1)[0]
-    return {flag: int(limit) for flag, limit, _ in
-            (re.split(r" {2,}", row.strip()) for row in table.splitlines())}
-
-
 def _readme_limits():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     rows = re.findall(r"^\| (`[^|]*) \| (\d+) \|", readme, flags=re.MULTILINE)
@@ -883,14 +904,8 @@ def _readme_limits():
 
 
 def test_ceiling_tables_state_the_limits_in_force():
-    # The tables in the cli docstring and the README name each ceiling;
-    # they must not drift from the constants the parser checks.
-    assert _docstring_limits() == {
-        "--upto, kernel --n": UPTO_LIMIT,
-        "verify --exact": EXACT_DEPTH_LIMIT,
-        "verify --brute": BRUTE_DEPTH_LIMIT,
-        "compositions --n": COMPOSITIONS_LIMIT,
-    }
+    # README's table is the one statement of each ceiling; it must not
+    # drift from the constants the parser checks.
     assert _readme_limits() == {
         "`--upto` of `table`, `bernoulli`, `euler`, `a-coeff`": UPTO_LIMIT,
         "`kernel --n`": UPTO_LIMIT,

@@ -39,8 +39,14 @@ def test_truncation_params_validation():
 
 
 def test_eval_path_imports_no_dataclasses():
-    # A fresh interpreter, so modules imported by other tests do not count.
-    script = "import sys, bekernels.specfun; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    # A fresh interpreter, so modules imported by other tests do not count,
+    # and only the modules the import adds: from Python 3.12 the site hook
+    # imports inspect before the package loads, so there a new
+    # ``import inspect`` would go unseen.
+    script = (
+        "import sys; before = set(sys.modules); import bekernels.specfun; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
     )
@@ -388,7 +394,8 @@ def test_eval_fills_the_cold_table_with_one_reduction(evaluator, monkeypatch, gc
     # One fill up front: a gcd per row for the growth of P, one per a_n or
     # g read and one for the K_b it returns.  A fill per term would add a
     # reduced K_b(n) for every n, 603 gcds in all.
-    monkeypatch.setattr(kernels, "_shared", {})
+    fresh = {kind: kernels.KernelCache(kind) for kind in kernels.KernelKind}
+    monkeypatch.setattr(kernels, "_shared", fresh)
     evaluator(5, tp(200))
     assert gcd_calls[0] <= 2 * 201 + 1
 
@@ -396,7 +403,8 @@ def test_eval_fills_the_cold_table_with_one_reduction(evaluator, monkeypatch, gc
 def test_hurwitz_fills_the_cold_table_once(monkeypatch):
     # g_closed reads K_b(z) for z = 1..N+1; on a cold table, one call per z
     # would fill one row each, 201 fills in all.
-    monkeypatch.setattr(kernels, "_shared", {})
+    fresh = {kind: kernels.KernelCache(kind) for kind in kernels.KernelKind}
+    monkeypatch.setattr(kernels, "_shared", fresh)
     table = kernels.shared_cache(kernels.KernelKind.BERNOULLI)
     right = kernels.kernel_recursive
     growing = []
