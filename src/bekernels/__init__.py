@@ -28,12 +28,13 @@ _EXPORTS = {
         "compositions": ("compositions",),
         "exactnum": ("beta_even", "factorial", "format_rational", "parse_rational"),
         "kernels": (
-            "KernelCache", "KernelKind", "kernel_compositions", "kernel_determinant",
-            "kernel_recursive",
+            "KernelCache", "KernelKind", "determinant_rows", "kernel_compositions",
+            "kernel_determinant", "kernel_recursive",
         ),
         "sequences": (
-            "a_from_bernoulli", "a_from_kb", "a_recursive", "bernoulli", "euler",
-            "f_of", "faulhaber_check", "g_bruteforce", "g_closed", "j_of",
+            "a_from_bernoulli", "a_from_bernoulli_rows", "a_from_kb", "a_recursive",
+            "a_recursive_rows", "bernoulli", "euler", "f_of", "faulhaber_check",
+            "g_bruteforce", "g_closed", "j_of",
         ),
         "specfun": (
             "EvalReport", "TruncationParams", "check_ln_pi_over_e", "eval_digamma",

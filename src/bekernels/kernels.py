@@ -10,7 +10,7 @@ for the Euler-type one.  Three independent routes compute the same values:
   per ordering, of (-1)^(number of parts) * product of w(part),
 * ``kernel_determinant`` -- (-1)^n times the determinant of the n x n
   lower Hessenberg matrix with unit superdiagonal and w(i - j + 1) at and
-  below the diagonal.
+  below the diagonal, item n of the generator ``determinant_rows``.
 
 The routes exist to check one another; none of them may be redefined in
 terms of the others.  They are not equally strong checks.  With
@@ -57,6 +57,7 @@ import os
 import threading
 from collections.abc import Iterator
 from fractions import Fraction
+from itertools import count, islice
 from pathlib import Path
 
 from .exactnum import factorial
@@ -64,6 +65,7 @@ from .exactnum import factorial
 __all__ = [
     "KernelCache",
     "KernelKind",
+    "determinant_rows",
     "kernel_compositions",
     "kernel_determinant",
     "kernel_recursive",
@@ -383,24 +385,14 @@ def kernel_compositions(kind: KernelKind, n: int) -> Fraction:
     return Fraction(walk(n, n, 0, common, 1, 1), common)
 
 
-# Per kind, the terms of kernel_determinant's last row, tau(k, j) for
-# j = 1..k, and the scaled minors N_0..N_k = d_k (3k)!, all integers.  Only
-# kernel_determinant fills them, under the lock, and each row replaces the
-# kind's pair in one assignment, so a call stopped anywhere leaves the
-# pair of the last row it finished.
-_det_lock = threading.Lock()
-_det_rows: dict[KernelKind, tuple[list[int], list[int]]] = {}
-
-
-def kernel_determinant(kind: KernelKind, n: int) -> Fraction:
-    """K(n) = (-1)^n det(H_n) for the lower Hessenberg weight matrix H_n.
+def determinant_rows(kind: KernelKind) -> Iterator[Fraction]:
+    """K(0), K(1), ... with K(n) = (-1)^n det(H_n) for the lower Hessenberg weight matrix H_n.
 
     H_n has 1 on the superdiagonal and w(i - j + 1) at entry (i, j) for
     j <= i.  Expanding along the last row gives the minor recurrence
     d_k = sum_{j=1..k} (-1)^(k-j) w(k - j + 1) d_{j-1} with d_0 = 1, so no
     matrix is ever materialized here; the explicit-matrix route lives in
-    the test suite as an independent check.  The minors are kept between
-    calls, so a call at an index already reached computes none.
+    the test suite as an independent check.
 
     The recurrence runs in integers.  With W(b) the denominator of w(b),
     N_k = d_k (3k)! satisfies N_k = sum_j (-1)^(k-j) tau(k, j) with the
@@ -412,21 +404,26 @@ def kernel_determinant(kind: KernelKind, n: int) -> Fraction:
     (2b+s-1)(2b+s).  The quotient is the integer tau(k, j), so each
     division is exact.  The row's new term is the step of
     tau(k-1, k) = N_{k-1} (c(k-1, k) = 1, the superdiagonal) with b = 1.
-    The minors and the last row's terms are kept; each call makes one
-    Fraction, (-1)^n N_n / (3n)!.
+    Only the last row's terms, its minor and (3k)! are kept, in this
+    generator; each row makes one Fraction, (-1)^k N_k / (3k)!.
     """
+    s = 1 if kind is KernelKind.BERNOULLI else 0
+    terms, minor, unit = [], 1, 1  # tau(k, j) for j = 1..k, N_k, (3k)!
+    yield Fraction(1)
+    for k in count(1):
+        cube = (3 * k) * (3 * k - 1) * (3 * k - 2)
+        pairs = zip(range(2 * k + s, s, -2), [*terms, minor])  # (2b+s, tau(k-1, j))
+        terms = [t * cube // (top * (top - 1)) for top, t in pairs]
+        minor = sum(terms[-1::-2]) - sum(terms[-2::-2])
+        unit *= cube
+        yield Fraction(minor if k % 2 == 0 else -minor, unit)
+
+
+def kernel_determinant(kind: KernelKind, n: int) -> Fraction:
+    """K(n), item n of a fresh ``determinant_rows(kind)``: one O(n^2) pass, nothing kept."""
     if n < 1:
         raise ValueError(f"determinant form requires n >= 1, got {n}")
-    s = 1 if kind is KernelKind.BERNOULLI else 0
-    with _det_lock:
-        terms, minors = _det_rows.get(kind, ([], [1]))
-        for k in range(len(minors), n + 1):
-            cube = (3 * k) * (3 * k - 1) * (3 * k - 2)
-            pairs = zip(range(2 * k + s, s, -2), [*terms, minors[-1]])  # (2b+s, tau(k-1, j))
-            terms = [t * cube // (top * (top - 1)) for top, t in pairs]
-            minors = [*minors, sum(terms[-1::-2]) - sum(terms[-2::-2])]
-            _det_rows[kind] = (terms, minors)
-        return Fraction(minors[n] if n % 2 == 0 else -minors[n], factorial(3 * n))
+    return next(islice(determinant_rows(kind), n, None))
 
 
 def write_cache_file(cache: KernelCache, path: str | Path) -> None:

@@ -6,6 +6,7 @@ Everything here is exact.  The module exposes:
   rescaled from the kernels of the matching kind;
 * the expansion coefficients a_n that drive the asymptotic evaluators in
   ``specfun``, computable by three independent routes that must agree;
+  the two O(n^2) ones are generators that keep only their last row;
 * the auxiliary sequences f, j, and g, where g has both a closed form in
   the kernel and a brute-force definition as a sum of j-products over
   compositions.
@@ -16,8 +17,9 @@ E_2 = -1, and a_1 = 1/24.
 
 from __future__ import annotations
 
-import threading
+from collections.abc import Iterator
 from fractions import Fraction
+from itertools import count, islice
 from math import comb, gcd
 
 from .exactnum import factorial
@@ -25,8 +27,10 @@ from .kernels import KernelCache, KernelKind, kernel_recursive, shared_cache
 
 __all__ = [
     "a_from_bernoulli",
+    "a_from_bernoulli_rows",
     "a_from_kb",
     "a_recursive",
+    "a_recursive_rows",
     "bernoulli",
     "euler",
     "f_of",
@@ -149,24 +153,8 @@ def a_from_kb(n: int, cache: KernelCache | None = None) -> Fraction:
     return Fraction(-scaled, (2 * n << (2 * n)) * odd_lcm)
 
 
-# _a_scaled[m] = _a_unit * 4^m * a_m for 1 <= m < len(_a_scaled), in
-# integers over the route's running common denominator; index 0 is unused.
-# _a_terms holds the last row's terms, tau(m, k) = C(2m, 2k+1) _a_scaled[m-k]
-# for k = 1..m-1, from which the next row's terms step.  The recursion
-# extends row by row, so computed rows are kept between calls and only the
-# missing tail is computed.  The unit, the rows and the terms grow together
-# under the lock, so the table is safe to grow from several threads.  Each
-# row builds new lists and publishes the unit, the rows and the terms in one
-# assignment, so a call stopped anywhere leaves the three of the last row it
-# finished.
-_a_lock = threading.Lock()
-_a_scaled: list[int] = [0]
-_a_unit = 1
-_a_terms: list[int] = []
-
-
-def a_recursive(n: int) -> Fraction:
-    """a_n by the self-contained recursion seeded with a_1 = f(1) = 1/24.
+def a_recursive_rows() -> Iterator[Fraction]:
+    """a_1, a_2, ... by the self-contained recursion seeded with a_1 = f(1) = 1/24.
 
     a_m = f(m) - sum_{k=1}^{m-1} C(2m-1, 2k) / (2^{2k} (2k+1)) * a_{m-k};
     no kernel values are consulted.
@@ -175,49 +163,57 @@ def a_recursive(n: int) -> Fraction:
     2m (2m+1) u_m = 1 - (2m+1) sum_{k=1}^{m-1} C(2m, 2k+1) u_{m-k}, and
     every u_m is held as U_m = L u_m over a common denominator L of the
     route's own.  When 2m (2m+1) does not divide the right-hand side
-    times L, L, every stored U and every kept term grow by the missing
-    factor.  The terms tau(m, k) = C(2m, 2k+1) U_{m-k} step from row to row
-    by small integers: tau(m, k) = tau(m-1, k-1) (2m)(2m-1) / ((2k)(2k+1)),
-    since C(2m, 2k+1) = C(2m-2, 2k-1) (2m)(2m-1) / ((2k)(2k+1)).  The
-    quotient is the integer tau(m, k), so each division is exact.  The
-    row's new term tau(m, 1) = C(2m, 3) U_{m-1} is the same step of
-    tau(m-1, 0) = C(2m-2, 1) U_{m-1}.  The U_m and the last row's terms are
-    kept, rescaled together with L, so U_n / (L 4^n) is a_n at any time;
-    each call makes one Fraction.
+    times L, L and every kept term grow by the missing factor.  The terms
+    tau(m, k) = C(2m, 2k+1) U_{m-k} step from row to row by small integers:
+    tau(m, k) = tau(m-1, k-1) (2m)(2m-1) / ((2k)(2k+1)), since
+    C(2m, 2k+1) = C(2m-2, 2k-1) (2m)(2m-1) / ((2k)(2k+1)).  The quotient is
+    the integer tau(m, k), so each division is exact.  The row's new term
+    tau(m, 1) = C(2m, 3) U_{m-1} is the same step of
+    tau(m-1, 0) = C(2m-2, 1) U_{m-1}.  Only L, the last U and the last
+    row's terms are kept, in this generator; each row makes one Fraction,
+    U_m / (L 4^m).
     """
-    global _a_scaled, _a_unit, _a_terms
+    unit, last, terms = 1, 0, []  # L, U_(m-1), tau(m-1, k) for k = 1..m-2
+    for m in count(1):
+        step = 2 * m * (2 * m - 1)
+        pairs = zip(range(2, 2 * m, 2), [(2 * m - 2) * last, *terms])  # (2k, tau(m-1, k-1))
+        terms = [t * step // (even * (even + 1)) for even, t in pairs]
+        total = unit - (2 * m + 1) * sum(terms)
+        divisor = 2 * m * (2 * m + 1)
+        grow = divisor // gcd(total, divisor)
+        if grow > 1:
+            unit, terms, total = unit * grow, [t * grow for t in terms], total * grow
+        last = total // divisor
+        yield Fraction(last, unit << (2 * m))
+
+
+def a_recursive(n: int) -> Fraction:
+    """a_n by the recursion: item n of a fresh ``a_recursive_rows()``, in one O(n^2) pass."""
     if n < 1:
         raise ValueError(f"a_recursive requires n >= 1, got {n}")
-    with _a_lock:
-        unit, rows, terms = _a_unit, _a_scaled, _a_terms
-        for m in range(len(rows), n + 1):
-            step = 2 * m * (2 * m - 1)
-            pairs = zip(range(2, 2 * m, 2), [(2 * m - 2) * rows[-1], *terms])  # (2k, tau(m-1, k-1))
-            terms = [t * step // (even * (even + 1)) for even, t in pairs]
-            total = unit - (2 * m + 1) * sum(terms)
-            divisor = 2 * m * (2 * m + 1)
-            grow = divisor // gcd(total, divisor)
-            if grow > 1:
-                unit, rows, terms = unit * grow, [u * grow for u in rows], [t * grow for t in terms]
-                total *= grow
-            rows = [*rows, total // divisor]
-            _a_unit, _a_scaled, _a_terms = unit, rows, terms
-        return Fraction(rows[n], unit << (2 * n))
+    return next(islice(a_recursive_rows(), n - 1, None))
+
+
+def a_from_bernoulli_rows() -> Iterator[Fraction]:
+    """a_1, a_2, ... as a_n = B_{2n} (1 - 2^{1-2n}) / (2n), B_{2n} from the oracle.
+
+    Deliberately reads ``oracles.bernoulli_evens`` rather than this
+    module's own ``bernoulli`` so the route stays independent of the
+    kernels.  As B_{2n} (4^n - 2) / (2n 4^n) each value is one reduction.
+    """
+    from . import oracles
+
+    evens = oracles.bernoulli_evens()
+    next(evens)  # B_0
+    for n, b2n in enumerate(evens, 1):
+        yield Fraction(b2n.numerator * ((1 << (2 * n)) - 2), (b2n.denominator * 2 * n) << (2 * n))
 
 
 def a_from_bernoulli(n: int) -> Fraction:
-    """a_n = B_{2n} (1 - 2^{1-2n}) / (2n), with B_{2n} taken from the oracle.
-
-    Deliberately reads ``oracles.bernoulli_even`` rather than this module's
-    own ``bernoulli`` so the route stays independent of the kernels.  As
-    B_{2n} (4^n - 2) / (2n 4^n) it is one reduction.
-    """
+    """a_n by the scaled Bernoulli route: item n of a fresh ``a_from_bernoulli_rows()``."""
     if n < 1:
         raise ValueError(f"a_from_bernoulli requires n >= 1, got {n}")
-    from . import oracles
-
-    b2n = oracles.bernoulli_even(n)
-    return Fraction(b2n.numerator * ((1 << (2 * n)) - 2), (b2n.denominator * 2 * n) << (2 * n))
+    return next(islice(a_from_bernoulli_rows(), n - 1, None))
 
 
 def faulhaber_check(n: int, r: int, cache: KernelCache | None = None) -> bool:

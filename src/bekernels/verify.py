@@ -15,9 +15,11 @@ the one-row step.  ``kernel_recursive`` fills by the lacunary form of the
 defining recurrence, and the determinant's minors follow the defining
 recurrence itself, so the recursion-vs-determinant entries check that
 lacunary identity against the definition, not only the fill's integer
-machinery.  The determinant, the oracles and ``a_recursive`` keep
-their rows between calls, but only rows computed in this process: nothing
-loads into them.  Routes are called through their modules, never
+machinery.  The five O(n^2) entries read each route's row generator
+(``determinant_rows``, ``a_recursive_rows``, ``a_from_bernoulli_rows``,
+``bernoulli_evens``, ``euler_evens``) in one pass beside the rows they
+check; a generator keeps only its last row, so nothing is kept between
+calls or loaded from a cache file.  Routes are called through their modules, never
 imported by name, so that whatever a module exposes under a route's name
 is what the table checks.  The recursion entries read the rows through
 ``KernelCache.items``, the reader ``table`` prints with.
@@ -61,35 +63,38 @@ def _filled(kind: KernelKind, depth: int) -> KernelCache:
 
 
 def _three_way(kind: KernelKind, depth: int) -> Iterator[Pair]:
-    for n, recursive in islice(_filled(kind, depth).items(), 1, depth + 1):
+    rows = zip(_filled(kind, depth).items(), kernels.determinant_rows(kind))
+    for (n, recursive), determinant in islice(rows, 1, depth + 1):
         yield f"n={n} (compositions)", recursive, kernels.kernel_compositions(kind, n)
-        yield f"n={n} (determinant)", recursive, kernels.kernel_determinant(kind, n)
+        yield f"n={n} (determinant)", recursive, determinant
 
 
 def _recursion_vs_determinant(kind: KernelKind, depth: int) -> Iterator[Pair]:
-    for n, recursive in islice(_filled(kind, depth).items(), 1, depth + 1):
-        yield f"n={n}", recursive, kernels.kernel_determinant(kind, n)
+    rows = zip(_filled(kind, depth).items(), kernels.determinant_rows(kind))
+    for (n, recursive), determinant in islice(rows, 1, depth + 1):
+        yield f"n={n}", recursive, determinant
 
 
 def _coefficient_routes(depth: int) -> Iterator[Pair]:
     cache = _filled(KernelKind.BERNOULLI, depth)
-    for n in range(1, depth + 1):
+    rows = zip(sequences.a_recursive_rows(), sequences.a_from_bernoulli_rows())
+    for n, (recursion, scaled) in zip(range(1, depth + 1), rows):
         from_kb = sequences.a_from_kb(n, cache)
-        yield f"n={n} (recursion)", from_kb, sequences.a_recursive(n)
-        yield f"n={n} (scaled Bernoulli)", from_kb, sequences.a_from_bernoulli(n)
+        yield f"n={n} (recursion)", from_kb, recursion
+        yield f"n={n} (scaled Bernoulli)", from_kb, scaled
 
 
 def _bernoulli_oracle(depth: int) -> Iterator[Pair]:
     cache = _filled(KernelKind.BERNOULLI, depth)
-    for n in range(1, depth + 1):
-        yield f"n={n}", sequences.bernoulli(n, cache), oracles.bernoulli_even(n)
+    for n, oracle in enumerate(islice(oracles.bernoulli_evens(), 1, depth + 1), 1):
+        yield f"n={n}", sequences.bernoulli(n, cache), oracle
 
 
 def _euler_oracle(depth: int) -> Iterator[Pair]:
     # Equality with the integer oracle also shows that E_2n is integral.
     cache = _filled(KernelKind.EULER, depth)
-    for n in range(1, depth + 1):
-        yield f"n={n}", sequences.euler(n, cache), Fraction(oracles.euler_even(n))
+    for n, oracle in enumerate(islice(oracles.euler_evens(), 1, depth + 1), 1):
+        yield f"n={n}", sequences.euler(n, cache), Fraction(oracle)
 
 
 def _g_brute_force(depth: int) -> Iterator[Pair]:

@@ -8,7 +8,7 @@ The ``gcd_calls`` fixture counts calls to ``math.gcd``, which ``Fraction``
 makes for every reduction, so a test can show that a route keeps Fraction
 normalization out of its inner loops.  The ``stop_sweep`` fixture stops a
 call at each of its lines in turn, as a signal may, and checks what a
-module's kept tables give after each stop.
+kept table gives after each stop.
 """
 
 import itertools
@@ -16,7 +16,6 @@ import linecache
 import math
 import signal
 import sys
-import threading
 from typing import Callable, List, Optional
 
 import pytest
@@ -95,7 +94,7 @@ STOP_DEADLINE_S = 10
 
 
 @pytest.fixture
-def stop_sweep(monkeypatch):
+def stop_sweep():
     """Stop a call at each of its line events in turn, checking after each stop.
 
     ``sweep(module, reset, call, check)`` runs, for k = 1, 2, ...:
@@ -107,14 +106,10 @@ def stop_sweep(monkeypatch):
     A stop that leaves a lock held makes the next call wait forever (see
     ``stopped_at`` for the case that did).  So each stop has a deadline of
     STOP_DEADLINE_S, past which the sweep fails naming k and the line it
-    stopped at, and the sweep runs on fresh copies of the module's locks,
-    so the module's own locks stay free for later tests.
+    stopped at.
     """
 
     def sweep(module, reset, call, check) -> int:
-        for name, value in list(vars(module).items()):
-            if isinstance(value, type(threading.Lock())):
-                monkeypatch.setattr(module, name, threading.Lock())
         k, line = 0, None
 
         def expired(signum, frame):

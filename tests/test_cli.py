@@ -116,8 +116,13 @@ def test_verify_passes(capsys):
 
 
 def test_verify_reports_a_wrong_oracle(capsys, monkeypatch):
-    right = oracles.euler_even
-    monkeypatch.setattr(oracles, "euler_even", lambda n: right(n) + 1 if n == 5 else right(n))
+    right = oracles.euler_evens
+
+    def planted():
+        for n, value in enumerate(right()):
+            yield value + 1 if n == 5 else value
+
+    monkeypatch.setattr(oracles, "euler_evens", planted)
     code, out, _ = run_cli(capsys, "verify", "--exact", "8", "--brute", "5")
     assert code == 1
     fails = [line for line in out.splitlines() if line.startswith("FAIL")]

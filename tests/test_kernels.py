@@ -7,12 +7,14 @@ import os
 import sys
 import threading
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
 from bekernels.kernels import (
     KernelCache,
     KernelKind,
+    determinant_rows,
     kernel_compositions,
     kernel_determinant,
     kernel_recursive,
@@ -90,10 +92,10 @@ def test_composition_sum_visits_each_prefix_once(monkeypatch, kind):
 @pytest.mark.parametrize("kind", [B, E])
 def test_three_way_agreement(kind):
     cache = KernelCache(kind)
-    for n in range(1, 15):
+    for n, determinant in zip(range(1, 15), islice(determinant_rows(kind), 1, None)):
         recursive = kernel_recursive(kind, n, cache)
         assert recursive == kernel_compositions(kind, n), n
-        assert recursive == kernel_determinant(kind, n), n
+        assert recursive == determinant, n
 
 
 @pytest.mark.parametrize("kind", [B, E])
@@ -117,8 +119,8 @@ def test_composition_sum_deep(kind):
 @pytest.mark.parametrize("kind", [B, E])
 def test_recursion_vs_determinant_deep(kind):
     cache = KernelCache(kind)
-    for n in range(15, 61):
-        assert kernel_recursive(kind, n, cache) == kernel_determinant(kind, n), n
+    for n, determinant in zip(range(15, 61), islice(determinant_rows(kind), 15, None)):
+        assert kernel_recursive(kind, n, cache) == determinant, n
 
 
 @pytest.mark.parametrize("kind", [B, E])
@@ -190,66 +192,26 @@ def test_determinant_matches_explicit_matrix(kind):
 
 
 @pytest.mark.parametrize("kind", [B, E])
-def test_determinant_keeps_its_minors(kind, monkeypatch):
+def test_determinant_is_item_n_of_its_rows(kind):
     cache = KernelCache(kind)
     expected = [kernel_recursive(kind, n, cache) for n in range(1, 61)]
-    kernel_determinant(kind, 60)
-    # Minors up to 60 are kept, so asking again builds no weight.
-    monkeypatch.setattr(KernelKind, "weight_denominator", None)
     assert [kernel_determinant(kind, n) for n in range(1, 61)] == expected
+    assert list(islice(determinant_rows(kind), 61)) == [1, *expected]
 
 
 @pytest.mark.parametrize("kind", [B, E])
-def test_determinant_reduces_once_per_minor(kind, monkeypatch, gcd_calls):
-    # The minors stay integers; one Fraction per new minor.  A Fraction
-    # sum per matrix entry makes thousands of gcds by n = 40.
-    monkeypatch.setattr(kernels_module, "_det_rows", {})
-    value = kernel_determinant(kind, 40)
+def test_determinant_reduces_once_per_minor(kind, gcd_calls):
+    # The minors stay integers; one Fraction per row.  A Fraction sum per
+    # matrix entry makes thousands of gcds by n = 40.
+    rows = list(islice(determinant_rows(kind), 41))
     assert gcd_calls[0] <= 4 * 40
-    assert value == kernel_recursive(kind, 40, KernelCache(kind))
-
-
-def test_concurrent_determinant(monkeypatch):
-    monkeypatch.setattr(kernels_module, "_det_rows", {})
-    outcomes = []
-
-    def worker(n):
-        outcomes.append(kernel_determinant(B, n))
-
-    # Threads ask for different indices so fills overlap at the frontier.
-    threads = [threading.Thread(target=worker, args=(33 + i,)) for i in range(8)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    cache = KernelCache(B)
-    assert sorted(outcomes) == sorted(kernel_recursive(B, 33 + i, cache) for i in range(8))
-
-
-@pytest.mark.parametrize("kind", [B, E])
-def test_stopped_determinant_leaves_its_rows_consistent(kind, monkeypatch, stop_sweep):
-    expected = [kernel_recursive(kind, n, KernelCache(kind)) for n in range(1, 16)]
-
-    def reset():
-        monkeypatch.setattr(kernels_module, "_det_rows", {})
-        kernel_determinant(kind, 3)
-
-    def check():
-        assert [kernel_determinant(kind, n) for n in range(1, 16)] == expected
-
-    assert stop_sweep(kernels_module, reset, lambda: kernel_determinant(kind, 12), check)
+    assert rows[40] == kernel_recursive(kind, 40, KernelCache(kind))
 
 
 @pytest.mark.parametrize("kind", [B, E])
 def test_stopped_fill_leaves_its_cache_consistent(kind, stop_sweep):
     # The chains leave the cache while they are stepped, so this already held.
-    expected = [kernel_determinant(kind, n) for n in range(1, 16)]
+    expected = list(islice(determinant_rows(kind), 1, 16))
     cache = [KernelCache(kind)]
 
     def reset():
@@ -305,12 +267,11 @@ def test_scaled_holds_the_fill_integers(kind):
     cache = KernelCache(kind)
     kernel_recursive(kind, 30, cache)
     odd_lcm = 1
-    for n in range(31):
+    for n, expected in zip(range(31), determinant_rows(kind)):
         if kind is B and n:
             odd_lcm = odd_lcm * (2 * n + 1) // math.gcd(odd_lcm, 2 * n + 1)
         scaled, unit = cache.scaled(n)
         assert unit == odd_lcm
-        expected = kernel_determinant(kind, n) if n else 1
         assert cache.get(n) == Fraction(scaled, unit * math.factorial(2 * n)) == expected
     with pytest.raises(IndexError):
         cache.scaled(31)
@@ -429,9 +390,7 @@ _EDGE = 3 * _BLOCK
 def test_fill_to_a_block_edge_matches_determinant(kind, n):
     cache = KernelCache(kind)
     kernel_recursive(kind, n, cache)
-    assert [cache.get(k) for k in range(1, n + 1)] == [
-        kernel_determinant(kind, k) for k in range(1, n + 1)
-    ]
+    assert [cache.get(k) for k in range(1, n + 1)] == list(islice(determinant_rows(kind), 1, n + 1))
 
 
 @pytest.mark.parametrize("size", [2, 7, _BLOCK])
@@ -530,12 +489,12 @@ def test_one_row_calls_across_a_block_edge(kind):
 
 
 def _lacunary_values(kind, upto):
-    """E(n) or V(n) = P_n (2n)! K(n), n <= upto, from kernel_determinant, with the P_n."""
+    """E(n) or V(n) = P_n (2n)! K(n), n <= upto, from determinant_rows, with the P_n."""
     odd_lcms, values = [1], [1]
-    for n in range(1, upto + 1):
+    for n, determinant in zip(range(1, upto + 1), islice(determinant_rows(kind), 1, None)):
         odd = 2 * n + 1
         odd_lcms.append(odd_lcms[-1] * odd // math.gcd(odd_lcms[-1], odd) if kind is B else 1)
-        value = kernel_determinant(kind, n) * odd_lcms[n] * math.factorial(2 * n)
+        value = determinant * odd_lcms[n] * math.factorial(2 * n)
         assert value.denominator == 1, n
         values.append(value.numerator)
     return values, odd_lcms
@@ -647,7 +606,7 @@ def test_concurrent_fill_single_write():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert sorted(outcomes) == sorted(kernel_determinant(B, 33 + i) for i in range(8))
+    assert sorted(outcomes) == sorted(islice(determinant_rows(B), 33, 41))
     single = KernelCache(B)
     kernel_recursive(B, 40, single)
     assert list(cache.items()) == list(single.items())

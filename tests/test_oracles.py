@@ -1,14 +1,22 @@
 """The reference generators themselves, pinned to published values."""
 
 import ast
-import threading
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
-from bekernels.oracles import bernoulli_even, bernoulli_numbers, euler_even, zigzag_numbers
+from bekernels.oracles import (
+    bernoulli_even,
+    bernoulli_evens,
+    bernoulli_numbers,
+    euler_even,
+    euler_evens,
+    zigzag_numbers,
+)
 import bekernels.oracles as oracles_module
+import bekernels.sequences as sequences_module
 
 
 def test_bernoulli_low_values_plus_convention():
@@ -29,46 +37,12 @@ def test_odd_bernoulli_vanish_beyond_one():
     assert all(values[k] == 0 for k in range(3, 32, 2))
 
 
-def test_bernoulli_table_reduces_once_per_value(monkeypatch, gcd_calls):
+def test_bernoulli_table_reduces_once_per_value(gcd_calls):
     # The tangent column stays in integers; each listed value is one Fraction.
-    expected = bernoulli_numbers(80)
-    monkeypatch.setattr(oracles_module, "_tn_column", [1])
-    monkeypatch.setattr(oracles_module, "_tn_done", [1])
-    gcd_calls[0] = 0
-    assert bernoulli_numbers(80) == expected
+    values = bernoulli_numbers(80)
     assert gcd_calls[0] <= 81
     tangents = [1, 2, 16, 272, 7936, 353792, 22368256, 1903757312]
-    assert oracles_module._tn_done[:8] == tangents
-
-
-def test_stopped_tangent_loop_leaves_its_column_consistent(monkeypatch, stop_sweep):
-    def reset():
-        monkeypatch.setattr(oracles_module, "_tn_column", [1])
-        monkeypatch.setattr(oracles_module, "_tn_done", [1])
-        bernoulli_even(3)
-
-    reset()
-    expected = [bernoulli_even(n) for n in range(1, 16)]
-
-    def check():
-        assert [bernoulli_even(n) for n in range(1, 16)] == expected
-
-    assert stop_sweep(oracles_module, reset, lambda: bernoulli_even(12), check)
-
-
-def test_stopped_seidel_triangle_leaves_its_row_consistent(monkeypatch, stop_sweep):
-    def reset():
-        monkeypatch.setattr(oracles_module, "_zz_row", [1])
-        monkeypatch.setattr(oracles_module, "_zz_done", [1])
-        zigzag_numbers(3)
-
-    reset()
-    expected = zigzag_numbers(15)
-
-    def check():
-        assert zigzag_numbers(15) == expected
-
-    assert stop_sweep(oracles_module, reset, lambda: zigzag_numbers(12), check)
+    assert [abs(values[2 * n]) * 4**n * (4**n - 1) / (2 * n) for n in range(1, 9)] == tangents
 
 
 def _module_names(tree):
@@ -110,10 +84,27 @@ def test_oracles_share_no_code():
             assert node.level == 0 and not node.module.startswith("bekernels")
         elif isinstance(node, ast.Import):
             assert not any(a.name.startswith("bekernels") for a in node.names)
-    bernoulli = _reads(tree, ["bernoulli_numbers", "bernoulli_even"])
-    euler = _reads(tree, ["zigzag_numbers", "euler_even"])
-    assert {"_tn_column", "Fraction"} <= bernoulli and {"_zz_row", "accumulate"} <= euler
+    bernoulli = _reads(tree, ["bernoulli_evens", "bernoulli_numbers", "bernoulli_even"])
+    euler = _reads(tree, ["euler_evens", "zigzag_numbers", "euler_even"])
+    assert {"bernoulli_evens", "Fraction"} <= bernoulli and {"_zigzags", "accumulate"} <= euler
     assert not bernoulli & euler, bernoulli & euler
+
+
+@pytest.mark.parametrize("module", [sequences_module, oracles_module])
+def test_routes_keep_no_state_between_calls(module):
+    # Each route's rows live in its generator's frame, so the module needs
+    # no lock and holds no table.
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    nodes = list(ast.walk(tree))
+    modules = {alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names}
+    modules |= {node.module for node in nodes if isinstance(node, ast.ImportFrom)}
+    assert "threading" not in modules
+    assert not any(isinstance(node, ast.Global) for node in nodes)
+    tables = [
+        name for name, value in vars(module).items()
+        if not name.startswith("__") and isinstance(value, (list, dict, set))
+    ]
+    assert tables == []
 
 
 def test_zigzag_sequence():
@@ -137,16 +128,10 @@ def test_incremental_extension_consistent():
     assert zigzag_numbers(12)[:5] == zigzag_numbers(4)
 
 
-def test_concurrent_growth_is_safe():
-    results = {}
-
-    def worker(upto):
-        results[upto] = bernoulli_numbers(upto)[upto]
-
-    threads = [threading.Thread(target=worker, args=(40 + i,)) for i in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    expected = bernoulli_numbers(47)
-    assert results == {40 + i: expected[40 + i] for i in range(8)}
+def test_per_n_values_are_items_of_the_generators():
+    evens = list(islice(bernoulli_evens(), 21))
+    assert evens == bernoulli_numbers(40)[::2]
+    assert [bernoulli_even(n) for n in (0, 1, 7, 20)] == [evens[n] for n in (0, 1, 7, 20)]
+    eulers = list(islice(euler_evens(), 21))
+    assert [abs(e) for e in eulers] == zigzag_numbers(40)[::2]
+    assert [euler_even(n) for n in (0, 1, 7, 20)] == [eulers[n] for n in (0, 1, 7, 20)]

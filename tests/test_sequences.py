@@ -2,20 +2,21 @@
 
 import hashlib
 import math
-import sys
-import threading
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
 from bekernels.compositions import compositions
 from bekernels.exactnum import beta_even, format_rational
 from bekernels.kernels import KernelCache, KernelKind, kernel_recursive
-from bekernels.oracles import bernoulli_even, euler_even
+from bekernels.oracles import bernoulli_even, bernoulli_evens, euler_evens
 from bekernels.sequences import (
     a_from_bernoulli,
+    a_from_bernoulli_rows,
     a_from_kb,
     a_recursive,
+    a_recursive_rows,
     bernoulli,
     euler,
     f_of,
@@ -152,94 +153,28 @@ def test_a_recursive_values():
     assert a_recursive(5) == a_from_kb(5)
 
 
-def test_a_recursive_keeps_its_rows(monkeypatch):
-    deep = a_recursive(25)
-    # Rows up to 25 are kept, so asking again computes no binomial.
-    monkeypatch.setattr(sequences_module, "comb", None)
-    assert a_recursive(25) == deep
-    assert a_recursive(12) == a_from_kb(12)
+def test_a_recursive_is_item_n_of_its_rows():
+    rows = list(islice(a_recursive_rows(), 25))
+    assert a_recursive(25) == rows[24]
+    assert a_recursive(12) == rows[11] == a_from_kb(12)
 
 
-@pytest.fixture
-def fresh_a_rows(monkeypatch):
-    """a_recursive starting from a_1, with the process's rows restored afterwards."""
-    monkeypatch.setattr(sequences_module, "_a_scaled", [0])
-    monkeypatch.setattr(sequences_module, "_a_unit", 1)
-    monkeypatch.setattr(sequences_module, "_a_terms", [])
-
-
-def test_a_recursive_reduces_once_per_row(fresh_a_rows, gcd_calls):
-    value = a_recursive(40)
+def test_a_recursive_reduces_once_per_row(gcd_calls):
+    value = list(islice(a_recursive_rows(), 40))[-1]
     assert gcd_calls[0] <= 4 * 40
     assert value == a_from_kb(40, KernelCache(KernelKind.BERNOULLI))
 
 
-def test_stopped_a_recursive_leaves_its_rows_consistent(monkeypatch, stop_sweep):
-    # A stop between the unit's growth and the rows' rescaling would leave
-    # every later a_n off by the growth.
+def test_a_recursive_grown_in_uneven_steps():
+    # L grows at many rows on the way to 120, and every kept term must grow
+    # with it, or the rows after a growth come out wrong.
     cache = KernelCache(KernelKind.BERNOULLI)
-    expected = [a_from_kb(n, cache) for n in range(1, 16)]
-
-    def reset():
-        monkeypatch.setattr(sequences_module, "_a_scaled", [0])
-        monkeypatch.setattr(sequences_module, "_a_unit", 1)
-        monkeypatch.setattr(sequences_module, "_a_terms", [])
-        a_recursive(3)
-
-    def check():
-        assert [a_recursive(n) for n in range(1, 16)] == expected
-
-    assert stop_sweep(sequences_module, reset, lambda: a_recursive(12), check)
-
-
-def test_a_recursive_grown_in_uneven_steps(monkeypatch, fresh_a_rows):
-    # One row per call to 20, then one call to 120: the unit grows several
-    # times on each stretch, and every kept term must grow with it, or the
-    # rows after the growth come out wrong.
-    units = []
-    for n in range(1, 21):
-        a_recursive(n)
-        units.append(sequences_module._a_unit)
-    a_recursive(120)
-    units.append(sequences_module._a_unit)
-    assert len(set(units[:20])) >= 5 and units[-1] != units[-2]
-    stepped = [a_recursive(n) for n in range(1, 121)]
-    monkeypatch.setattr(sequences_module, "_a_scaled", [0])
-    monkeypatch.setattr(sequences_module, "_a_unit", 1)
-    monkeypatch.setattr(sequences_module, "_a_terms", [])
-    a_recursive(120)
-    assert stepped == [a_recursive(n) for n in range(1, 121)]
-    cache = KernelCache(KernelKind.BERNOULLI)
-    assert stepped == [a_from_kb(n, cache) for n in range(1, 121)]
-
-
-def test_concurrent_a_recursive(fresh_a_rows):
-    # The rows and their common denominator grow together under one lock.
-    outcomes = []
-
-    def worker(n):
-        outcomes.append((n, a_recursive(n)))
-
-    threads = [threading.Thread(target=worker, args=(33 + i,)) for i in range(8)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    cache = KernelCache(KernelKind.BERNOULLI)
-    assert sorted(outcomes) == [(n, a_from_kb(n, cache)) for n in range(33, 41)]
+    assert list(islice(a_recursive_rows(), 120)) == [a_from_kb(n, cache) for n in range(1, 121)]
 
 
 def test_a_from_bernoulli_reduces_once(gcd_calls):
     # The oracle makes one Fraction per value, the scaling one more.
-    bernoulli_even(200)
-    gcd_calls[0] = 0
-    values = [a_from_bernoulli(n) for n in range(1, 201)]
+    values = list(islice(a_from_bernoulli_rows(), 200))
     assert gcd_calls[0] <= 2 * 200
     cache = KernelCache(KernelKind.BERNOULLI)
     assert values == [a_from_kb(n, cache) for n in range(1, 201)]
@@ -269,8 +204,8 @@ def test_bernoulli_values():
 
 def test_bernoulli_matches_oracle():
     cache = KernelCache(KernelKind.BERNOULLI)
-    for n in range(1, 151):
-        assert bernoulli(n, cache) == bernoulli_even(n), n
+    for n, oracle in zip(range(1, 151), islice(bernoulli_evens(), 1, None)):
+        assert bernoulli(n, cache) == oracle, n
 
 
 def test_euler_values():
@@ -283,10 +218,10 @@ def test_euler_values():
 
 def test_euler_matches_oracle_and_is_integer():
     cache = KernelCache(KernelKind.EULER)
-    for n in range(1, 401):
+    for n, oracle in zip(range(1, 401), islice(euler_evens(), 1, None)):
         value = euler(n, cache)
         assert value.denominator == 1, n
-        assert value == euler_even(n), n
+        assert value == oracle, n
 
 
 SCALINGS = [(bernoulli, KernelKind.BERNOULLI), (euler, KernelKind.EULER), (a_from_kb, KernelKind.BERNOULLI)]

@@ -128,6 +128,7 @@ def test_zeta_direct_reads_no_kernel_code(monkeypatch):
     monkeypatch.setattr(kernels, "kernel_recursive", _raise)
     monkeypatch.setattr(sequences, "bernoulli", _raise)
     monkeypatch.setattr(oracles, "bernoulli_even", _raise)
+    monkeypatch.setattr(oracles, "bernoulli_evens", _raise)
     monkeypatch.setattr(oracles, "bernoulli_numbers", _raise)
     with mp.workdps(60):
         assert abs(zeta_direct(4, 1, 1e-50) - mpmath.pi**4 / 90) <= 1e-50
