@@ -231,9 +231,7 @@ def cmd_scaled(args: argparse.Namespace) -> int:
     return 0
 
 
-def _render_float(value, digits: int) -> str | None:
-    if value is None:
-        return None
+def _render_float(value, digits: int) -> str:
     from mpmath import mp
 
     return mp.nstr(value, digits)

@@ -5,9 +5,9 @@ digamma, polygamma, and the Hurwitz zeta function.  The a_n grow
 factorially, so the Gamma and digamma series are asymptotic: they are
 never summed "to convergence".  Every evaluator cuts off after a
 caller-chosen number of terms and reports the magnitude of the first
-omitted term as the error estimate, alongside an independently computed
-reference value where one is available; ``_truncated`` is the one place
-a series stops and its bound is taken.
+omitted term as the error estimate, alongside a reference value from
+mpmath; ``_truncated`` is the one place a series stops and its bound is
+taken, and ``_report`` the one place a reference is made.
 
 All floating arithmetic is mpmath at the caller's working precision plus
 guard digits; exact rationals are converted at the last moment.
@@ -44,10 +44,6 @@ Real = int | float | str | Fraction | mpmath.mpf
 # never shows up at the reported precision.
 _GUARD_DIGITS = 10
 
-# References are computed this many digits beyond the omitted-term bounds
-# they are compared against; 4 keeps them out of the error budget.
-_REFERENCE_MARGIN = 4
-
 
 class TruncationParams(namedtuple("_Truncation", ["terms", "working_precision"])):
     """How deep to sum and at what precision.
@@ -73,7 +69,7 @@ class TruncationParams(namedtuple("_Truncation", ["terms", "working_precision"])
 
 
 class EvalReport(namedtuple("_EvalReport", ["value", "terms_used", "first_omitted_term_bound",
-                                            "reference", "abs_error"], defaults=(None, None))):
+                                            "reference", "abs_error"])):
     """Outcome of one truncated evaluation.
 
     ``first_omitted_term_bound`` is the magnitude of the first term the
@@ -81,9 +77,10 @@ class EvalReport(namedtuple("_EvalReport", ["value", "terms_used", "first_omitte
     relative error, for the additive series the absolute error.  It covers
     truncation only, not rounding at the working precision: for Hurwitz
     zeta at x = 1e400 with 3 terms it is 3.3e-3602, while ``abs_error`` is
-    1.0e-442, the rounding of a value near 1e-400.
-    ``reference`` is None when no independent value is defined for the
-    inputs, and ``abs_error`` is |value - reference| otherwise.
+    8.1e-446, the rounding of a value near 1e-400.
+    ``reference`` is mpmath's value of the same function at the same
+    argument, taken ten digits past the value's working precision, so
+    ``abs_error`` = |value - reference| is the value's own error.
     """
 
     __slots__ = ()
@@ -93,10 +90,12 @@ def _report(
     value: mpmath.mpf,
     terms_used: int,
     bound: mpmath.mpf,
-    reference: mpmath.mpf | None,
+    reference: Callable[[], mpmath.mpf],
 ) -> EvalReport:
-    error = abs(value - reference) if reference is not None else None
-    return EvalReport(value, terms_used, bound, reference, error)
+    """The report of value, with reference() taken _GUARD_DIGITS past the working precision."""
+    with mp.extradps(_GUARD_DIGITS):
+        exact = reference()
+    return EvalReport(value, terms_used, bound, exact, abs(value - exact))
 
 
 def _mpf(x: Real) -> mpmath.mpf:
@@ -149,8 +148,10 @@ def zeta_direct(s: Real, q: Real, tol: Real) -> mpmath.mpf:
     broken premise, such as a wrong B_2k, and raises ArithmeticError.
 
     B_2k comes from ``mpmath.bernoulli`` at the working precision: this sum
-    is the reference the kernel-derived expansions are judged against, so
-    it must not read their own Bernoulli pipeline.
+    gives the inner zeta values of ``eval_polygamma`` and
+    ``check_ln_pi_over_e``, and is the tests' tolerance-bounded reference
+    for the kernel-derived expansions, so it must not read their own
+    Bernoulli pipeline.
     """
     with mp.workdps(15):
         tol_m = _mpf(tol)
@@ -194,7 +195,7 @@ def eval_hurwitz_expansion(m0: int, x: Real, params: TruncationParams) -> EvalRe
     """Expansion of zeta(2*m0, x+1) in powers of (x+1/2), truncated.
 
     value = p_term(m0, x) + sum_{z=1}^{N} g_closed(z, m0) / ((2m0+2z-1)
-    (x+1/2)^(2m0+2z-1)); the reference is the direct tail-corrected sum.
+    (x+1/2)^(2m0+2z-1)); the reference is ``mpmath.zeta(2*m0, x+1)``.
     """
     if m0 < 1:
         raise ValueError(f"eval_hurwitz_expansion requires m0 >= 1, got {m0}")
@@ -210,17 +211,15 @@ def eval_hurwitz_expansion(m0: int, x: Real, params: TruncationParams) -> EvalRe
             return _mpf(g_closed(z, m0)) / (power * base**power)
 
         series, bound = _truncated(z_term, params.terms)
-        value = leading + series
-        reference = zeta_direct(2 * m0, xm + 1, mp.mpf(10) ** -(wp - _REFERENCE_MARGIN))
-        return _report(value, params.terms, bound, reference)
+        return _report(leading + series, params.terms, bound, lambda: mpmath.zeta(2 * m0, xm + 1))
 
 
 def eval_gamma(x: Real, params: TruncationParams) -> EvalReport:
     """Gamma(x + 1/2) = (x/e)^x sqrt(2 pi) exp(-sum a_n/((2n-1) x^(2n-1))).
 
     Requires x > 0.  The omitted-term bound lives inside the exponent, so
-    it bounds the relative error of the product form.  The reference is an
-    independent high-precision Gamma.
+    it bounds the relative error of the product form.  The reference is
+    ``mpmath.gamma``.
     """
     wp = params.working_precision
     with mp.workdps(wp + _GUARD_DIGITS):
@@ -240,17 +239,13 @@ def eval_gamma(x: Real, params: TruncationParams) -> EvalReport:
 
         exponent, bound = _truncated(exponent_term, params.terms)
         value = mp.exp(xm * mp.log(xm) - xm - exponent) * mp.sqrt(2 * mp.pi)
-        reference = mpmath.gamma(xm + mp.mpf(1) / 2)
-        return _report(value, params.terms, bound, reference)
+        return _report(value, params.terms, bound, lambda: mpmath.gamma(xm + mp.mpf(1) / 2))
 
 
 def eval_digamma(x: Real, params: TruncationParams) -> EvalReport:
     """psi(x + 1) = ln(x + 1/2) + sum a_n / (x + 1/2)^(2n), truncated.
 
-    Requires x > -1/2.  For non-negative integer x the reference is the
-    harmonic number H_x minus the Euler-Mascheroni constant, both from
-    mpmath at working precision, so a huge x costs no more than a small
-    one; for other x no independent reference is reported.
+    Requires x > -1/2.  The reference is ``mpmath.psi(0, x + 1)``.
     """
     wp = params.working_precision
     with mp.workdps(wp + _GUARD_DIGITS):
@@ -264,11 +259,7 @@ def eval_digamma(x: Real, params: TruncationParams) -> EvalReport:
             return _mpf(a_from_kb(n)) * base ** (-2 * n)
 
         series, bound = _truncated(series_term, params.terms)
-        value = mp.log(base) + series
-        reference = None
-        if mp.isint(xm) and xm >= 0:
-            reference = mp.harmonic(xm) - mp.euler
-        return _report(value, params.terms, bound, reference)
+        return _report(mp.log(base) + series, params.terms, bound, lambda: mpmath.psi(0, xm + 1))
 
 
 def eval_polygamma(y: int, x: Real, params: TruncationParams) -> EvalReport:
@@ -280,7 +271,7 @@ def eval_polygamma(y: int, x: Real, params: TruncationParams) -> EvalReport:
     (2n+y)!/(2n-1)! as the rising factorial (2n)_(y+1), are taken at the
     working precision.  The identity
     psi^(y)(x+1) = (-1)^(y-1) y! zeta(y+1, x+1), with mpmath's Hurwitz
-    zeta at working precision, supplies the reference.
+    zeta, supplies the reference.
     Requires y >= 1 and x > -1/2.
     """
     if y < 1:
@@ -308,9 +299,8 @@ def eval_polygamma(y: int, x: Real, params: TruncationParams) -> EvalReport:
             return weight(n) * zeta_direct(2 * n + y + 1, xm + 1, inner_tol)
 
         series, bound = _truncated(series_term, params.terms)
-        value = sign * (leading - series)
-        reference = sign * mp.factorial(y) * mpmath.zeta(y + 1, xm + 1)
-        return _report(value, params.terms, bound, reference)
+        return _report(sign * (leading - series), params.terms, bound,
+                       lambda: sign * mp.factorial(y) * mpmath.zeta(y + 1, xm + 1))
 
 
 def check_ln_pi_over_e(terms: int, working_precision: int = 34) -> EvalReport:
@@ -329,6 +319,5 @@ def check_ln_pi_over_e(terms: int, working_precision: int = 34) -> EvalReport:
             return zeta_direct(2 * j, 1, inner_tol) * _mpf(f_of(j))
 
         value, bound = _truncated(series_term, terms)
-        reference = (mp.log(mp.pi) - 1) / 2
-        return _report(value, terms, bound, reference)
+        return _report(value, terms, bound, lambda: (mp.log(mp.pi) - 1) / 2)
 

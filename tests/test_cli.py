@@ -16,6 +16,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from bekernels import cli, kernels, oracles, sequences, verify
 from bekernels.cli import (
@@ -284,7 +285,33 @@ def test_eval_prints_no_digit_past_its_precision(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["value"] == "0.394666666666667"
-    assert payload["reference"] == "0.394934066844334"
+    assert payload["reference"] == "0.394934066848226"  # zeta(2, 3) = pi^2/6 - 5/4
+    with mp.workdps(40):
+        assert mp.nstr(mp.pi**2 / 6 - mp.mpf(5) / 4, 15) == payload["reference"]
+
+
+_EXACT = {
+    "gamma": lambda order, x: mp.gamma(x + mp.mpf(1) / 2),
+    "digamma": lambda order, x: mp.psi(0, x + 1),
+    "polygamma": lambda order, x: mp.psi(order, x + 1),
+    "hurwitz": lambda order, x: mp.zeta(2 * order, x + 1),
+}
+
+
+@pytest.mark.parametrize("precision", [15, 34])
+@pytest.mark.parametrize("target", _EXACT)
+def test_eval_reference_is_correctly_rounded(capsys, target, precision):
+    # Every printed reference is mpmath's value rounded to the digits printed.
+    flag = {"polygamma": "--y", "hurwitz": "--m0"}.get(target)
+    for x in ("2", "9", "0.3", "24.06"):
+        for order in (1, 2, 3) if flag else (None,):
+            order_flag = [flag, str(order)] if flag else []
+            code, out, _ = run_cli(capsys, "eval", target, "--x", x, *order_flag, "--terms", "5",
+                                   "--precision", str(precision))
+            assert code == 0
+            with mp.workdps(precision + 40):
+                expected = mp.nstr(_EXACT[target](order, mp.mpf(x)), min(30, precision))
+            assert json.loads(out)["reference"] == expected, (x, order)
 
 
 def test_eval_precision_floor(capsys):
@@ -360,6 +387,8 @@ def test_eval_huge_finite_x_returns(argv):
         ["polygamma", "--y", "1000000", "--x", "0"],
         ["hurwitz", "--m0", "1000000", "--x", "1"],
         ["hurwitz", "--m0", "1000000", "--x", "0"],
+        ["hurwitz", "--m0", "100000", "--x", "-0.4"],
+        ["hurwitz", "--m0", "100000000", "--x", "-0.4"],
     ],
 )
 def test_eval_huge_order_returns(argv):

@@ -220,13 +220,18 @@ def test_hurwitz_zero_terms_degenerates_to_p():
 
 @pytest.mark.parametrize("x", [5, 10])
 def test_truncation_discipline(x):
-    # First-omitted-term accounting must stay honest across depths.
+    # First-omitted-term accounting must stay honest across depths, for
+    # every target; gamma's bound is relative.
     for n_terms in range(1, 7):
         for report in (
             eval_digamma(x, tp(n_terms)),
+            eval_digamma(x + 0.5, tp(n_terms)),
             eval_hurwitz_expansion(1, x, tp(n_terms)),
+            eval_polygamma(2, x, tp(n_terms)),
         ):
             assert report.abs_error <= 2 * report.first_omitted_term_bound, (x, n_terms)
+        gamma = eval_gamma(x, tp(n_terms))
+        assert gamma.abs_error / abs(gamma.reference) <= 2 * gamma.first_omitted_term_bound
 
 
 def test_digamma_matches_harmonic_reference():
@@ -248,9 +253,10 @@ def test_digamma_large_argument_tight_bound():
     assert report.abs_error <= 2 * report.first_omitted_term_bound
 
 
-def test_digamma_non_integer_has_no_reference():
+def test_digamma_non_integer_reference():
     report = eval_digamma(2.5, tp(4))
-    assert report.reference is None and report.abs_error is None
+    with mp.workdps(60):
+        assert abs(report.reference - mpmath.psi(0, mp.mpf("3.5"))) <= mp.mpf(10) ** -40
 
 
 def test_digamma_monotone_improvement():
@@ -351,6 +357,15 @@ def test_polygamma_reference_shares_no_code_with_its_value(monkeypatch):
     assert after.reference == before.reference
 
 
+def test_references_read_no_zeta_direct(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("this reference must not read zeta_direct")
+
+    monkeypatch.setattr(specfun, "zeta_direct", refuse)
+    for report in (eval_hurwitz_expansion(2, 9, tp(5)), eval_digamma(2.5, tp(4)), eval_gamma(5, tp(5))):
+        assert isinstance(report.reference, mpmath.mpf) and isinstance(report.abs_error, mpmath.mpf)
+
+
 def test_polygamma_domain():
     with pytest.raises(ValueError):
         eval_polygamma(0, 4, tp(3))
@@ -370,6 +385,17 @@ def test_ln_pi_over_e_partial_sums():
         assert abs(single.reference - reference) < mp.mpf(10) ** -38
     with pytest.raises(ValueError):
         check_ln_pi_over_e(0)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: the tail is about 4/3 of the first omitted term, and the inner "
+    "sums are held to 10^-(wp+2) whatever the bound",
+)
+@pytest.mark.parametrize("terms", [40, 60])
+def test_ln_pi_over_e_bound_covers_its_error(terms):
+    report = check_ln_pi_over_e(terms, 34)  # error 3.99e-29 and 9.67e-39, bound 3.04e-29 and 1.25e-41
+    assert report.abs_error <= report.first_omitted_term_bound
 
 
 def test_working_precision_is_respected():
