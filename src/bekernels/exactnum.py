@@ -1,11 +1,11 @@
-"""Exact rational arithmetic primitives shared by every module.
+"""The p/q text form of exact rationals, and ``factorial``.
 
-Every exact rational value the package returns is a ``fractions.Fraction``;
-the kernel fill and its cache hold their values as integers and make a
-Fraction only when one is read.  The class already guarantees the
-invariants the rest of the code relies on: results are reduced to lowest
-terms, the denominator is positive, and zero is represented as 0/1.
-``factorial`` is ``math.factorial``, which raises ValueError for negative m.
+Every exact rational the package returns is a ``fractions.Fraction``:
+reduced to lowest terms, with a positive denominator, and 0 as 0/1.
+``factorial`` is ``math.factorial``, which the other modules import from
+``math``.  The three names stay here for perfbench's spans, which wrap
+them by name (``factorial`` wherever a module binds that object), until
+ROADMAP items 11 and 16 give the package spans of its own.
 """
 
 from __future__ import annotations
@@ -15,24 +15,12 @@ from fractions import Fraction
 from math import factorial
 
 __all__ = [
-    "beta_even",
     "factorial",
     "format_rational",
     "parse_rational",
 ]
 
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
-
-
-def beta_even(n: int, m: int) -> Fraction:
-    """Euler beta function at even integer arguments: B(2n, 2m).
-
-    Evaluates (2n-1)! (2m-1)! / (2n+2m-1)! exactly.  Both arguments must
-    be positive integers.
-    """
-    if n < 1 or m < 1:
-        raise ValueError(f"beta_even requires n >= 1 and m >= 1, got n={n}, m={m}")
-    return Fraction(factorial(2 * n - 1) * factorial(2 * m - 1), factorial(2 * n + 2 * m - 1))
 
 
 def format_rational(value: Fraction) -> str:

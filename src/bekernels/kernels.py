@@ -58,9 +58,8 @@ import threading
 from collections.abc import Iterator
 from fractions import Fraction
 from itertools import count, islice
+from math import factorial
 from pathlib import Path
-
-from .exactnum import factorial
 
 __all__ = [
     "KernelCache",

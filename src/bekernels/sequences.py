@@ -9,7 +9,8 @@ Everything here is exact.  The module exposes:
   the two O(n^2) ones are generators that keep only their last row;
 * the auxiliary sequences f, j, and g, where g has both a closed form in
   the kernel and a brute-force definition as a sum of j-products over
-  compositions.
+  compositions, and ``beta_even``, whose B(2n, 2m0) scales g to
+  a_n = -B(2n, 2m0) g(n; m0) for every m0.
 
 Sign and index conventions follow the oracles module: B_2 = 1/6,
 E_2 = -1, and a_1 = 1/24.
@@ -20,18 +21,17 @@ from __future__ import annotations
 from collections.abc import Iterator
 from fractions import Fraction
 from itertools import count, islice
-from math import comb, gcd
+from math import comb, factorial, gcd
 
-from .exactnum import factorial
 from .kernels import KernelCache, KernelKind, kernel_recursive, shared_cache
 
 __all__ = [
-    "a_from_bernoulli",
     "a_from_bernoulli_rows",
     "a_from_kb",
     "a_recursive",
     "a_recursive_rows",
     "bernoulli",
+    "beta_even",
     "euler",
     "f_of",
     "faulhaber_check",
@@ -74,6 +74,17 @@ def g_closed(n: int, m0: int, cache: KernelCache | None = None) -> Fraction:
         raise ValueError(f"g_closed requires n >= 1 and m0 >= 1, got n={n}, m0={m0}")
     scaled, odd_lcm = _scaled_kernel(KernelKind.BERNOULLI, n, cache)
     return Fraction(comb(2 * n + 2 * m0 - 1, 2 * n) * scaled, odd_lcm << (2 * n))
+
+
+def beta_even(n: int, m: int) -> Fraction:
+    """Euler beta function at even integer arguments: B(2n, 2m).
+
+    Evaluates (2n-1)! (2m-1)! / (2n+2m-1)! exactly.  Both arguments must
+    be positive integers.
+    """
+    if n < 1 or m < 1:
+        raise ValueError(f"beta_even requires n >= 1 and m >= 1, got n={n}, m={m}")
+    return Fraction(factorial(2 * n - 1) * factorial(2 * m - 1), factorial(2 * n + 2 * m - 1))
 
 
 def g_bruteforce(n: int, m0: int) -> Fraction:
@@ -207,13 +218,6 @@ def a_from_bernoulli_rows() -> Iterator[Fraction]:
     next(evens)  # B_0
     for n, b2n in enumerate(evens, 1):
         yield Fraction(b2n.numerator * ((1 << (2 * n)) - 2), (b2n.denominator * 2 * n) << (2 * n))
-
-
-def a_from_bernoulli(n: int) -> Fraction:
-    """a_n by the scaled Bernoulli route: item n of a fresh ``a_from_bernoulli_rows()``."""
-    if n < 1:
-        raise ValueError(f"a_from_bernoulli requires n >= 1, got {n}")
-    return next(islice(a_from_bernoulli_rows(), n - 1, None))
 
 
 def faulhaber_check(n: int, r: int, cache: KernelCache | None = None) -> bool:

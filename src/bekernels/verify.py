@@ -109,7 +109,7 @@ def _g_m0_independence(depth: int) -> Iterator[Pair]:
     cache = _filled(KernelKind.BERNOULLI, depth)
     for n in range(1, depth + 1):
         for m0 in range(1, 6):
-            scaled = -exactnum.beta_even(n, m0) * sequences.g_closed(n, m0, cache)
+            scaled = -sequences.beta_even(n, m0) * sequences.g_closed(n, m0, cache)
             yield f"n={n}, m0={m0}", scaled, sequences.a_from_kb(n, cache)
 
 

@@ -1,4 +1,4 @@
-"""Exact rational layer: factorial, beta at even arguments, p/q text."""
+"""Exact rational layer: factorial and p/q text."""
 
 from fractions import Fraction
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bekernels.exactnum import beta_even, factorial, format_rational, parse_rational
+from bekernels.exactnum import factorial, format_rational, parse_rational
 
 
 def test_factorial_known_values():
@@ -25,25 +25,6 @@ def test_factorial_matches_repeated_multiplication():
     for m in range(1, 30):
         running *= m
         assert factorial(m) == running
-
-
-def test_beta_even_known_values():
-    assert beta_even(1, 1) == Fraction(1, 6)
-    assert beta_even(1, 2) == Fraction(1, 20)
-    assert beta_even(2, 1) == Fraction(1, 20)
-
-
-def test_beta_even_rejects_zero_arguments():
-    with pytest.raises(ValueError):
-        beta_even(0, 1)
-    with pytest.raises(ValueError):
-        beta_even(1, 0)
-
-
-def test_beta_even_symmetry():
-    for n in range(1, 21):
-        for m in range(1, 21):
-            assert beta_even(n, m) == beta_even(m, n)
 
 
 @given(st.integers(-10**6, 10**6), st.integers(1, 10**6))

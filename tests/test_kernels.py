@@ -587,6 +587,34 @@ def test_factorial_calls_grow_linearly(kind, monkeypatch):
     assert counts[50] <= 50 and counts[100] <= 100  # at most one per new value
 
 
+@pytest.mark.parametrize("kind", [B, E])
+def test_kept_chains_spare_the_rebuild(kind, monkeypatch, tmp_path):
+    # The cache keeps each chain's last terms, so one-row calls step them and
+    # only a loaded prefix rebuilds them, once, in its first call.  Rebuilt on
+    # every call, one-row fills of n = 1..250 of both kinds went from 58-65 ms
+    # to 452-485 ms (ROADMAP, the list of what was tried).
+    calls = []
+    original = kernels_module._rebuilt_terms
+
+    def counting(rows, head, shift):
+        calls.append(head)
+        return original(rows, head, shift)
+
+    monkeypatch.setattr(kernels_module, "_rebuilt_terms", counting)
+    filled = KernelCache(kind)
+    for n in range(1, 101):
+        kernel_recursive(kind, n, filled)
+    assert calls == []
+    loaded = _loaded_cache(tmp_path, kind, _scaled_values(filled, 40))
+    per_call = []
+    for n in range(41, 51):
+        calls.clear()
+        kernel_recursive(kind, n, loaded)
+        per_call.append(len(calls))
+    assert per_call == [3] + [0] * 9
+    assert list(loaded.items()) == list(islice(filled.items(), 51))
+
+
 def test_concurrent_fill_single_write():
     cache = KernelCache(B)
     outcomes = []

@@ -8,16 +8,16 @@ from itertools import islice
 import pytest
 
 from bekernels.compositions import compositions
-from bekernels.exactnum import beta_even, format_rational
+from bekernels.exactnum import format_rational
 from bekernels.kernels import KernelCache, KernelKind, kernel_recursive
 from bekernels.oracles import bernoulli_even, bernoulli_evens, euler_evens
 from bekernels.sequences import (
-    a_from_bernoulli,
     a_from_bernoulli_rows,
     a_from_kb,
     a_recursive,
     a_recursive_rows,
     bernoulli,
+    beta_even,
     euler,
     f_of,
     faulhaber_check,
@@ -181,11 +181,30 @@ def test_a_from_bernoulli_reduces_once(gcd_calls):
 
 
 def test_a_triple_consistency():
-    for n in range(1, 26):
+    for n, from_bernoulli in zip(range(1, 26), a_from_bernoulli_rows()):
         from_kb = a_from_kb(n)
         assert from_kb == a_recursive(n), n
-        assert from_kb == a_from_bernoulli(n), n
+        assert from_kb == from_bernoulli, n
         assert from_kb == bernoulli_even(n) * (1 - Fraction(1, 2 ** (2 * n - 1))) / (2 * n), n
+
+
+def test_beta_even_known_values():
+    assert beta_even(1, 1) == Fraction(1, 6)
+    assert beta_even(1, 2) == Fraction(1, 20)
+    assert beta_even(2, 1) == Fraction(1, 20)
+
+
+def test_beta_even_rejects_zero_arguments():
+    with pytest.raises(ValueError):
+        beta_even(0, 1)
+    with pytest.raises(ValueError):
+        beta_even(1, 0)
+
+
+def test_beta_even_symmetry():
+    for n in range(1, 21):
+        for m in range(1, 21):
+            assert beta_even(n, m) == beta_even(m, n)
 
 
 def test_beta_relation_m0_independent():
