@@ -32,9 +32,8 @@ _EXPORTS = {
             "kernel_determinant", "kernel_recursive",
         ),
         "sequences": (
-            "a_from_bernoulli_rows", "a_from_kb", "a_recursive", "a_recursive_rows",
-            "bernoulli", "beta_even", "euler", "f_of", "faulhaber_check", "g_bruteforce",
-            "g_closed", "j_of",
+            "a_from_kb", "a_recursive", "a_recursive_rows", "bernoulli", "beta_even", "euler",
+            "f_of", "faulhaber_check", "g_bruteforce", "g_closed", "j_of",
         ),
         "specfun": (
             "EvalReport", "TruncationParams", "check_ln_pi_over_e", "eval_digamma",

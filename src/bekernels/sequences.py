@@ -5,8 +5,8 @@ Everything here is exact.  The module exposes:
 * the classical numbers: ``bernoulli(n)`` = B_{2n} and ``euler(n)`` = E_{2n},
   rescaled from the kernels of the matching kind;
 * the expansion coefficients a_n that drive the asymptotic evaluators in
-  ``specfun``, computable by three independent routes that must agree;
-  the two O(n^2) ones are generators that keep only their last row;
+  ``specfun``, by two independent routes that must agree; the O(n^2)
+  recursion is a generator that keeps only its last row;
 * the auxiliary sequences f, j, and g, where g has both a closed form in
   the kernel and a brute-force definition as a sum of j-products over
   compositions, and ``beta_even``, whose B(2n, 2m0) scales g to
@@ -26,7 +26,6 @@ from math import comb, factorial, gcd
 from .kernels import KernelCache, KernelKind, kernel_recursive, shared_cache
 
 __all__ = [
-    "a_from_bernoulli_rows",
     "a_from_kb",
     "a_recursive",
     "a_recursive_rows",
@@ -203,21 +202,6 @@ def a_recursive(n: int) -> Fraction:
     if n < 1:
         raise ValueError(f"a_recursive requires n >= 1, got {n}")
     return next(islice(a_recursive_rows(), n - 1, None))
-
-
-def a_from_bernoulli_rows() -> Iterator[Fraction]:
-    """a_1, a_2, ... as a_n = B_{2n} (1 - 2^{1-2n}) / (2n), B_{2n} from the oracle.
-
-    Deliberately reads ``oracles.bernoulli_evens`` rather than this
-    module's own ``bernoulli`` so the route stays independent of the
-    kernels.  As B_{2n} (4^n - 2) / (2n 4^n) each value is one reduction.
-    """
-    from . import oracles
-
-    evens = oracles.bernoulli_evens()
-    next(evens)  # B_0
-    for n, b2n in enumerate(evens, 1):
-        yield Fraction(b2n.numerator * ((1 << (2 * n)) - 2), (b2n.denominator * 2 * n) << (2 * n))
 
 
 def faulhaber_check(n: int, r: int, cache: KernelCache | None = None) -> bool:

@@ -4,10 +4,10 @@ The exact coefficients from ``sequences`` feed expansions of Gamma,
 digamma, polygamma, and the Hurwitz zeta function.  The a_n grow
 factorially, so the Gamma and digamma series are asymptotic: they are
 never summed "to convergence".  Every evaluator cuts off after a
-caller-chosen number of terms and reports the magnitude of the first
-omitted term as the error estimate, alongside a reference value from
-mpmath; ``_truncated`` is the one place a series stops and its bound is
-taken, and ``_report`` the one place a reference is made.
+caller-chosen number of terms and reports the first omitted term's
+magnitude b (e^b - 1 for Gamma) as the error estimate, alongside a
+reference value from mpmath; ``_truncated`` is the one place a series
+stops and b is taken, and ``_report`` the one place a reference is made.
 
 All floating arithmetic is mpmath at the caller's working precision plus
 guard digits; exact rationals are converted at the last moment.
@@ -72,12 +72,13 @@ class EvalReport(namedtuple("_EvalReport", ["value", "terms_used", "first_omitte
                                             "reference", "abs_error"])):
     """Outcome of one truncated evaluation.
 
-    ``first_omitted_term_bound`` is the magnitude of the first term the
-    truncation dropped; for the multiplicative Gamma form it bounds the
-    relative error, for the additive series the absolute error.  It covers
-    truncation only, not rounding at the working precision: for Hurwitz
-    zeta at x = 1e400 with 3 terms it is 3.3e-3602, while ``abs_error`` is
-    8.1e-446, the rounding of a value near 1e-400.
+    ``first_omitted_term_bound`` is the magnitude b of the first term the
+    truncation dropped, for the additive series a bound on the absolute
+    error; Gamma sums its series in the exponent and reports e^b - 1, the
+    bound on its relative error.  It covers truncation only, not rounding
+    at the working precision: for Hurwitz zeta at x = 1e400 with 3 terms
+    it is 3.3e-3602, while ``abs_error`` is 8.1e-446, the rounding of a
+    value near 1e-400.
     ``reference`` is mpmath's value of the same function at the same
     argument, taken ten digits past the value's working precision, so
     ``abs_error`` = |value - reference| is the value's own error.
@@ -217,9 +218,9 @@ def eval_hurwitz_expansion(m0: int, x: Real, params: TruncationParams) -> EvalRe
 def eval_gamma(x: Real, params: TruncationParams) -> EvalReport:
     """Gamma(x + 1/2) = (x/e)^x sqrt(2 pi) exp(-sum a_n/((2n-1) x^(2n-1))).
 
-    Requires x > 0.  The omitted-term bound lives inside the exponent, so
-    it bounds the relative error of the product form.  The reference is
-    ``mpmath.gamma``.
+    Requires x > 0.  The first omitted term b bounds the exponent's error,
+    so e^b - 1, the report's bound, bounds the relative error of the
+    product form.  The reference is ``mpmath.gamma``.
     """
     wp = params.working_precision
     with mp.workdps(wp + _GUARD_DIGITS):
@@ -237,9 +238,10 @@ def eval_gamma(x: Real, params: TruncationParams) -> EvalReport:
         def exponent_term(n: int) -> mpmath.mpf:
             return _mpf(a_from_kb(n)) / ((2 * n - 1) * xm ** (2 * n - 1))
 
-        exponent, bound = _truncated(exponent_term, params.terms)
+        exponent, omitted = _truncated(exponent_term, params.terms)
         value = mp.exp(xm * mp.log(xm) - xm - exponent) * mp.sqrt(2 * mp.pi)
-        return _report(value, params.terms, bound, lambda: mpmath.gamma(xm + mp.mpf(1) / 2))
+        return _report(value, params.terms, mp.expm1(omitted),
+                       lambda: mpmath.gamma(xm + mp.mpf(1) / 2))
 
 
 def eval_digamma(x: Real, params: TruncationParams) -> EvalReport:
@@ -272,7 +274,11 @@ def eval_polygamma(y: int, x: Real, params: TruncationParams) -> EvalReport:
     working precision.  The identity
     psi^(y)(x+1) = (-1)^(y-1) y! zeta(y+1, x+1), with mpmath's Hurwitz
     zeta, supplies the reference.
-    Requires y >= 1 and x > -1/2.
+    Requires y >= 1 and x > -1/2.  The bound, the first omitted term, does
+    not yet bound the tail: near x = -1/2 the terms shrink by a ratio rho
+    near 1, and the tail is about 1/(1 - rho) such terms (ROADMAP item 2b;
+    strict xfails ``test_report_bound_covers_a_slowly_shrinking_tail`` and
+    ``test_report_bound_covers_a_huge_order``).
     """
     if y < 1:
         raise ValueError(f"eval_polygamma requires y >= 1, got {y}")
@@ -308,7 +314,8 @@ def check_ln_pi_over_e(terms: int, working_precision: int = 34) -> EvalReport:
 
     The terms decay like 4^(-j), so this series genuinely converges; the
     report's bound is the first omitted term and the reference is
-    (ln pi - 1)/2 with mpmath's pi.
+    (ln pi - 1)/2 with mpmath's pi.  It does not yet bound the tail, about
+    4/3 of it (ROADMAP item 2b; ``test_ln_pi_over_e_bound_covers_its_error``).
     """
     if terms < 1:
         raise ValueError(f"check_ln_pi_over_e requires terms >= 1, got {terms}")

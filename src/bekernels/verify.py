@@ -15,11 +15,13 @@ the one-row step.  ``kernel_recursive`` fills by the lacunary form of the
 defining recurrence, and the determinant's minors follow the defining
 recurrence itself, so the recursion-vs-determinant entries check that
 lacunary identity against the definition, not only the fill's integer
-machinery.  The five O(n^2) entries read each route's row generator
-(``determinant_rows``, ``a_recursive_rows``, ``a_from_bernoulli_rows``,
-``bernoulli_evens``, ``euler_evens``) in one pass beside the rows they
-check; a generator keeps only its last row, so nothing is kept between
-calls or loaded from a cache file.  Routes are called through their modules, never
+machinery.  The five O(n^2) entries read the routes' row generators
+(``determinant_rows``, ``a_recursive_rows``, ``bernoulli_evens``,
+``euler_evens``) in one pass beside the rows they check; a generator
+keeps only its last row, so nothing is kept between calls or loaded from
+a cache file.  The tangent-number entry checks ``bernoulli`` against each
+B_2n and ``a_from_kb`` against B_2n (4^n - 2) / (2n 4^n), so the tangent
+loop runs once.  Routes are called through their modules, never
 imported by name, so that whatever a module exposes under a route's name
 is what the table checks.  The recursion entries read the rows through
 ``KernelCache.items``, the reader ``table`` prints with.
@@ -77,17 +79,17 @@ def _recursion_vs_determinant(kind: KernelKind, depth: int) -> Iterator[Pair]:
 
 def _coefficient_routes(depth: int) -> Iterator[Pair]:
     cache = _filled(KernelKind.BERNOULLI, depth)
-    rows = zip(sequences.a_recursive_rows(), sequences.a_from_bernoulli_rows())
-    for n, (recursion, scaled) in zip(range(1, depth + 1), rows):
-        from_kb = sequences.a_from_kb(n, cache)
-        yield f"n={n} (recursion)", from_kb, recursion
-        yield f"n={n} (scaled Bernoulli)", from_kb, scaled
+    for n, recursion in zip(range(1, depth + 1), sequences.a_recursive_rows()):
+        yield f"n={n} (recursion)", sequences.a_from_kb(n, cache), recursion
 
 
 def _bernoulli_oracle(depth: int) -> Iterator[Pair]:
     cache = _filled(KernelKind.BERNOULLI, depth)
     for n, oracle in enumerate(islice(oracles.bernoulli_evens(), 1, depth + 1), 1):
         yield f"n={n}", sequences.bernoulli(n, cache), oracle
+        scaled = Fraction(oracle.numerator * ((1 << (2 * n)) - 2),
+                          (oracle.denominator * 2 * n) << (2 * n))
+        yield f"n={n} (scaled Bernoulli)", sequences.a_from_kb(n, cache), scaled
 
 
 def _euler_oracle(depth: int) -> Iterator[Pair]:

@@ -133,6 +133,40 @@ def test_verify_reports_a_wrong_oracle(capsys, monkeypatch):
     assert all(line.startswith("PASS") for line in out.splitlines() if line not in fails)
 
 
+def test_verify_runs_the_tangent_loop_once(capsys, monkeypatch):
+    right = oracles.bernoulli_evens
+    calls = []
+
+    def counted():
+        calls.append(1)
+        return right()
+
+    monkeypatch.setattr(oracles, "bernoulli_evens", counted)
+    code, _, _ = run_cli(capsys, "verify", "--exact", "8", "--brute", "5")
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_verify_reports_a_wrong_bernoulli_oracle_once(capsys, monkeypatch):
+    # The coefficient entry no longer reads the tangent numbers, so a wrong
+    # B_2k shows in the oracle entry alone, at its first pair for k.
+    right = oracles.bernoulli_evens
+
+    def planted():
+        for n, value in enumerate(right()):
+            yield value + 1 if n == 5 else value
+
+    monkeypatch.setattr(oracles, "bernoulli_evens", planted)
+    code, out, _ = run_cli(capsys, "verify", "--exact", "8", "--brute", "5")
+    assert code == 1
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert fails == [
+        "FAIL Bernoulli numbers vs tangent-number oracle (n=1..8): first difference at n=5: "
+        "5/66 vs 71/66"
+    ]
+    assert all(line.startswith("PASS") for line in out.splitlines() if line not in fails)
+
+
 @pytest.mark.parametrize("kind", ["b", "e"])
 def test_verify_reads_the_rows_table_prints(capsys, monkeypatch, kind):
     # The recursion entries read KernelCache.items, the reader table prints

@@ -7,12 +7,12 @@ from itertools import islice
 
 import pytest
 
+from bekernels import verify
 from bekernels.compositions import compositions
 from bekernels.exactnum import format_rational
 from bekernels.kernels import KernelCache, KernelKind, kernel_recursive
 from bekernels.oracles import bernoulli_even, bernoulli_evens, euler_evens
 from bekernels.sequences import (
-    a_from_bernoulli_rows,
     a_from_kb,
     a_recursive,
     a_recursive_rows,
@@ -172,19 +172,26 @@ def test_a_recursive_grown_in_uneven_steps():
     assert list(islice(a_recursive_rows(), 120)) == [a_from_kb(n, cache) for n in range(1, 121)]
 
 
-def test_a_from_bernoulli_reduces_once(gcd_calls):
-    # The oracle makes one Fraction per value, the scaling one more.
-    values = list(islice(a_from_bernoulli_rows(), 200))
-    assert gcd_calls[0] <= 2 * 200
+def test_oracle_entry_scales_each_bernoulli_number_with_one_reduction(gcd_calls):
+    # verify's tangent-number entry scales each B_2n it reads to a_n; beyond
+    # the fill, the oracle and the two kernel scalings, that is one Fraction
+    # per value.
+    depth = 200
+    entry = next(c for c in verify.CHECKS if "tangent-number" in c.title)
+    assert verify.first_difference(entry.pairs(depth)) is None
+    with_scaling = gcd_calls[0]
     cache = KernelCache(KernelKind.BERNOULLI)
-    assert values == [a_from_kb(n, cache) for n in range(1, 201)]
+    kernel_recursive(KernelKind.BERNOULLI, depth, cache)
+    for n, _ in enumerate(islice(bernoulli_evens(), 1, depth + 1), 1):
+        bernoulli(n, cache)
+        a_from_kb(n, cache)
+    assert with_scaling - (gcd_calls[0] - with_scaling) <= depth
 
 
 def test_a_triple_consistency():
-    for n, from_bernoulli in zip(range(1, 26), a_from_bernoulli_rows()):
+    for n in range(1, 26):
         from_kb = a_from_kb(n)
         assert from_kb == a_recursive(n), n
-        assert from_kb == from_bernoulli, n
         assert from_kb == bernoulli_even(n) * (1 - Fraction(1, 2 ** (2 * n - 1))) / (2 * n), n
 
 

@@ -227,14 +227,40 @@ def test_report_bound_covers_a_huge_order():
     assert report.abs_error <= 2 * report.first_omitted_term_bound
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 2: 400 terms run far past the smallest term at x = 5",
-)
 def test_gamma_report_bound_covers_terms_past_the_smallest():
-    # The bound is 1.5e+777, and the value's decimal exponent has 774 digits.
+    # 400 terms run far past the smallest term at x = 5: the first omitted
+    # term is b = 1.5e+777, and the value's decimal exponent has 774 digits.
+    # That is below e^b - 1, the relative bound the report gives.
     report = eval_gamma("5", tp(400))
     assert report.abs_error / abs(report.reference) <= 2 * report.first_omitted_term_bound
+
+
+@pytest.mark.parametrize(
+    "evaluate, relative",
+    [
+        (eval_digamma, False),
+        (partial(eval_hurwitz_expansion, 1), False),
+        (partial(eval_hurwitz_expansion, 3), False),
+        (eval_gamma, True),
+    ],
+    ids=["digamma", "hurwitz-m0-1", "hurwitz-m0-3", "gamma"],
+)
+def test_asymptotic_bound_covers_the_error_on_a_grid(evaluate, relative):
+    # At precision 200 rounding stays below every bound kept here, so each
+    # case checks the truncation bound alone, before and past the least term.
+    kept = 0
+    for x in ("-0.45", "0.3", "2.5", "12"):
+        if relative and x.startswith("-"):
+            continue  # gamma requires x > 0
+        for terms in (0, 1, 4, 11, 24, 39):
+            report = evaluate(x, tp(terms, 200))
+            bound = report.first_omitted_term_bound
+            if bound <= mp.mpf("1e-180"):
+                continue
+            error = report.abs_error / abs(report.reference) if relative else report.abs_error
+            assert error <= bound, (x, terms, error, bound)
+            kept += 1
+    assert kept, "every case fell below the cut"
 
 
 def test_hurwitz_zero_terms_degenerates_to_p():
