@@ -8,8 +8,8 @@ range exits 2, naming the flag and its limit, before any persisted table
 is read.  README's table of ceilings gives each limit and the timing that
 set it.
 
-``verify --brute`` may not exceed ``--exact`` (exit 2).  When it is
-omitted it is 12, or ``--exact`` if that is smaller.
+``verify --brute`` may not exceed ``--exact`` (exit 2); when omitted it is
+12, or ``--exact`` if that is smaller (``verify.run_checks``).
 
 ``--upto`` is the flag of ``table``, ``bernoulli``, ``euler`` and ``a-coeff``.
 
@@ -75,7 +75,7 @@ _EVAL_DIGITS = 30  # significant digits printed for floats, at most --precision
 # ceilings gives the timing that set it.
 UPTO_LIMIT = 1800  # --upto and kernel --n: a kind-b table to 1800
 COMPOSITIONS_LIMIT = 22  # compositions --n: a listing of 2**21 lines
-EXACT_DEPTH_LIMIT = 1000  # verify --exact: the deepest multiple of 50 inside the band
+EXACT_DEPTH_LIMIT = 1000  # verify --exact: a multiple of 50 inside the band
 BRUTE_DEPTH_LIMIT = 21  # verify --brute: the g walk's time doubles with each n
 # Commands that print a scaling of one kernel table: name -> (kind read, index
 # step, scaling called through ``sequences`` as ``verify`` calls routes, help).
@@ -203,22 +203,13 @@ def cmd_kernel(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    brute = min(12, args.exact) if args.brute is None else args.brute
-    if brute > args.exact:
-        raise ValueError(f"--brute ({brute}) must not exceed --exact ({args.exact})")
     from . import verify
 
     failed = False
-    for check in verify.CHECKS:
-        depth = args.exact if check.depth == "exact" else brute
-        name = check.title.format(n=depth)
-        problem = verify.first_difference(check.pairs(depth))
-        if problem is None:
-            print(f"PASS {name}")
-        else:
-            print(f"FAIL {name}: {problem}")
-            failed = True
-    return 1 if failed else 0
+    for name, problem in verify.run_checks(args.exact, args.brute):
+        print(f"PASS {name}" if problem is None else f"FAIL {name}: {problem}")
+        failed = failed or problem is not None
+    return int(failed)
 
 
 def cmd_scaled(args: argparse.Namespace) -> int:

@@ -75,10 +75,11 @@ class EvalReport(namedtuple("_EvalReport", ["value", "terms_used", "first_omitte
     ``first_omitted_term_bound`` is the magnitude b of the first term the
     truncation dropped, for the additive series a bound on the absolute
     error; Gamma sums its series in the exponent and reports e^b - 1, the
-    bound on its relative error.  It covers truncation only, not rounding
-    at the working precision: for Hurwitz zeta at x = 1e400 with 3 terms
-    it is 3.3e-3602, while ``abs_error`` is 8.1e-446, the rounding of a
-    value near 1e-400.
+    bound on its relative error, or inf where b's own rounding is not far
+    below 1 (x = 5 with 400 terms).  It covers truncation only, not
+    rounding at the working precision: for Hurwitz zeta at x = 1e400 with 3
+    terms it is 3.3e-3602, while ``abs_error`` is 8.1e-446, the rounding of
+    a value near 1e-400.
     ``reference`` is mpmath's value of the same function at the same
     argument, taken ten digits past the value's working precision, so
     ``abs_error`` = |value - reference| is the value's own error.
@@ -220,7 +221,8 @@ def eval_gamma(x: Real, params: TruncationParams) -> EvalReport:
 
     Requires x > 0.  The first omitted term b bounds the exponent's error,
     so e^b - 1, the report's bound, bounds the relative error of the
-    product form.  The reference is ``mpmath.gamma``.
+    product form; it is inf once b's rounding, b 10^(1 - dps), passes
+    10^-_GUARD_DIGITS.  The reference is ``mpmath.gamma``.
     """
     wp = params.working_precision
     with mp.workdps(wp + _GUARD_DIGITS):
@@ -240,7 +242,8 @@ def eval_gamma(x: Real, params: TruncationParams) -> EvalReport:
 
         exponent, omitted = _truncated(exponent_term, params.terms)
         value = mp.exp(xm * mp.log(xm) - xm - exponent) * mp.sqrt(2 * mp.pi)
-        return _report(value, params.terms, mp.expm1(omitted),
+        known = omitted < mp.mpf(10) ** (mp.dps - 1 - _GUARD_DIGITS)
+        return _report(value, params.terms, mp.expm1(omitted) if known else mp.inf,
                        lambda: mpmath.gamma(xm + mp.mpf(1) / 2))
 
 

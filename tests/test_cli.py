@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import gc
+import inspect
 import io
 import json
 import os
@@ -10,6 +11,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -165,6 +167,55 @@ def test_verify_reports_a_wrong_bernoulli_oracle_once(capsys, monkeypatch):
         "5/66 vs 71/66"
     ]
     assert all(line.startswith("PASS") for line in out.splitlines() if line not in fails)
+
+
+def test_verify_fills_each_kind_once(capsys, monkeypatch):
+    # Every entry reads its kind's one run-local cache, filled in one call.
+    built, fills = [], []
+    init, fill = kernels.KernelCache.__init__, kernels.kernel_recursive
+
+    def counted_init(self, kind):
+        built.append(kind.value)
+        init(self, kind)
+
+    def counted_fill(kind, n, cache=None):
+        fills.append((kind.value, n))
+        return fill(kind, n, cache)
+
+    monkeypatch.setattr(kernels.KernelCache, "__init__", counted_init)
+    monkeypatch.setattr(kernels, "kernel_recursive", counted_fill)
+    code, _, _ = run_cli(capsys, "verify", "--exact", "8", "--brute", "5")
+    assert code == 0
+    assert built == ["b", "e"]
+    assert fills == [("b", 8), ("e", 8)]
+
+
+def test_verify_ignores_the_process_wide_cache(monkeypatch, tmp_path):
+    # ROADMAP item 1's edit: V(2) = 7 becomes 46 = 70 in hex, so the loaded
+    # process-wide table gives K(2) = 7/36 and B_4 = -1/3.  verify's own
+    # cache never sees it, so every entry still passes.
+    b = KernelKind.BERNOULLI
+    clean = kernels.KernelCache(b)
+    kernels.kernel_recursive(b, 6, clean)
+    path = tmp_path / "kernel_b.txt"
+    kernels.write_cache_file(clean, path)
+    lines = path.read_text().splitlines()
+    assert lines[2] == "2 7"
+    lines[2] = "2 46"
+    path.write_text("\n".join(lines) + "\n")
+    fresh = {kind: kernels.KernelCache(kind) for kind in KernelKind}
+    monkeypatch.setattr(kernels, "_shared", fresh)
+    kernels.read_cache_file(path, kernels.shared_cache(b))
+    assert sequences.bernoulli(2) == Fraction(-1, 3)
+    results = list(verify.run_checks(8, 5))
+    assert len(results) == len(verify.CHECKS)
+    assert all(problem is None for _, problem in results), results
+
+
+def test_verify_names_no_process_wide_cache():
+    source = inspect.getsource(verify)
+    assert "shared_cache" not in source
+    assert "read_cache_file" not in source
 
 
 @pytest.mark.parametrize("kind", ["b", "e"])

@@ -235,6 +235,14 @@ def test_gamma_report_bound_covers_terms_past_the_smallest():
     assert report.abs_error / abs(report.reference) <= 2 * report.first_omitted_term_bound
 
 
+def test_gamma_gives_no_bound_past_what_b_holds():
+    # At x = 5 with 400 terms b = 1.5e+777 holds about 45 digits, so e^b - 1
+    # is not known to any digit; at x = 2.5 with 24 terms b = 97.0 is.
+    assert eval_gamma("5", tp(400)).first_omitted_term_bound == mp.inf
+    bound = eval_gamma("2.5", tp(24)).first_omitted_term_bound
+    assert mp.isfinite(bound) and mp.mpf("1.37e42") < bound < mp.mpf("1.38e42")
+
+
 @pytest.mark.parametrize(
     "evaluate, relative",
     [
