@@ -37,7 +37,7 @@ _EXPORTS = {
         ),
         "specfun": (
             "EvalReport", "TruncationParams", "check_ln_pi_over_e", "eval_digamma",
-            "eval_gamma", "eval_hurwitz_expansion", "eval_polygamma", "p_term", "zeta_direct",
+            "eval_gamma", "eval_hurwitz_expansion", "eval_polygamma", "zeta_direct",
         ),
     }.items()
     for name in names

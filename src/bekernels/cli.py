@@ -222,12 +222,6 @@ def cmd_scaled(args: argparse.Namespace) -> int:
     return 0
 
 
-def _render_float(value, digits: int) -> str:
-    from mpmath import mp
-
-    return mp.nstr(value, digits)
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     evaluator, flag = _EVAL[args.target]
     if args.y is not None and flag != "y":
@@ -242,12 +236,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     params = specfun.TruncationParams(args.terms, args.precision)
     report = getattr(specfun, evaluator)(*leading, args.x, params)
     digits = min(_EVAL_DIGITS, args.precision)  # no digit past the precision asked for
+    nstr = specfun.mp.nstr
     payload = {
-        "value": _render_float(report.value, digits),
+        "value": nstr(report.value, digits),
         "terms": report.terms_used,
-        "bound": _render_float(report.first_omitted_term_bound, digits),
-        "reference": _render_float(report.reference, digits),
-        "abs_error": _render_float(report.abs_error, digits),
+        "bound": nstr(report.first_omitted_term_bound, digits),
+        "reference": nstr(report.reference, digits),
+        "abs_error": nstr(report.abs_error, digits),
     }
     if args.format == "json":
         import json

@@ -34,7 +34,6 @@ __all__ = [
     "eval_gamma",
     "eval_hurwitz_expansion",
     "eval_polygamma",
-    "p_term",
     "zeta_direct",
 ]
 
@@ -116,19 +115,18 @@ def _truncated(term: Callable[[int], mpmath.mpf], terms: int) -> tuple[mpmath.mp
     return mp.fsum(term(n) for n in range(1, terms + 1)), abs(term(terms + 1))
 
 
-def p_term(m: int, x: Real, working_precision: int = 34) -> mpmath.mpf:
-    """Leading expansion term 1 / ((2m-1) (x+1/2)^(2m-1)).
+def _base(name: str, x: Real) -> tuple[mpmath.mpf, mpmath.mpf]:
+    """(x, x + 1/2) at the current working precision; x <= -1/2 raises ValueError naming ``name``.
 
-    Requires m >= 1 and x > -1/2 (the power base must stay positive).
+    The digamma, polygamma and Hurwitz series run in powers of the base
+    x + 1/2, which must be real and > 0: the theorem that the first omitted
+    term bounds the error of Stirling's series holds only there (DLMF
+    5.11(ii); ROADMAP item 19).
     """
-    if m < 1:
-        raise ValueError(f"p_term requires m >= 1, got {m}")
-    with mp.workdps(working_precision + _GUARD_DIGITS):
-        xm = _mpf(x)
-        if not xm > mp.mpf(-1) / 2:
-            raise ValueError(f"p_term requires x > -1/2, got {x}")
-        base = xm + mp.mpf(1) / 2
-        return 1 / ((2 * m - 1) * base ** (2 * m - 1))
+    xm = _mpf(x)
+    if not xm > mp.mpf(-1) / 2:
+        raise ValueError(f"{name} requires x > -1/2, got {x}")
+    return xm, xm + mp.mpf(1) / 2
 
 
 def zeta_direct(s: Real, q: Real, tol: Real) -> mpmath.mpf:
@@ -196,16 +194,15 @@ def zeta_direct(s: Real, q: Real, tol: Real) -> mpmath.mpf:
 def eval_hurwitz_expansion(m0: int, x: Real, params: TruncationParams) -> EvalReport:
     """Expansion of zeta(2*m0, x+1) in powers of (x+1/2), truncated.
 
-    value = p_term(m0, x) + sum_{z=1}^{N} g_closed(z, m0) / ((2m0+2z-1)
-    (x+1/2)^(2m0+2z-1)); the reference is ``mpmath.zeta(2*m0, x+1)``.
+    value = 1 / ((2m0-1) (x+1/2)^(2m0-1)) + sum_{z=1}^{N} g_closed(z, m0) /
+    ((2m0+2z-1) (x+1/2)^(2m0+2z-1)); the reference is
+    ``mpmath.zeta(2*m0, x+1)``.  Requires m0 >= 1 and x > -1/2.
     """
     if m0 < 1:
         raise ValueError(f"eval_hurwitz_expansion requires m0 >= 1, got {m0}")
     wp = params.working_precision
     with mp.workdps(wp + _GUARD_DIGITS):
-        xm = _mpf(x)
-        leading = p_term(m0, xm, wp)  # rejects x <= -1/2 before any term divides by x + 1/2
-        base = xm + mp.mpf(1) / 2
+        xm, base = _base("eval_hurwitz_expansion", x)
         kernel_recursive(KernelKind.BERNOULLI, params.terms + 1)  # one fill, as in eval_gamma
 
         def z_term(z: int) -> mpmath.mpf:
@@ -213,6 +210,7 @@ def eval_hurwitz_expansion(m0: int, x: Real, params: TruncationParams) -> EvalRe
             return _mpf(g_closed(z, m0)) / (power * base**power)
 
         series, bound = _truncated(z_term, params.terms)
+        leading = 1 / ((2 * m0 - 1) * base ** (2 * m0 - 1))
         return _report(leading + series, params.terms, bound, lambda: mpmath.zeta(2 * m0, xm + 1))
 
 
@@ -254,10 +252,7 @@ def eval_digamma(x: Real, params: TruncationParams) -> EvalReport:
     """
     wp = params.working_precision
     with mp.workdps(wp + _GUARD_DIGITS):
-        xm = _mpf(x)
-        if not xm > mp.mpf(-1) / 2:
-            raise ValueError(f"eval_digamma requires x > -1/2, got {x}")
-        base = xm + mp.mpf(1) / 2
+        xm, base = _base("eval_digamma", x)
         kernel_recursive(KernelKind.BERNOULLI, params.terms + 1)  # one fill, as in eval_gamma
 
         def series_term(n: int) -> mpmath.mpf:
@@ -287,10 +282,7 @@ def eval_polygamma(y: int, x: Real, params: TruncationParams) -> EvalReport:
         raise ValueError(f"eval_polygamma requires y >= 1, got {y}")
     wp = params.working_precision
     with mp.workdps(wp + _GUARD_DIGITS):
-        xm = _mpf(x)
-        if not xm > mp.mpf(-1) / 2:
-            raise ValueError(f"eval_polygamma requires x > -1/2, got {x}")
-        base = xm + mp.mpf(1) / 2
+        xm, base = _base("eval_polygamma", x)
         sign = 1 if y % 2 else -1
 
         def weight(n: int) -> mpmath.mpf:

@@ -362,6 +362,13 @@ def test_eval_domain_error_exits_2(capsys):
             assert code == 2 and "finite" in err, (target, x)
 
 
+def test_eval_domain_error_names_the_evaluator(capsys):
+    for target, name in [(["hurwitz"], "eval_hurwitz_expansion"), (["digamma"], "eval_digamma"),
+                         (["polygamma", "--y", "1"], "eval_polygamma")]:
+        code, out, err = run_cli(capsys, "eval", *target, "--x", "-0.7", "--terms", "3")
+        assert (code, out, err) == (2, "", f"error: {name} requires x > -1/2, got -0.7\n"), target
+
+
 def test_eval_prints_no_digit_past_its_precision(capsys):
     # 15 significant digits at --precision 15.  Thirty printed
     # 0.394666666666666666666666668493: digits past those computed.

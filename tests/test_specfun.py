@@ -18,7 +18,6 @@ from bekernels.specfun import (
     eval_gamma,
     eval_hurwitz_expansion,
     eval_polygamma,
-    p_term,
     zeta_direct,
 )
 
@@ -52,24 +51,6 @@ def test_eval_path_imports_no_dataclasses():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
-
-
-def test_p_term_known_points():
-    with mp.workdps(50):
-        assert p_term(1, 0.5) == 1
-        assert abs(p_term(2, 0.5) - mp.mpf(1) / 3) < mp.mpf(10) ** -40
-        assert abs(p_term(1, 4.5) - mp.mpf("0.2")) < mp.mpf(10) ** -40
-
-
-def test_p_term_domain():
-    with pytest.raises(ValueError):
-        p_term(0, 1)
-    with pytest.raises(ValueError):
-        p_term(1, -0.5)
-    with pytest.raises(ValueError):
-        p_term(1, -3)
-    with pytest.raises(ValueError):
-        p_term(1, "inf")
 
 
 def test_zeta_direct_known_values():
@@ -227,14 +208,6 @@ def test_report_bound_covers_a_huge_order():
     assert report.abs_error <= 2 * report.first_omitted_term_bound
 
 
-def test_gamma_report_bound_covers_terms_past_the_smallest():
-    # 400 terms run far past the smallest term at x = 5: the first omitted
-    # term is b = 1.5e+777, and the value's decimal exponent has 774 digits.
-    # That is below e^b - 1, the relative bound the report gives.
-    report = eval_gamma("5", tp(400))
-    assert report.abs_error / abs(report.reference) <= 2 * report.first_omitted_term_bound
-
-
 def test_gamma_gives_no_bound_past_what_b_holds():
     # At x = 5 with 400 terms b = 1.5e+777 holds about 45 digits, so e^b - 1
     # is not known to any digit; at x = 2.5 with 24 terms b = 97.0 is.
@@ -272,15 +245,19 @@ def test_asymptotic_bound_covers_the_error_on_a_grid(evaluate, relative):
 
 
 def test_hurwitz_zero_terms_degenerates_to_p():
+    # Zero terms leave the leading term 1 / ((2 m0 - 1) (x + 1/2)^(2 m0 - 1)) alone.
     report = eval_hurwitz_expansion(1, 0, tp(0))
     assert report.value == 2
     assert report.terms_used == 0
+    with mp.workdps(50):
+        for m0, x, leading in [(1, 0.5, 1), (2, 0.5, mp.mpf(1) / 3), (1, 4.5, mp.mpf("0.2"))]:
+            value = eval_hurwitz_expansion(m0, x, tp(0)).value
+            assert abs(value - leading) < mp.mpf(10) ** -40, (m0, x)
     with pytest.raises(ValueError):
         eval_hurwitz_expansion(0, 1, tp(3))
-    with pytest.raises(ValueError):
-        eval_hurwitz_expansion(1, -0.5, tp(3))
-    with pytest.raises(ValueError):
-        eval_hurwitz_expansion(1, float("inf"), tp(3))
+    for x in (-0.5, -3, float("inf")):
+        with pytest.raises(ValueError):
+            eval_hurwitz_expansion(1, x, tp(3))
 
 
 @pytest.mark.parametrize("x", [5, 10])
