@@ -245,14 +245,21 @@ def test_asymptotic_bound_covers_the_error_on_a_grid(evaluate, relative):
 
 
 def test_hurwitz_zero_terms_degenerates_to_p():
-    # Zero terms leave the leading term 1 / ((2 m0 - 1) (x + 1/2)^(2 m0 - 1)) alone.
+    # Zero terms leave the leading term p = 1 / ((2 m0 - 1) (x + 1/2)^(2 m0 - 1)) alone.
     report = eval_hurwitz_expansion(1, 0, tp(0))
     assert report.value == 2
     assert report.terms_used == 0
+
+
+def test_p_term_known_points():
+    # p is computed inline by Hurwitz; zero terms return it unchanged.
     with mp.workdps(50):
         for m0, x, leading in [(1, 0.5, 1), (2, 0.5, mp.mpf(1) / 3), (1, 4.5, mp.mpf("0.2"))]:
             value = eval_hurwitz_expansion(m0, x, tp(0)).value
             assert abs(value - leading) < mp.mpf(10) ** -40, (m0, x)
+
+
+def test_p_term_domain():
     with pytest.raises(ValueError):
         eval_hurwitz_expansion(0, 1, tp(3))
     for x in (-0.5, -3, float("inf")):
