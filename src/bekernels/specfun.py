@@ -6,8 +6,8 @@ factorially, so the Gamma and digamma series are asymptotic: they are
 never summed "to convergence".  Every evaluator cuts off after a
 caller-chosen number of terms and reports the first omitted term's
 magnitude b (e^b - 1 for Gamma) as the error estimate, alongside a
-reference value from mpmath; ``_truncated`` is the one place a series
-stops and b is taken, and ``_report`` the one place a reference is made.
+reference value from mpmath.  ``_evaluate`` is the one place a series
+stops, b is taken and the reference is made.
 
 All floating arithmetic is mpmath at the caller's working precision plus
 guard digits; exact rationals are converted at the last moment.
@@ -23,7 +23,6 @@ from fractions import Fraction
 import mpmath
 from mpmath import mp
 
-from .kernels import KernelKind, kernel_recursive
 from .sequences import a_from_kb, f_of, g_closed
 
 __all__ = [
@@ -87,16 +86,23 @@ class EvalReport(namedtuple("_EvalReport", ["value", "terms_used", "first_omitte
     __slots__ = ()
 
 
-def _report(
-    value: mpmath.mpf,
-    terms_used: int,
-    bound: mpmath.mpf,
+def _evaluate(
+    terms: int,
+    term: Callable[[int], mpmath.mpf],
+    value_of: Callable[[mpmath.mpf], mpmath.mpf],
     reference: Callable[[], mpmath.mpf],
 ) -> EvalReport:
-    """The report of value, with reference() taken _GUARD_DIGITS past the working precision."""
+    """The report of value_of(sum of term(1..terms)), bounded by |term(terms + 1)|.
+
+    The first omitted term is taken first, so a term that reads K_b fills
+    the table to terms + 1 in one step and the summed terms only read it.
+    reference() is taken _GUARD_DIGITS past the working precision.
+    """
+    bound = abs(term(terms + 1))
+    value = value_of(mp.fsum(term(n) for n in range(1, terms + 1)))
     with mp.extradps(_GUARD_DIGITS):
         exact = reference()
-    return EvalReport(value, terms_used, bound, exact, abs(value - exact))
+    return EvalReport(value, terms, bound, exact, abs(value - exact))
 
 
 def _mpf(x: Real) -> mpmath.mpf:
@@ -108,11 +114,6 @@ def _mpf(x: Real) -> mpmath.mpf:
     if not mp.isfinite(value):
         raise ValueError(f"expected a finite number, got {x}")
     return value
-
-
-def _truncated(term: Callable[[int], mpmath.mpf], terms: int) -> tuple[mpmath.mpf, mpmath.mpf]:
-    """The sum of term(1..terms) and |term(terms + 1)|, the first omitted term."""
-    return mp.fsum(term(n) for n in range(1, terms + 1)), abs(term(terms + 1))
 
 
 def _base(name: str, x: Real) -> tuple[mpmath.mpf, mpmath.mpf]:
@@ -203,15 +204,14 @@ def eval_hurwitz_expansion(m0: int, x: Real, params: TruncationParams) -> EvalRe
     wp = params.working_precision
     with mp.workdps(wp + _GUARD_DIGITS):
         xm, base = _base("eval_hurwitz_expansion", x)
-        kernel_recursive(KernelKind.BERNOULLI, params.terms + 1)  # one fill, as in eval_gamma
+        leading = 1 / ((2 * m0 - 1) * base ** (2 * m0 - 1))
 
         def z_term(z: int) -> mpmath.mpf:
             power = 2 * m0 + 2 * z - 1
             return _mpf(g_closed(z, m0)) / (power * base**power)
 
-        series, bound = _truncated(z_term, params.terms)
-        leading = 1 / ((2 * m0 - 1) * base ** (2 * m0 - 1))
-        return _report(leading + series, params.terms, bound, lambda: mpmath.zeta(2 * m0, xm + 1))
+        return _evaluate(params.terms, z_term, lambda series: leading + series,
+                         lambda: mpmath.zeta(2 * m0, xm + 1))
 
 
 def eval_gamma(x: Real, params: TruncationParams) -> EvalReport:
@@ -231,18 +231,17 @@ def eval_gamma(x: Real, params: TruncationParams) -> EvalReport:
         magnitude = int(mp.ceil(mp.log10(1 + abs(xm * mp.log(xm)))))
     with mp.workdps(wp + _GUARD_DIGITS + magnitude):
         xm = _mpf(x)
-        # One fill up front: on a cold table each a_from_kb below would fill
-        # its own row and reduce a K_b(n) to a Fraction that nothing reads.
-        kernel_recursive(KernelKind.BERNOULLI, params.terms + 1)
 
         def exponent_term(n: int) -> mpmath.mpf:
             return _mpf(a_from_kb(n)) / ((2 * n - 1) * xm ** (2 * n - 1))
 
-        exponent, omitted = _truncated(exponent_term, params.terms)
-        value = mp.exp(xm * mp.log(xm) - xm - exponent) * mp.sqrt(2 * mp.pi)
+        report = _evaluate(
+            params.terms, exponent_term,
+            lambda exponent: mp.exp(xm * mp.log(xm) - xm - exponent) * mp.sqrt(2 * mp.pi),
+            lambda: mpmath.gamma(xm + mp.mpf(1) / 2))
+        omitted = report.first_omitted_term_bound
         known = omitted < mp.mpf(10) ** (mp.dps - 1 - _GUARD_DIGITS)
-        return _report(value, params.terms, mp.expm1(omitted) if known else mp.inf,
-                       lambda: mpmath.gamma(xm + mp.mpf(1) / 2))
+        return report._replace(first_omitted_term_bound=mp.expm1(omitted) if known else mp.inf)
 
 
 def eval_digamma(x: Real, params: TruncationParams) -> EvalReport:
@@ -253,13 +252,12 @@ def eval_digamma(x: Real, params: TruncationParams) -> EvalReport:
     wp = params.working_precision
     with mp.workdps(wp + _GUARD_DIGITS):
         xm, base = _base("eval_digamma", x)
-        kernel_recursive(KernelKind.BERNOULLI, params.terms + 1)  # one fill, as in eval_gamma
 
         def series_term(n: int) -> mpmath.mpf:
             return _mpf(a_from_kb(n)) * base ** (-2 * n)
 
-        series, bound = _truncated(series_term, params.terms)
-        return _report(mp.log(base) + series, params.terms, bound, lambda: mpmath.psi(0, xm + 1))
+        return _evaluate(params.terms, series_term, lambda series: mp.log(base) + series,
+                         lambda: mpmath.psi(0, xm + 1))
 
 
 def eval_polygamma(y: int, x: Real, params: TruncationParams) -> EvalReport:
@@ -299,9 +297,8 @@ def eval_polygamma(y: int, x: Real, params: TruncationParams) -> EvalReport:
         def series_term(n: int) -> mpmath.mpf:
             return weight(n) * zeta_direct(2 * n + y + 1, xm + 1, inner_tol)
 
-        series, bound = _truncated(series_term, params.terms)
-        return _report(sign * (leading - series), params.terms, bound,
-                       lambda: sign * mp.factorial(y) * mpmath.zeta(y + 1, xm + 1))
+        return _evaluate(params.terms, series_term, lambda series: sign * (leading - series),
+                         lambda: sign * mp.factorial(y) * mpmath.zeta(y + 1, xm + 1))
 
 
 def check_ln_pi_over_e(terms: int, working_precision: int = 34) -> EvalReport:
@@ -314,12 +311,12 @@ def check_ln_pi_over_e(terms: int, working_precision: int = 34) -> EvalReport:
     """
     if terms < 1:
         raise ValueError(f"check_ln_pi_over_e requires terms >= 1, got {terms}")
-    with mp.workdps(working_precision + _GUARD_DIGITS):
-        inner_tol = mp.mpf(10) ** -(working_precision + 2)
+    wp = TruncationParams(terms, working_precision).working_precision  # the evaluators' floor
+    with mp.workdps(wp + _GUARD_DIGITS):
+        inner_tol = mp.mpf(10) ** -(wp + 2)
 
         def series_term(j: int) -> mpmath.mpf:
             return zeta_direct(2 * j, 1, inner_tol) * _mpf(f_of(j))
 
-        value, bound = _truncated(series_term, terms)
-        return _report(value, terms, bound, lambda: (mp.log(mp.pi) - 1) / 2)
+        return _evaluate(terms, series_term, lambda total: total, lambda: (mp.log(mp.pi) - 1) / 2)
 

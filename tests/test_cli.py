@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import gc
+import hashlib
 import inspect
 import io
 import json
@@ -410,6 +411,26 @@ def test_eval_precision_floor(capsys):
     code, _, _ = run_cli(capsys, "eval", "digamma", "--x", "10", "--terms", "5",
                          "--precision", "14")
     assert code == 2
+
+
+def test_eval_output_is_pinned(capsys):
+    # stdout, stderr and exit code of 108 eval commands, pinned by their
+    # sha256.  x = -0.45 is outside Gamma's domain and inside the others';
+    # terms = 0 reports the leading part alone.  A change to how a series
+    # stops, is bounded or gets its reference must leave these bytes as
+    # they were, or change this digest on purpose.
+    targets = [["gamma"], ["digamma"], ["hurwitz", "--m0", "1"], ["hurwitz", "--m0", "3"],
+               ["polygamma", "--y", "1"], ["polygamma", "--y", "2"]]
+    text = []
+    for target in targets:
+        for x in ["-0.45", "2.5", "55.5"]:
+            for terms in ["0", "4", "30"]:
+                for precision in ["34", "100"]:
+                    argv = ["eval", *target, "--x", x, "--terms", terms, "--precision", precision]
+                    code, out, err = run_cli(capsys, *argv)
+                    text.append(f"{' '.join(argv)}\n{code}\n{out}{err}")
+    digest = hashlib.sha256("".join(text).encode()).hexdigest()
+    assert digest == "635b771606eb618507c20174e747f857a69e0b9d9e38896d5d09319edb147100"
 
 
 @pytest.mark.skipif(

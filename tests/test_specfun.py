@@ -434,6 +434,9 @@ def test_ln_pi_over_e_partial_sums():
         assert abs(single.reference - reference) < mp.mpf(10) ** -38
     with pytest.raises(ValueError):
         check_ln_pi_over_e(0)
+    for precision in (14, -20):  # the evaluators' floor, through TruncationParams
+        with pytest.raises(ValueError, match="working_precision must be >= 15"):
+            check_ln_pi_over_e(3, precision)
 
 
 @pytest.mark.xfail(
@@ -467,18 +470,24 @@ def test_inputs_accept_strings_and_fractions():
     ids=["gamma", "digamma", "hurwitz"],
 )
 def test_eval_fills_the_cold_table_with_one_reduction(evaluator, monkeypatch, gcd_calls):
-    # One fill up front: a gcd per row for the growth of P, one per a_n or
-    # g read and one for the K_b it returns.  A fill per term would add a
-    # reduced K_b(n) for every n, 603 gcds in all.
+    # One fill, by the first omitted term: a gcd per row for the growth of
+    # P, one per a_n or g read and one for the K_b it returns.  A fill per
+    # term would add a reduced K_b(n) for every n, 603 gcds in all.
     fresh = {kind: kernels.KernelCache(kind) for kind in kernels.KernelKind}
     monkeypatch.setattr(kernels, "_shared", fresh)
     evaluator(5, tp(200))
     assert gcd_calls[0] <= 2 * 201 + 1
 
 
-def test_hurwitz_fills_the_cold_table_once(monkeypatch):
-    # g_closed reads K_b(z) for z = 1..N+1; on a cold table, one call per z
-    # would fill one row each, 201 fills in all.
+@pytest.mark.parametrize(
+    "evaluator",
+    [eval_gamma, eval_digamma, partial(eval_hurwitz_expansion, 1)],
+    ids=["gamma", "digamma", "hurwitz"],
+)
+def test_eval_fills_the_cold_table_once(evaluator, monkeypatch):
+    # a_from_kb and g_closed read K_b(n) for n = 1..N+1; on a cold table,
+    # one call per n would fill one row each, 201 fills in all.  The first
+    # omitted term is taken first, so its read fills the table to N + 1.
     fresh = {kind: kernels.KernelCache(kind) for kind in kernels.KernelKind}
     monkeypatch.setattr(kernels, "_shared", fresh)
     table = kernels.shared_cache(kernels.KernelKind.BERNOULLI)
@@ -493,6 +502,5 @@ def test_hurwitz_fills_the_cold_table_once(monkeypatch):
         return value
 
     monkeypatch.setattr(sequences, "kernel_recursive", counted)
-    monkeypatch.setattr(specfun, "kernel_recursive", counted)
-    eval_hurwitz_expansion(1, 5, tp(200))
+    evaluator(5, tp(200))
     assert growing == [201]
