@@ -4,10 +4,10 @@ The exact coefficients from ``sequences`` feed expansions of Gamma,
 digamma, polygamma, and the Hurwitz zeta function.  The a_n grow
 factorially, so the Gamma and digamma series are asymptotic: they are
 never summed "to convergence".  Every evaluator cuts off after a
-caller-chosen number of terms and reports the first omitted term's
-magnitude b (e^b - 1 for Gamma) as the error estimate, alongside a
-reference value from mpmath.  ``_evaluate`` is the one place a series
-stops, b is taken and the reference is made.
+caller-chosen number of terms and reports a bound made from the first
+omitted term by the series' own rule, alongside a reference value from
+mpmath.  ``_evaluate`` is the one place a series stops, its bound is
+made and the reference is taken.
 
 All floating arithmetic is mpmath at the caller's working precision plus
 guard digits; exact rationals are converted at the last moment.
@@ -16,6 +16,7 @@ guard digits; exact rationals are converted at the last moment.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import namedtuple
 from collections.abc import Callable
 from fractions import Fraction
@@ -70,14 +71,16 @@ class EvalReport(namedtuple("_EvalReport", ["value", "terms_used", "first_omitte
                                             "reference", "abs_error"])):
     """Outcome of one truncated evaluation.
 
-    ``first_omitted_term_bound`` is the magnitude b of the first term the
-    truncation dropped, for the additive series a bound on the absolute
-    error; Gamma sums its series in the exponent and reports e^b - 1, the
-    bound on its relative error, or inf where b's own rounding is not far
-    below 1 (x = 5 with 400 terms).  It covers truncation only, not
-    rounding at the working precision: for Hurwitz zeta at x = 1e400 with 3
-    terms it is 3.3e-3602, while ``abs_error`` is 8.1e-446, the rounding of
-    a value near 1e-400.
+    ``first_omitted_term_bound`` is the series' bound rule applied to the
+    first term the truncation dropped, of magnitude b.  For Hurwitz,
+    digamma and polygamma it is b, a bound on the absolute error; Gamma
+    sums its series in the exponent and reports e^b - 1, the bound on its
+    relative error, or inf where b's own rounding is not far below 1 (x = 5
+    with 400 terms); ``check_ln_pi_over_e`` reports 4b/3, which covers its
+    tail, plus the error its inner zeta sums may add.  It covers truncation
+    only, not rounding at the working precision: for Hurwitz zeta at x =
+    1e400 with 3 terms it is 3.3e-3602, while ``abs_error`` is 8.1e-446,
+    the rounding of a value near 1e-400.
     ``reference`` is mpmath's value of the same function at the same
     argument, taken ten digits past the value's working precision, so
     ``abs_error`` = |value - reference| is the value's own error.
@@ -91,18 +94,24 @@ def _evaluate(
     term: Callable[[int], mpmath.mpf],
     value_of: Callable[[mpmath.mpf], mpmath.mpf],
     reference: Callable[[], mpmath.mpf],
+    bound_of: Callable[[mpmath.mpf], mpmath.mpf],
 ) -> EvalReport:
-    """The report of value_of(sum of term(1..terms)), bounded by |term(terms + 1)|.
+    """The report of value_of(sum of term(1..terms)), bounded by bound_of(term(terms + 1)).
 
     The first omitted term is taken first, so a term that reads K_b fills
     the table to terms + 1 in one step and the summed terms only read it.
     reference() is taken _GUARD_DIGITS past the working precision.
     """
-    bound = abs(term(terms + 1))
+    bound = bound_of(term(terms + 1))
     value = value_of(mp.fsum(term(n) for n in range(1, terms + 1)))
     with mp.extradps(_GUARD_DIGITS):
         exact = reference()
     return EvalReport(value, terms, bound, exact, abs(value - exact))
+
+
+def _inner_tol(wp: int, least_omitted: mpmath.mpf, scale: mpmath.mpf) -> mpmath.mpf:
+    """Inner zeta sums' tol: least_omitted/100, not below the rounding of scale, <= 10^-(wp+2)."""
+    return min(mp.mpf(10) ** -(wp + 2), max(least_omitted, scale * mp.eps) / 100)
 
 
 def _mpf(x: Real) -> mpmath.mpf:
@@ -138,8 +147,12 @@ def zeta_direct(s: Real, q: Real, tol: Real) -> mpmath.mpf:
     Euler-Maclaurin terms B_2k/(2k)! s(s+1)...(s+2k-2) (N+q)^(1-s-2k).
     tol may be any real (float, str, Fraction or mpf); its decimal
     exponent sets the digits D, and the sum is carried at D plus the
-    digits of its own size above 1.  N puts the edge N+q at or past D, and
-    the corrections are added until the next one is <= tol; since
+    digits of its own size above 1.  s itself rounds at those digits, and
+    the sum moves by about s size (1/(s-1) + |ln q|) per unit of s, so the
+    digits of s (1/(s-1) + |ln q|) that the guard digits do not absorb are
+    carried as well: near s = 1 the sum is carried at about
+    D + 2 log10(1/(s-1)) - 10 digits.  N puts the edge N+q at or past D,
+    and the corrections are added until the next one is <= tol; since
     t -> (q+t)^(-s) is completely monotone, that first omitted correction
     bounds the true remainder.  One pass suffices: the corrections shrink
     until 2k is about 2 pi edge - s, and the smallest is at most about
@@ -167,8 +180,13 @@ def zeta_direct(s: Real, q: Real, tol: Real) -> mpmath.mpf:
         if not qm > 0:
             raise ValueError(f"zeta_direct requires q > 0, got {q}")
         # The sum is at most q^(-s) + q^(1-s)/(s-1); an absolute tol needs
-        # the digits of that size above 1 as well.
+        # the digits of that size above 1 as well.  The rounding of s moves
+        # the sum by s (1/(s-1) + |ln q|) times that size, and the guard
+        # digits absorb only ten digits of that factor (|factor| <= 2^mag).
         extra = max(0, int(mp.ceil(mp.log10(qm**-sm + qm ** (1 - sm) / (sm - 1)))))
+        with mp.workdps(15):
+            factor = sm * (1 / (sm - 1) + abs(mp.log(qm)))
+        extra += max(0, math.ceil(mp.mag(factor) * math.log10(2)) - _GUARD_DIGITS)
     with mp.workdps(digits + extra):
         sm, qm, tol_m = _mpf(s), _mpf(q), _mpf(tol)
         # An edge near the digits tol asks for makes the corrections shrink geometrically.
@@ -211,16 +229,18 @@ def eval_hurwitz_expansion(m0: int, x: Real, params: TruncationParams) -> EvalRe
             return _mpf(g_closed(z, m0)) / (power * base**power)
 
         return _evaluate(params.terms, z_term, lambda series: leading + series,
-                         lambda: mpmath.zeta(2 * m0, xm + 1))
+                         lambda: mpmath.zeta(2 * m0, xm + 1), abs)
 
 
 def eval_gamma(x: Real, params: TruncationParams) -> EvalReport:
     """Gamma(x + 1/2) = (x/e)^x sqrt(2 pi) exp(-sum a_n/((2n-1) x^(2n-1))).
 
     Requires x > 0.  The first omitted term b bounds the exponent's error,
-    so e^b - 1, the report's bound, bounds the relative error of the
-    product form; it is inf once b's rounding, b 10^(1 - dps), passes
-    10^-_GUARD_DIGITS.  The reference is ``mpmath.gamma``.
+    |ln(value/Gamma)|, so e^b - 1, the report's bound, bounds the relative
+    error |value/Gamma - 1| of the product form; it is inf once b's
+    rounding, b 10^(1 - dps), passes 10^-_GUARD_DIGITS, since e^b - 1 then
+    holds fewer digits than it would print.  The reference is
+    ``mpmath.gamma``.
     """
     wp = params.working_precision
     with mp.workdps(wp + _GUARD_DIGITS):
@@ -235,13 +255,14 @@ def eval_gamma(x: Real, params: TruncationParams) -> EvalReport:
         def exponent_term(n: int) -> mpmath.mpf:
             return _mpf(a_from_kb(n)) / ((2 * n - 1) * xm ** (2 * n - 1))
 
-        report = _evaluate(
+        def bound_of(omitted: mpmath.mpf) -> mpmath.mpf:
+            known = abs(omitted) < mp.mpf(10) ** (mp.dps - 1 - _GUARD_DIGITS)
+            return mp.expm1(abs(omitted)) if known else mp.inf
+
+        return _evaluate(
             params.terms, exponent_term,
             lambda exponent: mp.exp(xm * mp.log(xm) - xm - exponent) * mp.sqrt(2 * mp.pi),
-            lambda: mpmath.gamma(xm + mp.mpf(1) / 2))
-        omitted = report.first_omitted_term_bound
-        known = omitted < mp.mpf(10) ** (mp.dps - 1 - _GUARD_DIGITS)
-        return report._replace(first_omitted_term_bound=mp.expm1(omitted) if known else mp.inf)
+            lambda: mpmath.gamma(xm + mp.mpf(1) / 2), bound_of)
 
 
 def eval_digamma(x: Real, params: TruncationParams) -> EvalReport:
@@ -257,7 +278,7 @@ def eval_digamma(x: Real, params: TruncationParams) -> EvalReport:
             return _mpf(a_from_kb(n)) * base ** (-2 * n)
 
         return _evaluate(params.terms, series_term, lambda series: mp.log(base) + series,
-                         lambda: mpmath.psi(0, xm + 1))
+                         lambda: mpmath.psi(0, xm + 1), abs)
 
 
 def eval_polygamma(y: int, x: Real, params: TruncationParams) -> EvalReport:
@@ -286,37 +307,41 @@ def eval_polygamma(y: int, x: Real, params: TruncationParams) -> EvalReport:
         def weight(n: int) -> mpmath.mpf:
             return _mpf(f_of(n)) * mp.rf(2 * n, y + 1)
 
-        # The first omitted term is at least w_{N+1} (x+1)^-(2N+y+3); the
-        # inner sums stay 100x below that, so their errors stay out of the
-        # bound, but need not go below the rounding of the leading part.
+        # The first omitted term is at least w_{N+1} (x+1)^-(2N+y+3).
         omitted = params.terms + 1
-        least_omitted = weight(omitted) * (xm + 1) ** -(2 * omitted + y + 1)
         leading = mp.factorial(y - 1) / base**y
-        inner_tol = min(mp.mpf(10) ** -(wp + 2), max(least_omitted, leading * mp.eps) / 100)
+        inner_tol = _inner_tol(wp, weight(omitted) * (xm + 1) ** -(2 * omitted + y + 1), leading)
 
         def series_term(n: int) -> mpmath.mpf:
             return weight(n) * zeta_direct(2 * n + y + 1, xm + 1, inner_tol)
 
         return _evaluate(params.terms, series_term, lambda series: sign * (leading - series),
-                         lambda: sign * mp.factorial(y) * mpmath.zeta(y + 1, xm + 1))
+                         lambda: sign * mp.factorial(y) * mpmath.zeta(y + 1, xm + 1), abs)
 
 
 def check_ln_pi_over_e(terms: int, working_precision: int = 34) -> EvalReport:
     """Partial sum of sum_{j>=1} zeta(2j) f(j), which converges to (ln pi - 1)/2.
 
-    The terms decay like 4^(-j), so this series genuinely converges; the
-    report's bound is the first omitted term and the reference is
-    (ln pi - 1)/2 with mpmath's pi.  It does not yet bound the tail, about
-    4/3 of it (ROADMAP item 2b; ``test_ln_pi_over_e_bound_covers_its_error``).
+    The reference is (ln pi - 1)/2 with mpmath's pi.  The report's bound
+    covers the tail: zeta(2j+2) < zeta(2j) and f(j+1)/f(j) =
+    2j(2j+1) / (4 (2j+2)(2j+3)) < 1/4, so each term t_j = zeta(2j) f(j) is
+    under 1/4 of the one before, and the tail after N terms is under
+    t_(N+1) (1 + 1/4 + 1/16 + ...) = (4/3) t_(N+1).  Each inner zeta sum
+    is within inner_tol and each f(j) < 1, so the inner sums add under
+    N inner_tol, which the bound adds to (4/3) t_(N+1).  Rounding at the
+    working precision is not in the rule (ROADMAP item 2a); where it sets
+    the error, from about N = 40 at precision 15, N inner_tol >= N eps/100
+    exceeds it.
     """
     if terms < 1:
         raise ValueError(f"check_ln_pi_over_e requires terms >= 1, got {terms}")
     wp = TruncationParams(terms, working_precision).working_precision  # the evaluators' floor
     with mp.workdps(wp + _GUARD_DIGITS):
-        inner_tol = mp.mpf(10) ** -(wp + 2)
+        # zeta(2N+2) > 1, so f(N+1) is below the first omitted term; the sum is below 1.
+        inner_tol = _inner_tol(wp, _mpf(f_of(terms + 1)), 1)
 
         def series_term(j: int) -> mpmath.mpf:
             return zeta_direct(2 * j, 1, inner_tol) * _mpf(f_of(j))
 
-        return _evaluate(terms, series_term, lambda total: total, lambda: (mp.log(mp.pi) - 1) / 2)
-
+        return _evaluate(terms, series_term, lambda total: total, lambda: (mp.log(mp.pi) - 1) / 2,
+                         lambda omitted: 4 * abs(omitted) / 3 + terms * inner_tol)

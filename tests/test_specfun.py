@@ -91,15 +91,16 @@ def test_zeta_direct_meets_tolerance(s, tol):
             assert abs(value - mpmath.zeta(s, mp.mpf(q))) <= tol, q
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 2: s rounds at the working digits, and near s = 1 "
-    "zeta' = -1/(s-1)^2 turns that rounding into error past tol",
-)
-def test_zeta_direct_meets_tolerance_near_one():
-    value = zeta_direct("1.000000000001", 1, "1e-56")  # 1.7e-56 off
-    with mp.workdps(150):
-        assert abs(value - mpmath.zeta(mp.mpf("1.000000000001"), 1)) <= mp.mpf("1e-56")
+@pytest.mark.parametrize("tol", ["1e-20", "1e-56"])
+@pytest.mark.parametrize("q", [0.5, 1, 3.7])
+@pytest.mark.parametrize("s", ["1.001", "1.00000001", "1.000000000001", "1.00000000000000000001"])
+def test_zeta_direct_meets_tolerance_near_one(s, q, tol):
+    # Near s = 1 the sum moves by about 1/(s-1)^2 per unit of s, so the
+    # rounding of a decimal s must be carried past tol's digits as well:
+    # ("1.000000000001", 1, "1e-56") was 1.7e-56 off while it was not.
+    value = zeta_direct(s, q, tol)
+    with mp.workdps(int(-mp.log10(mp.mpf(tol))) + 60):
+        assert abs(value - mpmath.zeta(mp.mpf(s), mp.mpf(q))) <= mp.mpf(tol)
 
 
 def test_zeta_direct_tolerance_past_float_range():
@@ -439,15 +440,16 @@ def test_ln_pi_over_e_partial_sums():
             check_ln_pi_over_e(3, precision)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 2: the tail is about 4/3 of the first omitted term, and the inner "
-    "sums are held to 10^-(wp+2) whatever the bound",
-)
-@pytest.mark.parametrize("terms", [40, 60])
-def test_ln_pi_over_e_bound_covers_its_error(terms):
-    report = check_ln_pi_over_e(terms, 34)  # error 3.99e-29 and 9.67e-39, bound 3.04e-29 and 1.25e-41
+@pytest.mark.parametrize("precision", [15, 34, 100])
+@pytest.mark.parametrize("terms", [1, 5, 20, 40, 60, 120])
+def test_ln_pi_over_e_bound_covers_its_error(terms, precision):
+    # At precision 34, 40 and 60 terms: error 3.99e-29 and 1.65e-41, bound
+    # 4.05e-29 and 2.42e-41.
+    report = check_ln_pi_over_e(terms, precision)
     assert report.abs_error <= report.first_omitted_term_bound
+    if precision == 100 and terms <= 60:
+        # The tail dominates here, so the bound must be close to the error.
+        assert report.first_omitted_term_bound <= 1.5 * report.abs_error
 
 
 def test_working_precision_is_respected():
