@@ -7,7 +7,8 @@ never summed "to convergence".  Every evaluator cuts off after a
 caller-chosen number of terms and reports a bound made from the first
 omitted term by the series' own rule, alongside a reference value from
 mpmath.  ``_evaluate`` is the one place a series stops, its bound is
-made and the reference is taken.
+made and the reference is taken.  The two convergent series, polygamma's
+and ln pi/e's, are one f-weighted zeta series, made by ``_zeta_series``.
 
 All floating arithmetic is mpmath at the caller's working precision plus
 guard digits; exact rationals are converted at the last moment.
@@ -109,9 +110,24 @@ def _evaluate(
     return EvalReport(value, terms, bound, exact, abs(value - exact))
 
 
-def _inner_tol(wp: int, least_omitted: mpmath.mpf, scale: mpmath.mpf) -> mpmath.mpf:
-    """Inner zeta sums' tol: least_omitted/100, not below the rounding of scale, <= 10^-(wp+2)."""
-    return min(mp.mpf(10) ** -(wp + 2), max(least_omitted, scale * mp.eps) / 100)
+def _zeta_series(y: int, q: Real, terms: int, wp: int,
+                 scale: Real) -> tuple[Callable[[int], mpmath.mpf], mpmath.mpf]:
+    """The term n -> f(n) (2n)_(y+1) zeta(2n+y+1, q) of an N-term sum, and its inner sums' tol.
+
+    Polygamma's series at q = x + 1, and ln pi/e's sum of f(j) zeta(2j) at y = -1, q = 1.  The tol:
+    w_(N+1) q^-(2N+y+3) <= the first omitted term, over 100, >= scale's rounding, <= 10^-(wp+2).
+    """
+    def weight(n: int) -> mpmath.mpf:
+        return _mpf(f_of(n)) * mp.rf(2 * n, y + 1)
+
+    omitted = terms + 1
+    least = weight(omitted) * q ** -(2 * omitted + y + 1)
+    inner_tol = min(mp.mpf(10) ** -(wp + 2), max(least, scale * mp.eps) / 100)
+
+    def term(n: int) -> mpmath.mpf:
+        return weight(n) * zeta_direct(2 * n + y + 1, q, inner_tol)
+
+    return term, inner_tol
 
 
 def _mpf(x: Real) -> mpmath.mpf:
@@ -123,6 +139,15 @@ def _mpf(x: Real) -> mpmath.mpf:
     if not mp.isfinite(value):
         raise ValueError(f"expected a finite number, got {x}")
     return value
+
+
+def _fraction(x: Real) -> Fraction:
+    """x exactly; inf and nan raise ValueError, as in _mpf."""
+    _mpf(x)
+    if not isinstance(x, mpmath.mpf):
+        return Fraction(x)
+    man, exp = x.man_exp  # man is unsigned
+    return Fraction(man if x > 0 else -man) * Fraction(2) ** exp
 
 
 def _base(name: str, x: Real) -> tuple[mpmath.mpf, mpmath.mpf]:
@@ -147,7 +172,10 @@ def zeta_direct(s: Real, q: Real, tol: Real) -> mpmath.mpf:
     Euler-Maclaurin terms B_2k/(2k)! s(s+1)...(s+2k-2) (N+q)^(1-s-2k).
     tol may be any real (float, str, Fraction or mpf); its decimal
     exponent sets the digits D, and the sum is carried at D plus the
-    digits of its own size above 1.  s itself rounds at those digits, and
+    digits of its own size above 1.  s and q are read exactly, as
+    Fractions, before the checks s > 1 and q > 0, so an s that D digits
+    would round to 1 is still accepted, and the digits are sized from the
+    exact s - 1.  For the sum, s rounds only at the digits so sized, and
     the sum moves by about s size (1/(s-1) + |ln q|) per unit of s, so the
     digits of s (1/(s-1) + |ln q|) that the guard digits do not absorb are
     carried as well: near s = 1 the sum is carried at about
@@ -162,33 +190,35 @@ def zeta_direct(s: Real, q: Real, tol: Real) -> mpmath.mpf:
     broken premise, such as a wrong B_2k, and raises ArithmeticError.
 
     B_2k comes from ``mpmath.bernoulli`` at the working precision: this sum
-    gives the inner zeta values of ``eval_polygamma`` and
-    ``check_ln_pi_over_e``, and is the tests' tolerance-bounded reference
-    for the kernel-derived expansions, so it must not read their own
-    Bernoulli pipeline.
+    gives every inner zeta value of ``_zeta_series``, the one series of
+    ``eval_polygamma`` and ``check_ln_pi_over_e`` and the one caller of
+    this function in the module, and it is the tests' tolerance-bounded
+    reference for the kernel-derived expansions, so it must not read their
+    own Bernoulli pipeline.
     """
     with mp.workdps(15):
         tol_m = _mpf(tol)
         if not tol_m > 0:
             raise ValueError(f"tol must be positive, got {tol}")
         digits = max(25, int(mp.ceil(-mp.log10(tol_m))) + _GUARD_DIGITS)
+        # Exactly, so that an s which any fixed digits round to 1 still passes its check.
+        s_exact, q_exact = _fraction(s), _fraction(q)
+    if not s_exact > 1:
+        raise ValueError(f"zeta_direct requires s > 1, got {s}")
+    if not q_exact > 0:
+        raise ValueError(f"zeta_direct requires q > 0, got {q}")
     with mp.workdps(digits):
-        sm = _mpf(s)
-        qm = _mpf(q)
-        if not sm > 1:
-            raise ValueError(f"zeta_direct requires s > 1, got {s}")
-        if not qm > 0:
-            raise ValueError(f"zeta_direct requires q > 0, got {q}")
+        sm, qm, gap = _mpf(s_exact), _mpf(q_exact), _mpf(s_exact - 1)
         # The sum is at most q^(-s) + q^(1-s)/(s-1); an absolute tol needs
         # the digits of that size above 1 as well.  The rounding of s moves
         # the sum by s (1/(s-1) + |ln q|) times that size, and the guard
         # digits absorb only ten digits of that factor (|factor| <= 2^mag).
-        extra = max(0, int(mp.ceil(mp.log10(qm**-sm + qm ** (1 - sm) / (sm - 1)))))
+        extra = max(0, int(mp.ceil(mp.log10(qm**-sm + qm**-gap / gap))))
         with mp.workdps(15):
-            factor = sm * (1 / (sm - 1) + abs(mp.log(qm)))
+            factor = sm * (1 / gap + abs(mp.log(qm)))
         extra += max(0, math.ceil(mp.mag(factor) * math.log10(2)) - _GUARD_DIGITS)
     with mp.workdps(digits + extra):
-        sm, qm, tol_m = _mpf(s), _mpf(q), _mpf(tol)
+        sm, qm, tol_m = _mpf(s_exact), _mpf(q_exact), _mpf(tol)
         # An edge near the digits tol asks for makes the corrections shrink geometrically.
         n_terms = int(mp.ceil(digits - qm)) if qm < digits else 0
         total = mp.fsum((qm + n) ** -sm for n in range(n_terms))
@@ -286,9 +316,11 @@ def eval_polygamma(y: int, x: Real, params: TruncationParams) -> EvalReport:
 
     value = (-1)^(y-1) [ (y-1)!/(x+1/2)^y
                          - sum_{n=1}^{N} f(n) (2n+y)!/(2n-1)! zeta(2n+y+1, x+1) ],
-    with the inner zeta values from zeta_direct.  The factorial factors,
-    (2n+y)!/(2n-1)! as the rising factorial (2n)_(y+1), are taken at the
-    working precision.  The identity
+    summed by ``_zeta_series`` at q = x + 1, which makes the terms, the
+    tolerance of their inner zeta sums, and each zeta_direct call; this
+    function keeps its value form, reference and bound rule.  The factorial
+    factors, (2n+y)!/(2n-1)! as the rising factorial (2n)_(y+1), are taken
+    at the working precision.  The identity
     psi^(y)(x+1) = (-1)^(y-1) y! zeta(y+1, x+1), with mpmath's Hurwitz
     zeta, supplies the reference.
     Requires y >= 1 and x > -1/2.  The bound, the first omitted term, does
@@ -303,18 +335,8 @@ def eval_polygamma(y: int, x: Real, params: TruncationParams) -> EvalReport:
     with mp.workdps(wp + _GUARD_DIGITS):
         xm, base = _base("eval_polygamma", x)
         sign = 1 if y % 2 else -1
-
-        def weight(n: int) -> mpmath.mpf:
-            return _mpf(f_of(n)) * mp.rf(2 * n, y + 1)
-
-        # The first omitted term is at least w_{N+1} (x+1)^-(2N+y+3).
-        omitted = params.terms + 1
         leading = mp.factorial(y - 1) / base**y
-        inner_tol = _inner_tol(wp, weight(omitted) * (xm + 1) ** -(2 * omitted + y + 1), leading)
-
-        def series_term(n: int) -> mpmath.mpf:
-            return weight(n) * zeta_direct(2 * n + y + 1, xm + 1, inner_tol)
-
+        series_term, _ = _zeta_series(y, xm + 1, params.terms, wp, leading)
         return _evaluate(params.terms, series_term, lambda series: sign * (leading - series),
                          lambda: sign * mp.factorial(y) * mpmath.zeta(y + 1, xm + 1), abs)
 
@@ -322,10 +344,13 @@ def eval_polygamma(y: int, x: Real, params: TruncationParams) -> EvalReport:
 def check_ln_pi_over_e(terms: int, working_precision: int = 34) -> EvalReport:
     """Partial sum of sum_{j>=1} zeta(2j) f(j), which converges to (ln pi - 1)/2.
 
-    The reference is (ln pi - 1)/2 with mpmath's pi.  The report's bound
-    covers the tail: zeta(2j+2) < zeta(2j) and f(j+1)/f(j) =
-    2j(2j+1) / (4 (2j+2)(2j+3)) < 1/4, so each term t_j = zeta(2j) f(j) is
-    under 1/4 of the one before, and the tail after N terms is under
+    The sum is polygamma's f-weighted zeta series at order y = -1 and
+    q = 1, where (2j)_0 = 1: ``_zeta_series`` makes its terms, its inner
+    zeta sums and their inner_tol, from the least omitted term f(N+1)
+    (zeta(2N+2) > 1).  The reference is (ln pi - 1)/2 with mpmath's pi.
+    The report's bound covers the tail: zeta(2j+2) < zeta(2j) and
+    f(j+1)/f(j) = 2j(2j+1) / (4 (2j+2)(2j+3)) < 1/4, so each term
+    t_j = zeta(2j) f(j) is under 1/4 of the one before, and the tail after N terms is under
     t_(N+1) (1 + 1/4 + 1/16 + ...) = (4/3) t_(N+1).  Each inner zeta sum
     is within inner_tol and each f(j) < 1, so the inner sums add under
     N inner_tol, which the bound adds to (4/3) t_(N+1).  Rounding at the
@@ -337,11 +362,6 @@ def check_ln_pi_over_e(terms: int, working_precision: int = 34) -> EvalReport:
         raise ValueError(f"check_ln_pi_over_e requires terms >= 1, got {terms}")
     wp = TruncationParams(terms, working_precision).working_precision  # the evaluators' floor
     with mp.workdps(wp + _GUARD_DIGITS):
-        # zeta(2N+2) > 1, so f(N+1) is below the first omitted term; the sum is below 1.
-        inner_tol = _inner_tol(wp, _mpf(f_of(terms + 1)), 1)
-
-        def series_term(j: int) -> mpmath.mpf:
-            return zeta_direct(2 * j, 1, inner_tol) * _mpf(f_of(j))
-
+        series_term, inner_tol = _zeta_series(-1, 1, terms, wp, 1)  # the sum is below 1
         return _evaluate(terms, series_term, lambda total: total, lambda: (mp.log(mp.pi) - 1) / 2,
                          lambda omitted: 4 * abs(omitted) / 3 + terms * inner_tol)
