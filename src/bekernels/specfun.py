@@ -83,8 +83,15 @@ class EvalReport(namedtuple("_EvalReport", ["value", "terms_used", "first_omitte
     1e400 with 3 terms it is 3.3e-3602, while ``abs_error`` is 8.1e-446,
     the rounding of a value near 1e-400.
     ``reference`` is mpmath's value of the same function at the same
-    argument, taken ten digits past the value's working precision, so
-    ``abs_error`` = |value - reference| is the value's own error.
+    argument, taken ten digits past the value's working precision, and
+    ``abs_error`` = |value - reference|.  That is the value's own error only
+    where the reference keeps those digits: mpmath's Hurwitz zeta
+    (``_hurwitz_em``) stops at an absolute tolerance, so a Hurwitz or
+    polygamma reference far below 1 can keep fewer (ROADMAP item 23,
+    checked by ``test_reference_is_right_to_its_digits``).  Hurwitz zeta
+    at m0 = 10, x = 1000.3 with 4 terms reports abs_error 3.0e-69 against a
+    bound of 5.1e-83, yet the value is right to its bound: the reference is
+    wrong from its 10th digit.
     """
 
     __slots__ = ()
@@ -131,9 +138,12 @@ def _zeta_series(y: int, q: Real, terms: int, wp: int,
 
 
 def _mpf(x: Real) -> mpmath.mpf:
-    """x at the current working precision; inf and nan raise ValueError."""
+    """x at the current working precision; inf and nan raise ValueError.
+
+    A Fraction rounds once, to nearest at ``mp.prec`` bits.
+    """
     if isinstance(x, Fraction):
-        value = mp.mpf(x.numerator) / x.denominator
+        value = mp.make_mpf(mpmath.libmp.from_rational(x.numerator, x.denominator, mp.prec, "n"))
     else:
         value = mp.mpf(x)
     if not mp.isfinite(value):
@@ -146,8 +156,7 @@ def _fraction(x: Real) -> Fraction:
     _mpf(x)
     if not isinstance(x, mpmath.mpf):
         return Fraction(x)
-    man, exp = x.man_exp  # man is unsigned
-    return Fraction(man if x > 0 else -man) * Fraction(2) ** exp
+    return Fraction(*mpmath.libmp.to_rational(x._mpf_))
 
 
 def _base(name: str, x: Real) -> tuple[mpmath.mpf, mpmath.mpf]:
@@ -172,11 +181,12 @@ def zeta_direct(s: Real, q: Real, tol: Real) -> mpmath.mpf:
     Euler-Maclaurin terms B_2k/(2k)! s(s+1)...(s+2k-2) (N+q)^(1-s-2k).
     tol may be any real (float, str, Fraction or mpf); its decimal
     exponent sets the digits D, and the sum is carried at D plus the
-    digits of its own size above 1.  s and q are read exactly, as
-    Fractions, before the checks s > 1 and q > 0, so an s that D digits
-    would round to 1 is still accepted, and the digits are sized from the
-    exact s - 1.  For the sum, s rounds only at the digits so sized, and
-    the sum moves by about s size (1/(s-1) + |ln q|) per unit of s, so the
+    digits of its own size above 1.  It runs in two stages.  The first,
+    at 15 digits, reads tol, reads s and q exactly, as Fractions, checks
+    s > 1 and q > 0 on them, so an s that any fixed digits would round to
+    1 is still accepted, and sizes the digits from the exact s - 1.  The
+    second sums at the digits so sized.  s rounds only there, and the sum
+    moves by about s size (1/(s-1) + |ln q|) per unit of s, so the
     digits of s (1/(s-1) + |ln q|) that the guard digits do not absorb are
     carried as well: near s = 1 the sum is carried at about
     D + 2 log10(1/(s-1)) - 10 digits.  N puts the edge N+q at or past D,
@@ -203,19 +213,17 @@ def zeta_direct(s: Real, q: Real, tol: Real) -> mpmath.mpf:
         digits = max(25, int(mp.ceil(-mp.log10(tol_m))) + _GUARD_DIGITS)
         # Exactly, so that an s which any fixed digits round to 1 still passes its check.
         s_exact, q_exact = _fraction(s), _fraction(q)
-    if not s_exact > 1:
-        raise ValueError(f"zeta_direct requires s > 1, got {s}")
-    if not q_exact > 0:
-        raise ValueError(f"zeta_direct requires q > 0, got {q}")
-    with mp.workdps(digits):
+        if not s_exact > 1:
+            raise ValueError(f"zeta_direct requires s > 1, got {s}")
+        if not q_exact > 0:
+            raise ValueError(f"zeta_direct requires q > 0, got {q}")
         sm, qm, gap = _mpf(s_exact), _mpf(q_exact), _mpf(s_exact - 1)
         # The sum is at most q^(-s) + q^(1-s)/(s-1); an absolute tol needs
         # the digits of that size above 1 as well.  The rounding of s moves
         # the sum by s (1/(s-1) + |ln q|) times that size, and the guard
         # digits absorb only ten digits of that factor (|factor| <= 2^mag).
         extra = max(0, int(mp.ceil(mp.log10(qm**-sm + qm**-gap / gap))))
-        with mp.workdps(15):
-            factor = sm * (1 / gap + abs(mp.log(qm)))
+        factor = sm * (1 / gap + abs(mp.log(qm)))
         extra += max(0, math.ceil(mp.mag(factor) * math.log10(2)) - _GUARD_DIGITS)
     with mp.workdps(digits + extra):
         sm, qm, tol_m = _mpf(s_exact), _mpf(q_exact), _mpf(tol)

@@ -164,6 +164,47 @@ def test_zeta_direct_domain():
         zeta_direct(2, mp.mpf(-1.5), 1e-10)  # an mpf is read exactly, with its sign
     with pytest.raises(ValueError):
         zeta_direct(2, 1, 0.0)
+    # An mpf is read whole, before any check: inf and nan are not numbers to compare.
+    for bad in (mp.inf, mp.nan):
+        with pytest.raises(ValueError):
+            zeta_direct(bad, 1, 1e-10)
+        with pytest.raises(ValueError):
+            zeta_direct(2, bad, 1e-10)
+    with pytest.raises(ValueError):
+        zeta_direct(2, 1, mp.nan)
+
+
+def test_zeta_direct_reads_an_mpf_s_exactly():
+    # 1 + 2^-200 rounds to 1 at 15 digits, the digits zeta_direct sizes at,
+    # so it passes the s > 1 check only if it is read exactly.  The
+    # reference's digits are those of the near-one test.
+    with mp.workdps(80):
+        s = 1 + mp.mpf(2) ** -200
+    value = zeta_direct(s, 1, 1e-20)
+    near = 2 * math.ceil(math.log10(2**200))
+    with mp.workdps(20 + 60 + near):
+        assert abs(value - mpmath.zeta(s, 1)) <= mp.mpf("1e-20")
+
+
+def _fractions_to_convert():
+    yield from (sequences.a_from_kb(n) for n in range(1, 200))
+    yield from (sequences.g_closed(n, m0) for n in range(1, 31) for m0 in (1, 3, 10))
+    yield from (Fraction(1, 3), Fraction(-2, 7))
+
+
+@pytest.mark.parametrize("digits", [25, 44, 110])
+def test_fraction_converts_correctly_rounded(digits):
+    # Each v is within half a unit in its last place at mp.prec bits of the
+    # exact x.  Two roundings, of the numerator and then of the quotient,
+    # put 45 of a_1..a_199 outside this at 44 digits.
+    with mp.workdps(digits):
+        wrong = []
+        for x in _fractions_to_convert():
+            v = specfun._mpf(x)
+            _, _, exp, bc = v._mpf_
+            if abs(specfun._fraction(v) - x) > Fraction(2) ** (exp + bc - mp.prec) / 2:
+                wrong.append(x)
+    assert wrong == []
 
 
 def test_report_error_invariant():
@@ -533,6 +574,11 @@ def test_inputs_accept_strings_and_fractions():
     as_string = eval_digamma("9.5", tp(4))
     as_fraction = eval_digamma(Fraction(19, 2), tp(4))
     assert as_float.value == as_string.value == as_fraction.value
+    # A decimal that does not fit the working precision: each form rounds once.
+    digits = "914.13111244349999305696769485340543994338538086"
+    as_string = eval_digamma(digits, tp(4, 34))
+    as_fraction = eval_digamma(Fraction(digits), tp(4, 34))
+    assert as_string.value == as_fraction.value
 
 
 @pytest.mark.parametrize(
