@@ -8,7 +8,8 @@ caller-chosen number of terms and reports a bound made from the first
 omitted term by the series' own rule, alongside a reference value from
 mpmath.  ``_evaluate`` is the one place a series stops, its bound is
 made and the reference is taken.  The two convergent series, polygamma's
-and ln pi/e's, are one f-weighted zeta series, made by ``_zeta_series``.
+and ln pi/e's, are one f-weighted zeta series, made by ``_zeta_series``
+with its one bound rule.
 
 All floating arithmetic is mpmath at the caller's working precision plus
 guard digits; exact rationals are converted at the last moment.
@@ -73,15 +74,17 @@ class EvalReport(namedtuple("_EvalReport", ["value", "terms_used", "first_omitte
     """Outcome of one truncated evaluation.
 
     ``first_omitted_term_bound`` is the series' bound rule applied to the
-    first term the truncation dropped, of magnitude b.  For Hurwitz,
-    digamma and polygamma it is b, a bound on the absolute error; Gamma
-    sums its series in the exponent and reports e^b - 1, the bound on its
-    relative error, or inf where b's own rounding is not far below 1 (x = 5
-    with 400 terms); ``check_ln_pi_over_e`` reports 4b/3, which covers its
-    tail, plus the error its inner zeta sums may add.  It covers truncation
-    only, not rounding at the working precision: for Hurwitz zeta at x =
-    1e400 with 3 terms it is 3.3e-3602, while ``abs_error`` is 8.1e-446,
-    the rounding of a value near 1e-400.
+    first term the truncation dropped, of magnitude b.  For Hurwitz and
+    digamma it is b, a bound on the absolute error; Gamma sums its series in
+    the exponent and reports e^b - 1, the bound on its relative error, or
+    inf where b's own rounding is not far below 1 (x = 5 with 400 terms).
+    The convergent series, polygamma's and ``check_ln_pi_over_e``'s, report
+    b / (1 - rho), which covers the whole tail when each term is at most
+    rho times the one before, plus the error their inner zeta sums may add,
+    or inf when rho >= 1 (``_zeta_series``).  The bound covers truncation
+    and those inner sums, not rounding at the working precision: for
+    Hurwitz zeta at x = 1e400 with 3 terms it is 3.3e-3602, while
+    ``abs_error`` is 8.1e-446, the rounding of a value near 1e-400.
     ``reference`` is mpmath's value of the same function at the same
     argument, taken ten digits past the value's working precision, and
     ``abs_error`` = |value - reference|.  That is the value's own error only
@@ -117,24 +120,54 @@ def _evaluate(
     return EvalReport(value, terms, bound, exact, abs(value - exact))
 
 
-def _zeta_series(y: int, q: Real, terms: int, wp: int,
-                 scale: Real) -> tuple[Callable[[int], mpmath.mpf], mpmath.mpf]:
-    """The term n -> f(n) (2n)_(y+1) zeta(2n+y+1, q) of an N-term sum, and its inner sums' tol.
+def _zeta_series(
+    y: int, q: Real, terms: int, wp: int, scale: Real
+) -> tuple[Callable[[int], mpmath.mpf], Callable[[mpmath.mpf], mpmath.mpf]]:
+    """The term n -> t_n = w_n zeta(2n+y+1, q) of an N-term sum, and the sum's bound rule.
 
-    Polygamma's series at q = x + 1, and ln pi/e's sum of f(j) zeta(2j) at y = -1, q = 1.  The tol:
-    w_(N+1) q^-(2N+y+3) <= the first omitted term, over 100, >= scale's rounding, <= 10^-(wp+2).
+    Here w_n = f(n) (2n)_(y+1).  Polygamma's series at q = x + 1, and ln
+    pi/e's sum of f(j) zeta(2j) at y = -1, q = 1.  Each inner zeta sum is
+    within inner_tol: w_(N+1) q^-(2N+y+3) <= the first omitted term, over
+    100, >= scale's rounding, <= 10^-(wp+2).
+
+    The rule bounds the error of the N-term sum by |t_(N+1)| / (1 - rho)
+    + inner_tol max(N, sum_(n<=N) w_n + w_(N+1) / (1 - rho)), or inf when
+    rho >= 1, where rho = max(R(N+1), 1/4) / q^2 and R(n) = w_(n+1)/w_n
+    = (2n+y+1)(2n+y+2) / (4 (2n+2)(2n+3)):
+    - every term is positive, so the tail after N terms is the sum of the
+      t_n from n = N + 1 on;
+    - zeta(s+2, q) <= zeta(s, q) / q^2, term by term of the Hurwitz sum, so
+      t_(n+1) <= R(n) t_n / q^2;
+    - for y >= 1, R is at least 1/4 and non-increasing; at y = -1 it rises
+      to 1/4.  So R(n) <= max(R(N+1), 1/4) for every n > N, each ratio in
+      the tail is at most rho, and the tail is under t_(N+1) (1 + rho +
+      rho^2 + ...) = t_(N+1) / (1 - rho);
+    - each computed term, the omitted one included, is within w_n
+      inner_tol of t_n, so the N summed terms are off by under inner_tol
+      sum_(n<=N) w_n, and t_(N+1) exceeds the computed one by under
+      w_(N+1) inner_tol, which the tail multiplies by 1 / (1 - rho);
+    - the max with N keeps N inner_tol, the allowance ln pi/e had before
+      the rule, which covers its rounding floor until the floor is a rule
+      of its own (ROADMAP item 2a).
     """
-    def weight(n: int) -> mpmath.mpf:
-        return _mpf(f_of(n)) * mp.rf(2 * n, y + 1)
-
     omitted = terms + 1
-    least = weight(omitted) * q ** -(2 * omitted + y + 1)
+    weights = [_mpf(f_of(n)) * mp.rf(2 * n, y + 1) for n in range(1, omitted + 1)]  # w_1..w_(N+1)
+    least = weights[-1] * q ** -(2 * omitted + y + 1)
     inner_tol = min(mp.mpf(10) ** -(wp + 2), max(least, scale * mp.eps) / 100)
 
     def term(n: int) -> mpmath.mpf:
-        return weight(n) * zeta_direct(2 * n + y + 1, q, inner_tol)
+        return weights[n - 1] * zeta_direct(2 * n + y + 1, q, inner_tol)
 
-    return term, inner_tol
+    def bound_of(first_omitted: mpmath.mpf) -> mpmath.mpf:
+        ratio = Fraction((2 * omitted + y + 1) * (2 * omitted + y + 2),
+                         4 * (2 * omitted + 2) * (2 * omitted + 3))
+        rho = _mpf(max(ratio, Fraction(1, 4))) / q**2
+        if rho >= 1:
+            return mp.inf
+        weighted = mp.fsum(weights[:-1]) + weights[-1] / (1 - rho)
+        return abs(first_omitted) / (1 - rho) + inner_tol * max(terms, weighted)
+
+    return term, bound_of
 
 
 def _mpf(x: Real) -> mpmath.mpf:
@@ -331,11 +364,10 @@ def eval_polygamma(y: int, x: Real, params: TruncationParams) -> EvalReport:
     at the working precision.  The identity
     psi^(y)(x+1) = (-1)^(y-1) y! zeta(y+1, x+1), with mpmath's Hurwitz
     zeta, supplies the reference.
-    Requires y >= 1 and x > -1/2.  The bound, the first omitted term, does
-    not yet bound the tail: near x = -1/2 the terms shrink by a ratio rho
-    near 1, and the tail is about 1/(1 - rho) such terms (ROADMAP item 2b;
-    strict xfails ``test_report_bound_covers_a_slowly_shrinking_tail`` and
-    ``test_report_bound_covers_a_huge_order``).
+    Requires y >= 1 and x > -1/2.  The bound is the series' rule from
+    ``_zeta_series``: the first omitted term over 1 - rho, where rho bounds
+    each later term's ratio to the one before, plus the inner sums' error;
+    it is inf where rho >= 1, as near x = -1/2 at y >= 2 with few terms.
     """
     if y < 1:
         raise ValueError(f"eval_polygamma requires y >= 1, got {y}")
@@ -344,9 +376,9 @@ def eval_polygamma(y: int, x: Real, params: TruncationParams) -> EvalReport:
         xm, base = _base("eval_polygamma", x)
         sign = 1 if y % 2 else -1
         leading = mp.factorial(y - 1) / base**y
-        series_term, _ = _zeta_series(y, xm + 1, params.terms, wp, leading)
+        series_term, bound_of = _zeta_series(y, xm + 1, params.terms, wp, leading)
         return _evaluate(params.terms, series_term, lambda series: sign * (leading - series),
-                         lambda: sign * mp.factorial(y) * mpmath.zeta(y + 1, xm + 1), abs)
+                         lambda: sign * mp.factorial(y) * mpmath.zeta(y + 1, xm + 1), bound_of)
 
 
 def check_ln_pi_over_e(terms: int, working_precision: int = 34) -> EvalReport:
@@ -354,22 +386,21 @@ def check_ln_pi_over_e(terms: int, working_precision: int = 34) -> EvalReport:
 
     The sum is polygamma's f-weighted zeta series at order y = -1 and
     q = 1, where (2j)_0 = 1: ``_zeta_series`` makes its terms, its inner
-    zeta sums and their inner_tol, from the least omitted term f(N+1)
-    (zeta(2N+2) > 1).  The reference is (ln pi - 1)/2 with mpmath's pi.
-    The report's bound covers the tail: zeta(2j+2) < zeta(2j) and
-    f(j+1)/f(j) = 2j(2j+1) / (4 (2j+2)(2j+3)) < 1/4, so each term
-    t_j = zeta(2j) f(j) is under 1/4 of the one before, and the tail after N terms is under
-    t_(N+1) (1 + 1/4 + 1/16 + ...) = (4/3) t_(N+1).  Each inner zeta sum
-    is within inner_tol and each f(j) < 1, so the inner sums add under
-    N inner_tol, which the bound adds to (4/3) t_(N+1).  Rounding at the
-    working precision is not in the rule (ROADMAP item 2a); where it sets
-    the error, from about N = 40 at precision 15, N inner_tol >= N eps/100
-    exceeds it.
+    zeta sums and their tolerance, from the least omitted term f(N+1)
+    (zeta(2N+2) > 1), and its bound rule, whose proof is there.  The
+    reference is (ln pi - 1)/2 with mpmath's pi.  Here every term is under
+    1/4 of the one before, so the rule's rho is 1/4 and the tail is under
+    (4/3) t_(N+1); the rule adds N times the inner tolerance, since the
+    f-weighted count, sum_(j<=N) f(j) + (4/3) f(N+1) < 1/21, is below N.
+    That N is loose, 798 times the error at precision 34 and N = 120, but it is what
+    covers the rounding at the working precision, which is not in the rule
+    (ROADMAP item 2a): where rounding sets the error, from about N = 40 at
+    precision 15, N times the tolerance, at least N eps/100, exceeds it.
     """
     if terms < 1:
         raise ValueError(f"check_ln_pi_over_e requires terms >= 1, got {terms}")
     wp = TruncationParams(terms, working_precision).working_precision  # the evaluators' floor
     with mp.workdps(wp + _GUARD_DIGITS):
-        series_term, inner_tol = _zeta_series(-1, 1, terms, wp, 1)  # the sum is below 1
+        series_term, bound_of = _zeta_series(-1, 1, terms, wp, 1)  # the sum is below 1
         return _evaluate(terms, series_term, lambda total: total, lambda: (mp.log(mp.pi) - 1) / 2,
-                         lambda omitted: 4 * abs(omitted) / 3 + terms * inner_tol)
+                         bound_of)

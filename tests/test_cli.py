@@ -414,23 +414,32 @@ def test_eval_precision_floor(capsys):
 
 
 def test_eval_output_is_pinned(capsys):
-    # stdout, stderr and exit code of 108 eval commands, pinned by their
-    # sha256.  x = -0.45 is outside Gamma's domain and inside the others';
+    # stdout, stderr and exit code of 108 eval commands, 18 per target,
+    # pinned by one sha256 per target, so a failure names the target that
+    # moved.  x = -0.45 is outside Gamma's domain and inside the others';
     # terms = 0 reports the leading part alone.  A change to how a series
     # stops, is bounded or gets its reference must leave these bytes as
-    # they were, or change this digest on purpose.
-    targets = [["gamma"], ["digamma"], ["hurwitz", "--m0", "1"], ["hurwitz", "--m0", "3"],
-               ["polygamma", "--y", "1"], ["polygamma", "--y", "2"]]
-    text = []
-    for target in targets:
+    # they were, or change a digest on purpose.
+    pinned = {
+        "gamma": "e290d6a294158b303bfae22b2284c84f5c9ab9f5dc08038f92afc7ad04c74ca9",
+        "digamma": "d1d226a0d0b72715dcfeb3646cc36fb4993acf5c92a483c7a02ab9aa30ed2a0f",
+        "hurwitz --m0 1": "a25daaed3fd8e784e34435e529881186e6d66d54603df010369336a2311ecae6",
+        "hurwitz --m0 3": "c41437d14936289ad5cf89d5c64c0d0e4f117f9c0ee7403d9cd691ae3f783f89",
+        "polygamma --y 1": "b7ae6e2f1dddb5310a107e52bde161a25f54e4bc2574ba3fa336bd870f77e0f1",
+        "polygamma --y 2": "741cfbe1f3ab5ffc8d77fedcd278e6007a708711f9e3f0ae07a0fb9a63ee7c1b",
+    }
+    digests = {}
+    for target in pinned:
+        text = []
         for x in ["-0.45", "2.5", "55.5"]:
             for terms in ["0", "4", "30"]:
                 for precision in ["34", "100"]:
-                    argv = ["eval", *target, "--x", x, "--terms", terms, "--precision", precision]
+                    argv = ["eval", *target.split(), "--x", x, "--terms", terms,
+                            "--precision", precision]
                     code, out, err = run_cli(capsys, *argv)
                     text.append(f"{' '.join(argv)}\n{code}\n{out}{err}")
-    digest = hashlib.sha256("".join(text).encode()).hexdigest()
-    assert digest == "635b771606eb618507c20174e747f857a69e0b9d9e38896d5d09319edb147100"
+        digests[target] = hashlib.sha256("".join(text).encode()).hexdigest()
+    assert digests == pinned
 
 
 @pytest.mark.skipif(

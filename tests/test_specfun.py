@@ -1,6 +1,7 @@
 """Truncated evaluators: domain checks, spec'd trivial points, error discipline."""
 
 import hashlib
+import itertools
 import math
 import subprocess
 import sys
@@ -226,38 +227,93 @@ def test_hurwitz_reproduces_direct_sum():
         assert report.abs_error < 1e-10
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the bound covers truncation, not rounding")
 @pytest.mark.parametrize(
     "evaluate",
     [
-        lambda: eval_hurwitz_expansion(1, "1e400", tp(3)),  # error 8.1e-446, bound 3.3e-3602
-        lambda: eval_polygamma(1, 20, tp(60)),  # error 4.7e-47, bound 2.1e-201
+        pytest.param(
+            lambda: eval_hurwitz_expansion(1, "1e400", tp(3)),  # error 8.1e-446, bound 3.3e-3602
+            marks=pytest.mark.xfail(
+                strict=True, reason="ROADMAP item 2a: the bound covers truncation, not rounding"),
+            id="hurwitz-x1e400-terms3",
+        ),
+        # error 4.7e-47, bound 8.2e-47: 60 inner tolerances cover the 44-digit floor
+        pytest.param(lambda: eval_polygamma(1, 20, tp(60)), id="polygamma-y1-x20-terms60"),
     ],
-    ids=["hurwitz-x1e400-terms3", "polygamma-y1-x20-terms60"],
 )
 def test_report_bound_covers_the_rounding_floor(evaluate):
     report = evaluate()
     assert report.abs_error <= 2 * report.first_omitted_term_bound
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 2: near x = -1/2 the terms shrink by only about 0.96 per step, "
-    "so the tail is about 26 first omitted terms, not one",
-)
 def test_report_bound_covers_a_slowly_shrinking_tail():
-    report = eval_polygamma(1, "-0.49", tp(60))  # error 8.84, bound 0.343
+    # Near x = -1/2 the terms shrink by only rho = 0.96 per step, so the tail
+    # is about 26 first omitted terms.  At y = 1 the q^-s part of each term
+    # is exactly geometric in rho, so the bound, 8.84011004411..., meets the
+    # error to 30 digits.
+    report = eval_polygamma(1, "-0.49", tp(60))  # error 8.84
     assert report.abs_error <= 2 * report.first_omitted_term_bound
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 2: at order 10^6 three terms cancel almost none of the leading "
-    "part, so the first omitted term bounds nothing",
-)
 def test_report_bound_covers_a_huge_order():
-    report = eval_polygamma(10**6, "1", tp(3))  # error 4.6e+5389611, bound 1.8e+5264716
+    # At order 10^6 three terms cancel almost none of the leading part, and
+    # the terms grow: rho >> 1, so the bound is inf.
+    report = eval_polygamma(10**6, "1", tp(3))  # error 4.6e+5389611
+    assert report.first_omitted_term_bound == mp.inf
     assert report.abs_error <= 2 * report.first_omitted_term_bound
+
+
+def _polygamma_truth(y, x, digits):
+    with mp.workdps(digits):
+        return (-1) ** (y - 1) * mpmath.factorial(y) * mpmath.zeta(y + 1, mp.mpf(x) + 1)
+
+
+def test_zeta_series_bound_covers_the_error_on_a_grid():
+    # Every case is kept, at x near -1/2 where the tail is many terms, and
+    # at orders whose inner sums carry weights far above 1.  The bound covers
+    # truncation and the inner sums; |truth| 10^-wp stands in for the
+    # rounding floor, which the bound leaves out until ROADMAP item 2a.
+    orders = [(y, 34) for y in (1, 2, 3, 10, 30)] + [(y, 100) for y in (1, 2)]
+    over = []
+    for (y, precision), x, terms in itertools.product(
+            orders, ("-0.49", "-0.3", "0.3", "12", "55.5"), (0, 4, 30)):
+        report = eval_polygamma(y, x, tp(terms, precision))
+        truth = _polygamma_truth(y, x, precision + 120)
+        with mp.workdps(precision + 120):
+            error = abs(report.value - truth)
+            floor = abs(truth) * mp.mpf(10) ** -precision
+            if not error <= report.first_omitted_term_bound + floor:
+                over.append((y, x, terms, precision, mp.nstr(error, 3)))
+    assert over == []
+
+
+_loses_digits_at_order_30 = pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 2: the inner zeta sums take an absolute tol in the series' units, "
+    "so a weight above 1 multiplies their error; the inner-sum rule needs a tol relative to zeta",
+)
+
+
+@pytest.mark.parametrize(
+    "y, x",
+    [
+        pytest.param(30, "12", marks=_loses_digits_at_order_30),  # 2.1e-24
+        pytest.param(30, "55.5", marks=_loses_digits_at_order_30),  # 2.4e-14
+        pytest.param(30, "1000.3", marks=_loses_digits_at_order_30),  # 1.7e-14
+        (3, "55.5"),  # 1.1e-46
+        (10, "55.5"),  # 8.0e-40
+        (30, "2.5"),  # 1.7e-38
+    ],
+)
+def test_polygamma_value_holds_its_digits_at_high_order(y, x):
+    # The relative error of a 60-term value at precision 34.  At y = 30 the
+    # weights f(n) (2n)_31 pass 10^34, so inner sums within their absolute
+    # tol still move the value by up to 2.4e-14 of itself; the bound counts
+    # that, but the value should not lose it.
+    report = eval_polygamma(y, x, tp(60))
+    truth = _polygamma_truth(y, x, 300)
+    with mp.workdps(300):
+        assert abs(report.value - truth) / abs(truth) <= mp.mpf(10) ** -34
 
 
 def _reference_cases():
