@@ -67,7 +67,7 @@ from pathlib import Path
 
 from . import __version__
 from .compositions import compositions
-from .exactnum import format_rational
+from .exactnum import _no_int_str_limit, format_rational
 from .kernels import KernelKind, kernel_recursive, read_cache_file, shared_cache, write_cache_file
 
 _EVAL_DIGITS = 30  # significant digits printed for floats, at most --precision
@@ -261,12 +261,9 @@ def cmd_compositions(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # Kernel values pass 4300 digits, Python's default int<->str limit, near n = 780.
-    # The limit is lifted for this call only, so later code in the process keeps its own.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
-    try:
+    # The int <-> str limit is lifted for this call only, so later code in
+    # the process keeps its own.
+    with _no_int_str_limit():
         try:
             args = build_parser().parse_args(argv)
         except SystemExit as exc:
@@ -296,9 +293,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         return code
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
 
 
 def run() -> None:

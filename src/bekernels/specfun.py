@@ -18,7 +18,7 @@ guard digits; exact rationals are converted at the last moment.
 from __future__ import annotations
 
 import itertools
-import math
+import numbers
 from collections import namedtuple
 from collections.abc import Callable
 from fractions import Fraction
@@ -57,8 +57,8 @@ class TruncationParams(namedtuple("_Truncation", ["terms", "working_precision"])
     __slots__ = ()
 
     def __new__(cls, terms: int, working_precision: int = 34) -> "TruncationParams":
-        if terms < 0:
-            raise ValueError(f"terms must be >= 0, got {terms}")
+        if not isinstance(terms, numbers.Integral) or terms < 0:
+            raise ValueError(f"TruncationParams requires an integer terms >= 0, got {terms!r}")
         if working_precision < 15:
             raise ValueError(f"working_precision must be >= 15, got {working_precision}")
         return super().__new__(cls, terms, working_precision)
@@ -184,14 +184,6 @@ def _mpf(x: Real) -> mpmath.mpf:
     return value
 
 
-def _fraction(x: Real) -> Fraction:
-    """x exactly; inf and nan raise ValueError, as in _mpf."""
-    _mpf(x)
-    if not isinstance(x, mpmath.mpf):
-        return Fraction(x)
-    return Fraction(*mpmath.libmp.to_rational(x._mpf_))
-
-
 def _base(name: str, x: Real) -> tuple[mpmath.mpf, mpmath.mpf]:
     """(x, x + 1/2) at the current working precision; x <= -1/2 raises ValueError naming ``name``.
 
@@ -206,60 +198,53 @@ def _base(name: str, x: Real) -> tuple[mpmath.mpf, mpmath.mpf]:
     return xm, xm + mp.mpf(1) / 2
 
 
-def zeta_direct(s: Real, q: Real, tol: Real) -> mpmath.mpf:
-    """Hurwitz zeta sum_{n>=0} (n+q)^(-s) for s > 1, q > 0, to within tol.
+def zeta_direct(s: int, q: Real, tol: Real) -> mpmath.mpf:
+    """Hurwitz zeta sum_{n>=0} (n+q)^(-s) for an integer s >= 2 and q > 0, to within tol.
+
+    The paper takes zeta only at integers, and ``_zeta_series``, the one
+    caller, passes s = 2n + y + 1; an s that is not a ``numbers.Integral``
+    raises ValueError.  Below 10^25 an integer s is exact at the working
+    digits, at least 25, so none go to its rounding.  q and tol, any real
+    (float, str, Fraction or mpf), are read by ``_mpf``, as x is.
 
     Sums N explicit terms, then corrects with the integral tail
     (N+q)^(1-s)/(s-1), half the edge term (N+q)^(-s)/2 and the
     Euler-Maclaurin terms B_2k/(2k)! s(s+1)...(s+2k-2) (N+q)^(1-s-2k).
-    tol may be any real (float, str, Fraction or mpf); its decimal
-    exponent sets the digits D, and the sum is carried at D plus the
-    digits of its own size above 1.  It runs in two stages.  The first,
-    at 15 digits, reads tol, reads s and q exactly, as Fractions, checks
-    s > 1 and q > 0 on them, so an s that any fixed digits would round to
-    1 is still accepted, and sizes the digits from the exact s - 1.  The
-    second sums at the digits so sized.  s rounds only there, and the sum
-    moves by about s size (1/(s-1) + |ln q|) per unit of s, so the
-    digits of s (1/(s-1) + |ln q|) that the guard digits do not absorb are
-    carried as well: near s = 1 the sum is carried at about
-    D + 2 log10(1/(s-1)) - 10 digits.  N puts the edge N+q at or past D,
-    and the corrections are added until the next one is <= tol; since
-    t -> (q+t)^(-s) is completely monotone, that first omitted correction
-    bounds the true remainder.  One pass suffices: the corrections shrink
-    until 2k is about 2 pi edge - s, and the smallest is at most about
-    100 e^(-2 pi edge) <= 10^(2 - 2.7 D), below tol = 10^(10 - D); when
-    s > 2 pi edge - 1, the first, about s edge^(-s-1) / 12, is already
-    below tol.  A correction that stops shrinking above tol thus means a
-    broken premise, such as a wrong B_2k, and raises ArithmeticError.
+    It runs in two stages.  The first, at 15 digits, reads q and tol,
+    checks q > 0 there, since rounding never changes a sign, and sizes the
+    digits: tol's decimal exponent sets D, and the sum is carried at D plus
+    the digits of its own size above 1.  The second sums at those digits.
+    N puts the edge N+q at or past D, and the corrections are added until
+    the next one is <= tol; since t -> (q+t)^(-s) is completely monotone,
+    that first omitted correction bounds the true remainder.  One pass
+    suffices: the corrections shrink until 2k is about 2 pi edge - s, and
+    the smallest is at most about 100 e^(-2 pi edge) <= 10^(2 - 2.7 D),
+    below tol = 10^(10 - D); when s > 2 pi edge - 1, the first, about
+    s edge^(-s-1) / 12, is already below tol.  A correction that stops
+    shrinking above tol thus means a broken premise, such as a wrong B_2k,
+    and raises ArithmeticError.
 
     B_2k comes from ``mpmath.bernoulli`` at the working precision: this sum
     gives every inner zeta value of ``_zeta_series``, the one series of
-    ``eval_polygamma`` and ``check_ln_pi_over_e`` and the one caller of
-    this function in the module, and it is the tests' tolerance-bounded
-    reference for the kernel-derived expansions, so it must not read their
-    own Bernoulli pipeline.
+    ``eval_polygamma`` and ``check_ln_pi_over_e``, and it is the tests'
+    tolerance-bounded reference for the kernel-derived expansions, so it
+    must not read their own Bernoulli pipeline.
     """
+    if not isinstance(s, numbers.Integral) or s < 2:
+        raise ValueError(f"zeta_direct requires an integer s >= 2, got {s!r}")
+    s = int(s)  # mpmath reads no numpy integer
     with mp.workdps(15):
-        tol_m = _mpf(tol)
+        qm, tol_m = _mpf(q), _mpf(tol)
         if not tol_m > 0:
             raise ValueError(f"tol must be positive, got {tol}")
-        digits = max(25, int(mp.ceil(-mp.log10(tol_m))) + _GUARD_DIGITS)
-        # Exactly, so that an s which any fixed digits round to 1 still passes its check.
-        s_exact, q_exact = _fraction(s), _fraction(q)
-        if not s_exact > 1:
-            raise ValueError(f"zeta_direct requires s > 1, got {s}")
-        if not q_exact > 0:
+        if not qm > 0:
             raise ValueError(f"zeta_direct requires q > 0, got {q}")
-        sm, qm, gap = _mpf(s_exact), _mpf(q_exact), _mpf(s_exact - 1)
+        digits = max(25, int(mp.ceil(-mp.log10(tol_m))) + _GUARD_DIGITS)
         # The sum is at most q^(-s) + q^(1-s)/(s-1); an absolute tol needs
-        # the digits of that size above 1 as well.  The rounding of s moves
-        # the sum by s (1/(s-1) + |ln q|) times that size, and the guard
-        # digits absorb only ten digits of that factor (|factor| <= 2^mag).
-        extra = max(0, int(mp.ceil(mp.log10(qm**-sm + qm**-gap / gap))))
-        factor = sm * (1 / gap + abs(mp.log(qm)))
-        extra += max(0, math.ceil(mp.mag(factor) * math.log10(2)) - _GUARD_DIGITS)
+        # the digits of that size above 1 as well.
+        extra = max(0, int(mp.ceil(mp.log10(qm**-s + qm ** (1 - s) / (s - 1)))))
     with mp.workdps(digits + extra):
-        sm, qm, tol_m = _mpf(s_exact), _mpf(q_exact), _mpf(tol)
+        sm, qm, tol_m = _mpf(s), _mpf(q), _mpf(tol)
         # An edge near the digits tol asks for makes the corrections shrink geometrically.
         n_terms = int(mp.ceil(digits - qm)) if qm < digits else 0
         total = mp.fsum((qm + n) ** -sm for n in range(n_terms))
@@ -288,8 +273,8 @@ def eval_hurwitz_expansion(m0: int, x: Real, params: TruncationParams) -> EvalRe
     ((2m0+2z-1) (x+1/2)^(2m0+2z-1)); the reference is
     ``mpmath.zeta(2*m0, x+1)``.  Requires m0 >= 1 and x > -1/2.
     """
-    if m0 < 1:
-        raise ValueError(f"eval_hurwitz_expansion requires m0 >= 1, got {m0}")
+    if not isinstance(m0, numbers.Integral) or m0 < 1:
+        raise ValueError(f"eval_hurwitz_expansion requires an integer m0 >= 1, got {m0!r}")
     wp = params.working_precision
     with mp.workdps(wp + _GUARD_DIGITS):
         xm, base = _base("eval_hurwitz_expansion", x)
@@ -369,8 +354,8 @@ def eval_polygamma(y: int, x: Real, params: TruncationParams) -> EvalReport:
     each later term's ratio to the one before, plus the inner sums' error;
     it is inf where rho >= 1, as near x = -1/2 at y >= 2 with few terms.
     """
-    if y < 1:
-        raise ValueError(f"eval_polygamma requires y >= 1, got {y}")
+    if not isinstance(y, numbers.Integral) or y < 1:
+        raise ValueError(f"eval_polygamma requires an integer y >= 1, got {y!r}")
     wp = params.working_precision
     with mp.workdps(wp + _GUARD_DIGITS):
         xm, base = _base("eval_polygamma", x)
@@ -397,8 +382,8 @@ def check_ln_pi_over_e(terms: int, working_precision: int = 34) -> EvalReport:
     (ROADMAP item 2a): where rounding sets the error, from about N = 40 at
     precision 15, N times the tolerance, at least N eps/100, exceeds it.
     """
-    if terms < 1:
-        raise ValueError(f"check_ln_pi_over_e requires terms >= 1, got {terms}")
+    if not isinstance(terms, numbers.Integral) or terms < 1:
+        raise ValueError(f"check_ln_pi_over_e requires an integer terms >= 1, got {terms!r}")
     wp = TruncationParams(terms, working_precision).working_precision  # the evaluators' floor
     with mp.workdps(wp + _GUARD_DIGITS):
         series_term, bound_of = _zeta_series(-1, 1, terms, wp, 1)  # the sum is below 1

@@ -51,10 +51,11 @@ def first_difference(pairs: Iterable[Pair]) -> str | None:
     """None when every pair agrees, else a description of the first that does not."""
     for where, lhs, rhs in pairs:
         if lhs != rhs:
-            return (
-                f"first difference at {where}: "
-                f"{exactnum.format_rational(lhs)} vs {exactnum.format_rational(rhs)}"
-            )
+            with exactnum._no_int_str_limit():  # for a library call too, not only the CLI's
+                return (
+                    f"first difference at {where}: "
+                    f"{exactnum.format_rational(lhs)} vs {exactnum.format_rational(rhs)}"
+                )
     return None
 
 

@@ -442,6 +442,24 @@ def test_eval_output_is_pinned(capsys):
     assert digests == pinned
 
 
+def test_high_order_polygamma_output_is_pinned(capsys):
+    # stdout, stderr and exit code of 72 polygamma commands at y >= 10,
+    # pinned by their sha256.  There the inner zeta sums run at s >= 13,
+    # and at x = -0.45 at q < 1, where zeta_direct carries digits for the
+    # sum's size; test_eval_output_is_pinned stops at y = 2.
+    text = []
+    for y in ["10", "30", "300"]:
+        for x in ["-0.45", "2.5", "55.5", "1000.3"]:
+            for terms in ["0", "4", "30"]:
+                for precision in ["34", "100"]:
+                    argv = ["eval", "polygamma", "--y", y, "--x", x, "--terms", terms,
+                            "--precision", precision]
+                    code, out, err = run_cli(capsys, *argv)
+                    text.append(f"{' '.join(argv)}\n{code}\n{out}{err}")
+    digest = hashlib.sha256("".join(text).encode()).hexdigest()
+    assert digest == "770031003e1d8a964828644d05dffbcb16b7ba097f4565d7edd72868409f034a"
+
+
 @pytest.mark.skipif(
     not hasattr(sys, "set_int_max_str_digits"), reason="this Python has no int <-> str limit"
 )
@@ -458,6 +476,23 @@ def test_values_past_the_int_string_limit(capsys):
     assert code == 0
     assert after == 640  # main lifts the limit for its own call only
     assert len(out.splitlines()) == 170
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="this Python has no int <-> str limit"
+)
+def test_first_difference_names_a_value_past_the_int_string_limit():
+    # A library call of verify.run_checks does not go through main, so
+    # first_difference lifts the limit itself for the values it names.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        text = verify.first_difference([("n=900", Fraction(10**5000 + 1), Fraction(10**5000))])
+        after = sys.get_int_max_str_digits()
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert text.startswith("first difference at n=900: 1000")
+    assert after == 640
 
 
 def test_compositions_listing(capsys):

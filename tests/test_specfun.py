@@ -2,7 +2,6 @@
 
 import hashlib
 import itertools
-import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -38,6 +37,9 @@ def test_truncation_params_validation():
     assert tp(3)._replace(working_precision=50) == tp(3, 50)
     with pytest.raises(ValueError):
         tp(3)._replace(terms=-1)
+    for terms in (4.5, 4.0, "4"):  # each would fail later, in range()
+        with pytest.raises(ValueError, match="TruncationParams requires an integer terms"):
+            TruncationParams(terms)
 
 
 def test_eval_path_imports_no_dataclasses():
@@ -74,42 +76,36 @@ def test_zeta_direct_tracks_tolerance():
 
 def test_zeta_direct_against_independent_library():
     with mp.workdps(40):
-        for s, q in [(2, 10), (5, 1), (2.5, 0.75), (31, 4)]:
+        for s, q in [(2, 10), (5, 1), (3, 0.75), (31, 4)]:
             assert abs(zeta_direct(s, q, 1e-25) - mpmath.zeta(s, q)) <= 1e-25
 
 
 @pytest.mark.parametrize("tol", [1e-12, 1e-56, 1e-100])
-@pytest.mark.parametrize("s", [2, 2.5, 4, 31, 122, 1 + 2**-40, 4000])
+@pytest.mark.parametrize("s", [2, 3, 4, 31, 122, 4000])
 def test_zeta_direct_meets_tolerance(s, tol):
     # q = 1e400 is past the float range; q = 0.75 with s = 122 puts the sum
     # near 2e15, so an absolute tol needs digits above the decimal point.
-    # s = 1 + 2**-40 is exact in binary and puts the tail near 1e12; at
-    # s = 4000 the first correction is already below tol.  The check keeps
-    # tol only while the sum, near q^-s + q^(1-s)/(s-1), fits its digits:
-    # so q = 1e-9 only near s = 1, and no q below 1 at s = 4000.
-    qs = {1 + 2**-40: (0.75, 1, 20.74, 1e6, "1e400", "1e-9"), 4000: (1, 20.74, 1e6, "1e400")}
-    for q in qs.get(s, (0.75, 1, 20.74, 1e6, "1e400")):
+    # At s = 4000 the first correction is already below tol.  The check
+    # keeps tol only while the sum, near q^-s + q^(1-s)/(s-1), fits its
+    # digits: so no q below 1 at s = 4000.
+    for q in (1, 20.74, 1e6, "1e400") if s == 4000 else (0.75, 1, 20.74, 1e6, "1e400"):
         value = zeta_direct(s, q, tol)
         with mp.workdps(int(-mp.log10(tol)) + 20):
             assert abs(value - mpmath.zeta(s, mp.mpf(q))) <= tol, q
 
 
-@pytest.mark.parametrize("tol", ["1e-20", "1e-56"])
-@pytest.mark.parametrize("q", [0.5, 1, 3.7])
-@pytest.mark.parametrize(
-    "s", ["1.001", "1.00000001", "1.000000000001", "1.00000000000000000001", "1." + "0" * 39 + "1"]
-)
-def test_zeta_direct_meets_tolerance_near_one(s, q, tol):
-    # Near s = 1 the sum moves by about 1/(s-1)^2 per unit of s, so the
-    # rounding of a decimal s must be carried past tol's digits as well:
-    # ("1.000000000001", 1, "1e-56") was 1.7e-56 off while it was not.  The
-    # last s rounds to 1 at 30 digits, so it must be read exactly before the
-    # s > 1 check.  mpmath rounds s too, so its digits rise by the same
-    # 2 log10(1/(s-1)).
-    value = zeta_direct(s, q, tol)
-    near = 2 * math.ceil(math.log10(1 / (Fraction(s) - 1)))
-    with mp.workdps(int(-mp.log10(mp.mpf(tol))) + 60 + near):
-        assert abs(value - mpmath.zeta(mp.mpf(s), mp.mpf(q))) <= mp.mpf(tol)
+def test_zeta_direct_rejects_a_non_integer_s():
+    # The paper takes zeta only at integer s, and an s near 1, given in any
+    # form, is not one.  An integer-valued float or mpf is not an integer
+    # either, and True is 1.
+    near_one = ["1.001", "1.00000001", "1.000000000001", "1.00000000000000000001",
+                "1." + "0" * 39 + "1"]
+    with mp.workdps(80):
+        rejected = [*near_one, *map(Fraction, near_one), *map(mp.mpf, near_one),
+                    1 + mp.mpf(2) ** -200, 1 + 2**-40, 2.5, 2.0, mp.mpf(3), 1, True]
+    for s in rejected:
+        with pytest.raises(ValueError, match="integer s >= 2"):
+            zeta_direct(s, 1, 1e-20)
 
 
 def test_zeta_direct_tolerance_past_float_range():
@@ -162,7 +158,7 @@ def test_zeta_direct_domain():
     with pytest.raises(ValueError):
         zeta_direct(2, 0, 1e-10)
     with pytest.raises(ValueError, match="q > 0"):
-        zeta_direct(2, mp.mpf(-1.5), 1e-10)  # an mpf is read exactly, with its sign
+        zeta_direct(2, mp.mpf(-1.5), 1e-10)  # rounding keeps an mpf's sign
     with pytest.raises(ValueError):
         zeta_direct(2, 1, 0.0)
     # An mpf is read whole, before any check: inf and nan are not numbers to compare.
@@ -175,16 +171,24 @@ def test_zeta_direct_domain():
         zeta_direct(2, 1, mp.nan)
 
 
-def test_zeta_direct_reads_an_mpf_s_exactly():
-    # 1 + 2^-200 rounds to 1 at 15 digits, the digits zeta_direct sizes at,
-    # so it passes the s > 1 check only if it is read exactly.  The
-    # reference's digits are those of the near-one test.
-    with mp.workdps(80):
-        s = 1 + mp.mpf(2) ** -200
-    value = zeta_direct(s, 1, 1e-20)
-    near = 2 * math.ceil(math.log10(2**200))
-    with mp.workdps(20 + 60 + near):
-        assert abs(value - mpmath.zeta(s, 1)) <= mp.mpf("1e-20")
+def test_zeta_direct_values_at_integer_s_are_pinned():
+    # 156 values, each at 190 digits, pinned by their sha256: the integer s
+    # that _zeta_series passes, with q and tol in each form a caller may
+    # give.  q < 1 at s = 4000 would put the sum at 10^500 or more.  A
+    # change to how zeta_direct reads its arguments or sizes its digits
+    # must leave these as they were, or change this digest on purpose.
+    below_one = (0.5, "0.75")
+    others = (1, "22.3", 55.5, "1e400", "20.74", Fraction(151, 100), mp.mpf("3.7"))
+    text = []
+    for s in (2, 3, 7, 41, 122, 4000):
+        for q in others if s == 4000 else below_one + others:
+            for tol in (1e-20, "1e-40", Fraction(1, 10**110)):
+                value = zeta_direct(s, q, tol)
+                with mp.workdps(200):
+                    text.append(mp.nstr(value, 190) + "\n")
+    assert len(text) == 156
+    digest = hashlib.sha256("".join(text).encode()).hexdigest()
+    assert digest == "979d9e93dda15b7e22b9f086fea7006a4820abaadf39c3e0612afed44e6da7ab"
 
 
 def _fractions_to_convert():
@@ -203,7 +207,8 @@ def test_fraction_converts_correctly_rounded(digits):
         for x in _fractions_to_convert():
             v = specfun._mpf(x)
             _, _, exp, bc = v._mpf_
-            if abs(specfun._fraction(v) - x) > Fraction(2) ** (exp + bc - mp.prec) / 2:
+            exact = Fraction(*mpmath.libmp.to_rational(v._mpf_))
+            if abs(exact - x) > Fraction(2) ** (exp + bc - mp.prec) / 2:
                 wrong.append(x)
     assert wrong == []
 
@@ -415,6 +420,9 @@ def test_p_term_known_points():
 def test_p_term_domain():
     with pytest.raises(ValueError):
         eval_hurwitz_expansion(0, 1, tp(3))
+    for m0 in (2.5, 1.0):  # each would fail later, in math.comb
+        with pytest.raises(ValueError, match="eval_hurwitz_expansion requires an integer m0"):
+            eval_hurwitz_expansion(m0, 1, tp(3))
     for x in (-0.5, -3, float("inf")):
         with pytest.raises(ValueError):
             eval_hurwitz_expansion(1, x, tp(3))
@@ -575,6 +583,17 @@ def test_polygamma_domain():
         eval_polygamma(1, -0.6, tp(3))
     with pytest.raises(ValueError):
         eval_polygamma(1, float("inf"), tp(3))
+    for y in (2.5, 3.0):  # named here, not by zeta_direct's check on s
+        with pytest.raises(ValueError, match="eval_polygamma requires an integer y"):
+            eval_polygamma(y, "3", tp(3))
+
+
+def test_integer_arguments_accept_numpy_integers():
+    np = pytest.importorskip("numpy")
+    assert eval_digamma(3, TruncationParams(np.int64(4))) == eval_digamma(3, tp(4))
+    assert eval_hurwitz_expansion(np.int64(2), 3, tp(4)) == eval_hurwitz_expansion(2, 3, tp(4))
+    assert eval_polygamma(np.int64(2), 3, tp(4)) == eval_polygamma(2, 3, tp(4))
+    assert zeta_direct(np.int64(3), 1, 1e-20) == zeta_direct(3, 1, 1e-20)
 
 
 def test_ln_pi_over_e_partial_sums():
