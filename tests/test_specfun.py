@@ -81,28 +81,50 @@ def test_zeta_direct_against_independent_library():
 
 
 @pytest.mark.parametrize("tol", [1e-12, 1e-56, 1e-100])
-@pytest.mark.parametrize("s", [2, 3, 4, 31, 122, 4000])
+@pytest.mark.parametrize("s", [2, 2.5, 3, 4, 31, 122, 1 + 2**-40, 4000])
 def test_zeta_direct_meets_tolerance(s, tol):
     # q = 1e400 is past the float range; q = 0.75 with s = 122 puts the sum
     # near 2e15, so an absolute tol needs digits above the decimal point.
     # At s = 4000 the first correction is already below tol.  The check
     # keeps tol only while the sum, near q^-s + q^(1-s)/(s-1), fits its
-    # digits: so no q below 1 at s = 4000.
+    # digits: so no q below 1 at s = 4000.  A non-integer s, such as 2.5
+    # or 1 + 2**-40 (exact in binary), is refused, not answered.
+    if s != int(s):
+        with pytest.raises(ValueError, match="integer s >= 2"):
+            zeta_direct(s, 1, tol)
+        return
     for q in (1, 20.74, 1e6, "1e400") if s == 4000 else (0.75, 1, 20.74, 1e6, "1e400"):
         value = zeta_direct(s, q, tol)
         with mp.workdps(int(-mp.log10(tol)) + 20):
             assert abs(value - mpmath.zeta(s, mp.mpf(q))) <= tol, q
 
 
-def test_zeta_direct_rejects_a_non_integer_s():
-    # The paper takes zeta only at integer s, and an s near 1, given in any
-    # form, is not one.  An integer-valued float or mpf is not an integer
-    # either, and True is 1.
-    near_one = ["1.001", "1.00000001", "1.000000000001", "1.00000000000000000001",
-                "1." + "0" * 39 + "1"]
+@pytest.mark.parametrize("tol", ["1e-20", "1e-56"])
+@pytest.mark.parametrize("q", [0.5, 1, 3.7])
+@pytest.mark.parametrize(
+    "s", ["1.001", "1.00000001", "1.000000000001", "1.00000000000000000001", "1." + "0" * 39 + "1"]
+)
+def test_zeta_direct_meets_tolerance_near_one(s, q, tol):
+    # The paper takes zeta only at integer s, so near s = 1 the domain
+    # starts at s = 2, where the sum converges slowest.  An s near 1, given
+    # as a str, a Fraction or an mpf, is refused; s = 2 meets tol at the
+    # same q.  The last s rounds to 1 at 30 digits, so its mpf is made at 80.
     with mp.workdps(80):
-        rejected = [*near_one, *map(Fraction, near_one), *map(mp.mpf, near_one),
-                    1 + mp.mpf(2) ** -200, 1 + 2**-40, 2.5, 2.0, mp.mpf(3), 1, True]
+        forms = (s, Fraction(s), mp.mpf(s))
+    for near in forms:
+        with pytest.raises(ValueError, match="integer s >= 2"):
+            zeta_direct(near, q, tol)
+    value = zeta_direct(2, q, tol)
+    with mp.workdps(int(-mp.log10(mp.mpf(tol))) + 20):
+        assert abs(value - mpmath.zeta(2, mp.mpf(q))) <= mp.mpf(tol)
+
+
+def test_zeta_direct_rejects_a_non_integer_s():
+    # An integer-valued float or mpf is not an integer, 1 + 2^-200 is not
+    # one even though it rounds to 1 at 15 digits, and True is 1.  The
+    # near-one s and 2.5 are refused in the two tolerance tests above.
+    with mp.workdps(80):
+        rejected = [1 + mp.mpf(2) ** -200, 2.0, mp.mpf(3), 1, True]
     for s in rejected:
         with pytest.raises(ValueError, match="integer s >= 2"):
             zeta_direct(s, 1, 1e-20)
